@@ -266,7 +266,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     model = train_background(config.prior(), [counts[i] for i in train_idx])
     trace = score(model, windowed, margin=config.flag_margin)
     lines = ["start_index,count,nll"]
-    for start, count, value in zip(trace.starts, trace.counts, trace.nlls):
+    for start, count, value in zip(trace.starts, trace.counts, trace.nlls.tolist()):
         lines.append(f"{int(start)},{int(count)},{value!r}")
     Path(args.nll_out).write_text("\n".join(lines) + "\n", encoding="ascii")
     intervals = flag_events(trace)

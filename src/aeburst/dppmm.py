@@ -92,89 +92,63 @@ class UniformStream:
 
     @classmethod
     def resume(cls, seed: int, draws: int) -> "UniformStream":
+        # Each double from ``random()`` is exactly one PCG64 step.
         stream = cls(seed)
-        remaining = int(draws)
-        while remaining > 0:
-            chunk = min(remaining, 1 << 16)
-            stream._gen.random(chunk)
-            remaining -= chunk
+        stream._gen.bit_generator.advance(int(draws))
         stream.draws = int(draws)
         return stream
+
+
+def _terms(log_c: float, n: int, s: int, base: GammaParams) -> tuple:
+    """Count-independent pieces of ``log_c + log NB(x; a + s, (b + n)/(b + n + 1))``.
+
+    ``n`` and ``s`` are the member count and count sum the weight conditions
+    on (zero for the empty-component route) and ``log_c`` its log prior mass.
+    """
+    r = base.shape + s
+    gamma_rate = base.rate + n
+    log1p_g = math.log1p(gamma_rate)
+    return (log_c, r, math.lgamma(r), r * (math.log(gamma_rate) - log1p_g), log1p_g)
+
+
+def _log_weight(terms: tuple, x: int, lgamma_x1: float) -> float:
+    """Unnormalised log weight of count ``x``; ``lgamma_x1`` is ``lgamma(x + 1)``."""
+    log_c, r, lgamma_r, r_log_p, log1p_g = terms
+    return (
+        log_c
+        + math.lgamma(x + r)
+        - lgamma_r
+        - lgamma_x1
+        + r_log_p
+        - x * log1p_g
+    )
 
 
 class ClusterStats:
     """Sufficient statistics of one non-empty component.
 
-    Caches the pieces of the leave-one-out negative-binomial log weight
-    that depend only on the component, refreshed whenever a member is
-    added or removed.
+    ``terms`` caches the count-independent pieces of the component's log
+    weight (see ``_terms``); the owning ``MixtureState`` refreshes it
+    whenever a member is attached or detached.
     """
 
-    __slots__ = (
-        "id",
-        "n_members",
-        "sum_x",
-        "created_at",
-        "_r",
-        "_log_c",
-        "_lgamma_r",
-        "_r_log_p",
-        "_log_1mp",
-    )
+    __slots__ = ("id", "n_members", "sum_x", "created_at", "terms")
 
-    def __init__(self, cluster_id: int, created_at: int, base: GammaParams) -> None:
+    def __init__(self, cluster_id: int, created_at: int) -> None:
         self.id = int(cluster_id)
         self.n_members = 0
         self.sum_x = 0
         self.created_at = int(created_at)
-        self._refresh(base)
-
-    def add(self, x: int, base: GammaParams) -> None:
-        self.n_members += 1
-        self.sum_x += x
-        self._refresh(base)
-
-    def remove(self, x: int, base: GammaParams) -> None:
-        self.n_members -= 1
-        self.sum_x -= x
-        if self.n_members > 0:
-            self._refresh(base)
-
-    def _refresh(self, base: GammaParams) -> None:
-        if self.n_members <= 0:
-            return
-        r = base.shape + self.sum_x
-        gamma_rate = base.rate + self.n_members
-        self._r = r
-        self._log_c = math.log(self.n_members)
-        self._lgamma_r = math.lgamma(r)
-        self._r_log_p = r * (math.log(gamma_rate) - math.log1p(gamma_rate))
-        self._log_1mp = -math.log1p(gamma_rate)
-
-    def log_weight(self, x: int, lgamma_x1: float) -> float:
-        """log(c_k) + log NB(x) under this component's leave-in posterior."""
-        return (
-            self._log_c
-            + math.lgamma(x + self._r)
-            - self._lgamma_r
-            - lgamma_x1
-            + self._r_log_p
-            + x * self._log_1mp
-        )
-
-    def copy(self) -> "ClusterStats":
-        dup = object.__new__(ClusterStats)
-        for name in ClusterStats.__slots__:
-            setattr(dup, name, getattr(self, name))
-        return dup
+        self.terms: tuple = ()
 
 
 @dataclass
 class MixtureState:
     """Assignments, per-cluster statistics, and hyperparameters of the mixture.
 
-    A state is mutated by exactly one writer at a time; take a ``copy`` to
-    share read-only snapshots between sweeps.  Cluster ids are minted from
+    A state is mutated by exactly one writer at a time, through
+    ``append_datum``, ``detach_datum`` and ``attach_datum``, which keep each
+    cluster's cached weight terms current.  Cluster ids are minted from
     ``next_cluster_id`` and never reused within a run.
     """
 
@@ -186,13 +160,8 @@ class MixtureState:
     next_cluster_id: int = 0
 
     def __post_init__(self) -> None:
-        base = self.hyper.base
-        a, b = base.shape, base.rate
-        # Prior-predictive pieces for the empty-component weight.
-        self._log_alpha = math.log(self.hyper.alpha)
-        self._lgamma_a = math.lgamma(a)
-        self._new_const = a * (math.log(b) - math.log1p(b))
-        self._new_log_1mp = -math.log1p(b)
+        # The empty-component route: log(alpha) + log NB(x; a, b/(b+1)).
+        self._new_terms = _terms(math.log(self.hyper.alpha), 0, 0, self.hyper.base)
 
     @classmethod
     def empty(cls, hyper: Hyperparams, rng_seed: int = 0) -> "MixtureState":
@@ -221,10 +190,17 @@ class MixtureState:
         return len(self.data)
 
     def mint_cluster(self) -> ClusterStats:
-        cluster = ClusterStats(self.next_cluster_id, len(self.data), self.hyper.base)
+        cluster = ClusterStats(self.next_cluster_id, len(self.data))
         self.clusters[cluster.id] = cluster
         self.next_cluster_id += 1
         return cluster
+
+    def _set_stats(self, cluster: ClusterStats, n_members: int, sum_x: int) -> None:
+        """Set a cluster's statistics and refresh its cached weight terms."""
+        cluster.n_members = n_members
+        cluster.sum_x = sum_x
+        if n_members > 0:
+            cluster.terms = _terms(math.log(n_members), n_members, sum_x, self.hyper.base)
 
     def append_datum(self, x: int, cluster_id: int | None) -> int:
         """Append a datum assigned to ``cluster_id`` (None mints a cluster).
@@ -236,7 +212,7 @@ class MixtureState:
         target = self.mint_cluster() if cluster_id is None else self.clusters[cluster_id]
         self.data.append(int(x))
         self.assignments.append(target.id)
-        target.add(int(x), self.hyper.base)
+        self._set_stats(target, target.n_members + 1, target.sum_x + int(x))
         return target.id
 
     def detach_datum(self, index: int) -> int:
@@ -247,7 +223,7 @@ class MixtureState:
         """
         k = self.assignments[index]
         cluster = self.clusters[k]
-        cluster.remove(self.data[index], self.hyper.base)
+        self._set_stats(cluster, cluster.n_members - 1, cluster.sum_x - self.data[index])
         if cluster.n_members == 0:
             del self.clusters[k]
         return k
@@ -255,32 +231,9 @@ class MixtureState:
     def attach_datum(self, index: int, cluster_id: int | None) -> int:
         """Re-attach datum ``index`` to a cluster (None mints a fresh one)."""
         target = self.mint_cluster() if cluster_id is None else self.clusters[cluster_id]
-        target.add(self.data[index], self.hyper.base)
+        self._set_stats(target, target.n_members + 1, target.sum_x + self.data[index])
         self.assignments[index] = target.id
         return target.id
-
-    def new_component_log_weight(self, x: int, lgamma_x1: float) -> float:
-        """log(alpha) + log prior-predictive NB(x; a, b/(b+1))."""
-        a = self.hyper.base.shape
-        return (
-            self._log_alpha
-            + math.lgamma(x + a)
-            - self._lgamma_a
-            - lgamma_x1
-            + self._new_const
-            + x * self._new_log_1mp
-        )
-
-    def copy(self) -> "MixtureState":
-        dup = MixtureState(
-            hyper=self.hyper,
-            data=list(self.data),
-            assignments=list(self.assignments),
-            clusters={k: c.copy() for k, c in self.clusters.items()},
-            rng=UniformStream.resume(self.rng.seed, self.rng.draws),
-            next_cluster_id=self.next_cluster_id,
-        )
-        return dup
 
 
 def assignment_log_weights(
@@ -298,29 +251,18 @@ def assignment_log_weights(
         raise ValueError(f"excluding index {excluding} out of range")
     x = int(x)
     lgamma_x1 = math.lgamma(x + 1)
-    base = state.hyper.base
     excl_cluster = state.assignments[excluding] if excluding is not None else None
     out: list[tuple[int | None, float]] = []
     for k, cluster in state.clusters.items():
+        terms = cluster.terms
         if k == excl_cluster:
             n = cluster.n_members - 1
             if n == 0:
                 continue
             s = cluster.sum_x - state.data[excluding]
-            r = base.shape + s
-            gamma_rate = base.rate + n
-            log_w = (
-                math.log(n)
-                + math.lgamma(x + r)
-                - math.lgamma(r)
-                - lgamma_x1
-                + r * (math.log(gamma_rate) - math.log1p(gamma_rate))
-                - x * math.log1p(gamma_rate)
-            )
-            out.append((k, log_w))
-        else:
-            out.append((k, cluster.log_weight(x, lgamma_x1)))
-    out.append((None, state.new_component_log_weight(x, lgamma_x1)))
+            terms = _terms(math.log(n), n, s, state.hyper.base)
+        out.append((k, _log_weight(terms, x, lgamma_x1)))
+    out.append((None, _log_weight(state._new_terms, x, lgamma_x1)))
     return out
 
 
@@ -376,11 +318,11 @@ def greedy_pick(weights: Sequence[tuple[int | None, float]]) -> int | None:
 
 def draw_assignment(
     weights: Sequence[tuple[int | None, float]], rng: UniformStream
-) -> tuple[int | None, list[tuple[int | None, float]], float]:
+) -> tuple[int | None, dict[int | None, float], float]:
     """Single categorical draw from log weights, consuming one uniform.
 
-    Returns the drawn key, the normalised probabilities, and the
-    unnormalised log weight of the drawn entry.
+    Returns the drawn key, the normalised probabilities keyed like
+    ``weights``, and the unnormalised log weight of the drawn entry.
     """
     top = max(w for _, w in weights)
     raw = [math.exp(w - top) for _, w in weights]
@@ -393,31 +335,8 @@ def draw_assignment(
         if target < acc:
             idx = i
             break
-    probs = [(k, w / total) for (k, _), w in zip(weights, raw)]
+    probs = {k: w / total for (k, _), w in zip(weights, raw)}
     return weights[idx][0], probs, weights[idx][1]
-
-
-def _resample_step(
-    state: MixtureState,
-    index: int,
-    rng: UniformStream,
-    greedy: bool,
-) -> tuple[list[tuple[int | None, float]], float]:
-    """Detach, reweigh, redraw, reattach; the sweep-internal work unit.
-
-    Returns the normalised assignment probabilities the datum saw and the
-    unnormalised log weight of the chosen entry.
-    """
-    state.detach_datum(index)
-    weights = assignment_log_weights(state.data[index], state)
-    if greedy:
-        choice = greedy_pick(weights)
-        probs = normalize_log_weights(weights)
-        chosen_log_w = dict(weights)[choice]
-    else:
-        choice, probs, chosen_log_w = draw_assignment(weights, rng)
-    state.attach_datum(index, choice)
-    return probs, chosen_log_w
 
 
 def resample_one(
@@ -437,7 +356,13 @@ def resample_one(
     """
     if not 0 <= index < len(state.data):
         raise ValueError(f"index {index} out of range")
-    _resample_step(state, index, rng if rng is not None else state.rng, greedy)
+    state.detach_datum(index)
+    weights = assignment_log_weights(state.data[index], state)
+    if greedy:
+        choice = greedy_pick(weights)
+    else:
+        choice, _, _ = draw_assignment(weights, rng if rng is not None else state.rng)
+    state.attach_datum(index, choice)
     return state
 
 
@@ -461,13 +386,15 @@ def gibbs_sweep(
     sweep_probs: list[dict[int | None, float]] = []
     joint = 0.0
     flips = 0
-    for i in range(len(state.data)):
-        before = state.assignments[i]
-        probs, chosen_log_w = _resample_step(state, i, rng, greedy=False)
+    for i, x in enumerate(state.data):
+        before = state.detach_datum(i)
+        choice, probs, chosen_log_w = draw_assignment(
+            assignment_log_weights(x, state), rng
+        )
         joint += chosen_log_w
-        if state.assignments[i] != before:
+        if state.attach_datum(i, choice) != before:
             flips += 1
-        sweep_probs.append(dict(probs))
+        sweep_probs.append(probs)
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips
@@ -644,10 +571,8 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
         next_cluster_id=int(doc["next_cluster_id"]),
     )
     for row in sorted(doc["clusters"], key=lambda r: r["id"]):
-        cluster = ClusterStats(row["id"], row["created_at"], hyper.base)
-        cluster.n_members = int(row["n_members"])
-        cluster.sum_x = int(row["sum_x"])
-        cluster._refresh(hyper.base)
+        cluster = ClusterStats(row["id"], row["created_at"])
+        state._set_stats(cluster, int(row["n_members"]), int(row["sum_x"]))
         state.clusters[cluster.id] = cluster
     if not audit(state):
         raise ValueError("state document is inconsistent with the supplied data")

@@ -1,12 +1,16 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from aeburst.cli import cli
+from aeburst.config import PipelineConfig
+from aeburst.detector import score, train_background
 from aeburst.io import read_hits, read_waveform, write_hits
 from aeburst.synth import HitStreamSpec, synthesize_hit_stream
+from aeburst.windowing import extract_counts
 
 
 @pytest.fixture
@@ -81,6 +85,21 @@ class TestDetect:
         assert lines[0] == "start_index,count,nll"
         assert len(lines) == 9  # 8 windows
         doc = json.loads(events_out.read_text())
+        # Every NLL cell is a plain float literal equal to the model's score.
+        config = replace(PipelineConfig(), window_length=4096, overlap=0.0)
+        windowed = extract_counts(
+            read_waveform(wave, "raw_f32_le", sample_rate=1e6),
+            config.threshold_policy(),
+            config.window_spec(),
+        )
+        counts = windowed.counts.tolist()
+        model = train_background(
+            config.prior(), [counts[i] for i in doc["training_windows"]]
+        )
+        trace = score(model, windowed, margin=config.flag_margin)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(nll) for _, _, nll in rows] == trace.nlls.tolist()
+        assert [int(count) for _, count, _ in rows] == counts
         truth = json.loads(ann.read_text())["bursts"]
         for burst in truth:
             assert any(

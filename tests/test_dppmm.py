@@ -16,6 +16,7 @@ from aeburst.distributions import GammaParams
 from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
+    UniformStream,
     assignment_log_weights,
     audit,
     crp_prior,
@@ -128,6 +129,18 @@ class TestAssignmentLogWeights:
                 assert math.exp(log_marginal) == pytest.approx(
                     quad_marginal(x, shape, rate), rel=1e-6
                 )
+
+    def test_excluding_equals_detached_state(self):
+        # The leave-one-out branch recomputes the held-out cluster's terms;
+        # it must give exactly the weights of the state with the datum
+        # actually detached, singleton cluster included.
+        cluster_data = [[0, 1, 0], [12, 9], [4]]
+        state = state_with_clusters(cluster_data)
+        for index, x in enumerate(state.data):
+            excluded = assignment_log_weights(x, state, excluding=index)
+            detached = state_with_clusters(cluster_data)
+            detached.detach_datum(index)
+            assert excluded == assignment_log_weights(x, detached)
 
     def test_exclusion_drops_emptied_cluster(self):
         state = state_with_clusters([[5], [0, 0]])
@@ -424,6 +437,14 @@ class TestSerialization:
         doc = state_to_json_dict(state)
         with pytest.raises(ValueError):
             state_from_json_dict(doc, [1, 2, 4])
+
+    @pytest.mark.parametrize("draws", [0, 1, 65_535, 65_536, 65_537, 200_000])
+    def test_resume_continues_the_stream(self, draws):
+        fresh = UniformStream(7)
+        expected = [fresh.random() for _ in range(draws + 1)][-1]
+        resumed = UniformStream.resume(7, draws)
+        assert resumed.random() == expected
+        assert resumed.draws == draws + 1
 
     def test_digest_is_stable(self):
         assert data_digest([1, 2, 3]) == data_digest((1, 2, 3))
