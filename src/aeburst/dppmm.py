@@ -23,7 +23,8 @@ heuristics; a cluster that dies and re-forms is a distinct cluster.
 
 Randomness is consumed exclusively as uniform variates from a counted,
 seeded stream (one draw per categorical sample), which makes runs
-replayable from ``(seed, draw count)`` alone.
+replayable from ``(seed, draw count)`` alone.  A sweep over N data makes
+exactly N draws and takes their uniforms from the stream N at a time.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ class UniformStream:
         self.draws += 1
         return float(self._gen.random())
 
+    def take(self, n: int) -> list[float]:
+        """The next ``n`` values of ``random()``, drawn in one batch."""
+        self.draws += n
+        return self._gen.random(n).tolist()
+
     @classmethod
     def resume(cls, seed: int, draws: int) -> "UniformStream":
         # Each double from ``random()`` is exactly one PCG64 step.
@@ -146,8 +152,8 @@ class ClusterStats:
 class MixtureState:
     """Assignments, per-cluster statistics, and hyperparameters of the mixture.
 
-    A state is mutated by exactly one writer at a time, through
-    ``append_datum``, ``detach_datum`` and ``attach_datum``, which keep each
+    A state is mutated by exactly one writer at a time, via ``append_datum``,
+    ``detach_datum``, ``attach_datum`` and ``gibbs_sweep``, which keep each
     cluster's cached weight terms current.  Cluster ids are minted from
     ``next_cluster_id`` and never reused within a run.
     """
@@ -266,14 +272,29 @@ def assignment_log_weights(
     return out
 
 
+def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[float], float]:
+    """Max-subtracted exponentials of log weights, and their sum."""
+    top = max(w for _, w in weights)
+    raw = [math.exp(w - top) for _, w in weights]
+    return raw, sum(raw)
+
+
+def _scan(raw: Sequence[float], target: float) -> int:
+    """First index whose cumulative weight exceeds ``target`` (the last if none)."""
+    acc = 0.0
+    for i, w in enumerate(raw):
+        acc += w
+        if target < acc:
+            return i
+    return len(raw) - 1
+
+
 def normalize_log_weights(
     weights: Sequence[tuple[int | None, float]],
 ) -> list[tuple[int | None, float]]:
     """Normalise log weights into probabilities via max-subtraction."""
-    top = max(w for _, w in weights)
-    raw = [(k, math.exp(w - top)) for k, w in weights]
-    total = sum(w for _, w in raw)
-    return [(k, w / total) for k, w in raw]
+    raw, total = _exp_weights(weights)
+    return [(k, w / total) for (k, _), w in zip(weights, raw)]
 
 
 def crp_prior(state: MixtureState, excluding: int) -> list[tuple[int | None, float]]:
@@ -324,17 +345,8 @@ def draw_assignment(
     Returns the drawn key, the normalised probabilities keyed like
     ``weights``, and the unnormalised log weight of the drawn entry.
     """
-    top = max(w for _, w in weights)
-    raw = [math.exp(w - top) for _, w in weights]
-    total = sum(raw)
-    target = rng.random() * total
-    acc = 0.0
-    idx = len(weights) - 1
-    for i, w in enumerate(raw):
-        acc += w
-        if target < acc:
-            idx = i
-            break
+    raw, total = _exp_weights(weights)
+    idx = _scan(raw, rng.random() * total)
     probs = {k: w / total for (k, _), w in zip(weights, raw)}
     return weights[idx][0], probs, weights[idx][1]
 
@@ -371,34 +383,73 @@ def gibbs_sweep(
     rng: UniformStream | None = None,
     *,
     diagnostics: dict | None = None,
-) -> tuple[MixtureState, list[dict[int | None, float]]]:
+    accumulate: list[dict[int | None, float]] | None = None,
+) -> MixtureState:
     """One full sweep: every datum resampled once, in data order.
 
-    Returns the updated state and, per datum, the normalised assignment
-    probabilities it saw during this sweep (keyed by stable cluster id,
-    ``None`` for the empty-component route).  When a ``diagnostics`` dict
-    is supplied, the sweep records ``joint_log_weight`` (the sum over data
-    of the chosen entry's unnormalised log weight) and ``flips`` (number
-    of assignments that changed).
+    Each step is ``resample_one`` fused into one loop over slot lists of
+    the live clusters plus NEW, in creation order, with the N uniforms
+    taken in one batch.  Returns the updated state.  Given ``accumulate``
+    (one dict per datum), each datum's normalised assignment probabilities
+    are added into its dict, keyed by stable cluster id (``None`` for NEW).
+    Given ``diagnostics``, records ``joint_log_weight`` (the sum of the
+    chosen entries' unnormalised log weights) and ``flips`` (number of
+    assignments that changed).
     """
     if rng is None:
         rng = state.rng
-    sweep_probs: list[dict[int | None, float]] = []
-    joint = 0.0
-    flips = 0
-    for i, x in enumerate(state.data):
-        before = state.detach_datum(i)
-        choice, probs, chosen_log_w = draw_assignment(
-            assignment_log_weights(x, state), rng
-        )
-        joint += chosen_log_w
-        if state.attach_datum(i, choice) != before:
-            flips += 1
-        sweep_probs.append(probs)
+    data, assignments, clusters = state.data, state.assignments, state.clusters
+    base = state.hyper.base
+    lgamma, log, exp = math.lgamma, math.log, math.exp
+    ids: list[int | None] = [*clusters, None]
+    stats = list(clusters.values())
+    terms = [c.terms for c in stats] + [state._new_terms]
+    uniforms = rng.take(len(data))
+    joint, flips = 0.0, 0
+    for i, x in enumerate(data):
+        left = assignments[i]
+        j = ids.index(left)
+        cluster = stats[j]
+        n, s = cluster.n_members - 1, cluster.sum_x - x
+        cluster.n_members, cluster.sum_x = n, s
+        saved = terms[j]
+        if n:
+            terms[j] = _terms(log(n), n, s, base)
+        else:
+            del clusters[left], ids[j], stats[j], terms[j]
+            j = -1
+        lgamma_x1 = lgamma(x + 1)
+        log_w = [
+            log_c + lgamma(x + r) - lgamma_r - lgamma_x1 + r_log_p - x * log1p_g
+            for log_c, r, lgamma_r, r_log_p, log1p_g in terms
+        ]
+        top = max(log_w)
+        raw = [exp(w - top) for w in log_w]
+        total = sum(raw)
+        idx = _scan(raw, uniforms[i] * total)
+        if accumulate is not None:
+            row = accumulate[i]
+            for k, w in zip(ids, raw):
+                row[k] = row.get(k, 0.0) + w / total
+        joint += log_w[idx]
+        if idx == len(stats):
+            cluster = state.mint_cluster()
+            ids.insert(idx, cluster.id)
+            stats.append(cluster)
+            terms.insert(idx, ())
+        cluster = stats[idx]
+        n, s = cluster.n_members + 1, cluster.sum_x + x
+        cluster.n_members, cluster.sum_x = n, s
+        # ``_terms`` is a pure function of (n, s): a stay restores its tuple.
+        terms[idx] = saved if idx == j else _terms(log(n), n, s, base)
+        assignments[i] = cluster.id
+        flips += idx != j
+    for cluster, cached in zip(stats, terms):
+        cluster.terms = cached
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips
-    return state, sweep_probs
+    return state
 
 
 @dataclass
@@ -431,10 +482,11 @@ def fit(
     """Run the collapsed Gibbs sampler for a fixed sweep budget.
 
     All data start in a single component.  Reported labels are those of
-    the final sweep.  With ``early_stop``, sampling halts once the cluster
-    count is unchanged and fewer than ``early_stop_flip_fraction`` of
-    assignments flip for ``early_stop_patience`` consecutive post-burn-in
-    sweeps.
+    the final sweep; only the sweeps after ``burn_in`` accumulate
+    ``mean_probabilities``.  With ``early_stop``, sampling halts once the
+    cluster count is unchanged and fewer than ``early_stop_flip_fraction``
+    of assignments flip for ``early_stop_patience`` consecutive
+    post-burn-in sweeps.
 
     An empty dataset returns an empty state rather than raising; it means
     "no events" downstream.
@@ -461,16 +513,13 @@ def fit(
     sweeps_run = 0
     for sweep_idx in range(sweeps):
         diag: dict = {}
-        _, sweep_probs = gibbs_sweep(state, diagnostics=diag)
+        averaging = sweep_idx >= burn_in
+        gibbs_sweep(state, diagnostics=diag, accumulate=accumulated if averaging else None)
         sweeps_run += 1
+        averaged_sweeps += averaging
         cluster_counts.append(state.n_clusters)
         joint_log_weights.append(diag["joint_log_weight"])
-        if sweep_idx >= burn_in:
-            averaged_sweeps += 1
-            for acc, probs in zip(accumulated, sweep_probs):
-                for key, p in probs.items():
-                    acc[key] = acc.get(key, 0.0) + p
-        if early_stop and sweep_idx >= burn_in:
+        if early_stop and averaging:
             unchanged = (
                 len(cluster_counts) >= 2 and cluster_counts[-1] == cluster_counts[-2]
             )

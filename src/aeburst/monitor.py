@@ -25,11 +25,11 @@ from typing import Iterable, Iterator, TypeVar
 from .dppmm import (
     MixtureState,
     UniformStream,
+    _exp_weights,
+    _scan,
     assignment_log_weights,
-    draw_assignment,
     gibbs_sweep,
     greedy_pick,
-    normalize_log_weights,
     posterior_mean_rate,
 )
 
@@ -163,14 +163,15 @@ def observe(
         return outcome
 
     weights = assignment_log_weights(int(x), state)
-    probs = dict(normalize_log_weights(weights))
+    raw, total = _exp_weights(weights)
+    probs = {k: w / total for (k, _), w in zip(weights, raw)}
     eta = information_efficiency(list(probs.values()), state.n_clusters)
     if eta_override is not None:
         eta = eta_override
     gate = rng.random()
     if gate < eta:
         # Full reassessment: add by a draw, then one sweep over everything.
-        choice, _, _ = draw_assignment(weights, rng)
+        choice = weights[_scan(raw, rng.random() * total)][0]
         state.append_datum(int(x), choice)
         gibbs_sweep(state, rng)
         resampled = True

@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from aeburst import dppmm
 from aeburst.distributions import GammaParams
 from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
     UniformStream,
+    _terms,
     assignment_log_weights,
     audit,
     crp_prior,
     data_digest,
+    draw_assignment,
     fit,
     gibbs_sweep,
     greedy_pick,
@@ -253,7 +256,8 @@ class TestGibbsSweep:
 
     def test_sweep_returns_probabilities_per_datum(self):
         state = MixtureState.init_single_cluster([0, 0, 9], UNIT, 0)
-        _, probs = gibbs_sweep(state)
+        probs = [{} for _ in range(3)]
+        assert gibbs_sweep(state, accumulate=probs) is state
         assert len(probs) == 3
         for vector in probs:
             assert abs(sum(vector.values()) - 1.0) <= 1e-12
@@ -285,6 +289,134 @@ class TestGibbsSweep:
         rates = sorted(posterior_mean_rate(c, UNIT.base) for c in large)
         assert rates[0] == pytest.approx(2.0, rel=0.35)
         assert rates[1] == pytest.approx(40.0, rel=0.15)
+
+
+def reference_sweep(state, accumulate=None):
+    """One sweep written from the public step primitives, one call each."""
+    joint, flips = 0.0, 0
+    for i, x in enumerate(state.data):
+        before = state.detach_datum(i)
+        choice, probs, chosen_log_w = draw_assignment(
+            assignment_log_weights(x, state), state.rng
+        )
+        joint += chosen_log_w
+        flips += state.attach_datum(i, choice) != before
+        if accumulate is not None:
+            for key, p in probs.items():
+                accumulate[i][key] = accumulate[i].get(key, 0.0) + p
+    return joint, flips
+
+
+def cluster_table(state):
+    return [(c.id, c.n_members, c.sum_x, c.created_at) for c in state.clusters.values()]
+
+
+def mixed_counts(seed, sizes=(12, 8, 4)):
+    rng = np.random.default_rng(seed)
+    rates = (2, 20, 60)
+    return [int(v) for rate, size in zip(rates, sizes) for v in rng.poisson(rate, size)]
+
+
+class TestFusedSweep:
+    """``gibbs_sweep`` against the step-by-step reference, compared with ``==``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_step(self, seed):
+        data = mixed_counts(seed)
+        fused = MixtureState.init_single_cluster(data, UNIT, seed)
+        ref = MixtureState.init_single_cluster(data, UNIT, seed)
+        fused_acc = [{} for _ in data]
+        ref_acc = [{} for _ in data]
+        births = deaths = 0
+        for _ in range(30):
+            ids_before, next_before = set(ref.clusters), ref.next_cluster_id
+            diag = {}
+            gibbs_sweep(fused, diagnostics=diag, accumulate=fused_acc)
+            joint, flips = reference_sweep(ref, ref_acc)
+            births += ref.next_cluster_id - next_before
+            deaths += len(ids_before - set(ref.clusters))
+            assert fused.assignments == ref.assignments
+            assert cluster_table(fused) == cluster_table(ref)
+            assert fused.next_cluster_id == ref.next_cluster_id
+            assert fused.rng.draws == ref.rng.draws
+            assert (diag["joint_log_weight"], diag["flips"]) == (joint, flips)
+            assert [list(a.items()) for a in fused_acc] == [
+                list(a.items()) for a in ref_acc
+            ]
+            for cluster in fused.clusters.values():
+                n, s = cluster.n_members, cluster.sum_x
+                assert cluster.terms == _terms(math.log(n), n, s, UNIT.base)
+        # The run exercises singleton deaths and new-cluster births.
+        assert births > 0 and deaths > 0
+
+    def test_fit_mean_probabilities_match_reference(self):
+        data = mixed_counts(7)
+        sweeps, burn_in = 25, 10
+        result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=7)
+        ref = MixtureState.init_single_cluster(data, UNIT, 7)
+        accumulated = [{} for _ in data]
+        joints = [
+            reference_sweep(ref, accumulated if sweep >= burn_in else None)[0]
+            for sweep in range(sweeps)
+        ]
+        expected = [
+            [(key, total / (sweeps - burn_in)) for key, total in acc.items()]
+            for acc in accumulated
+        ]
+        assert [list(p.items()) for p in result.mean_probabilities] == expected
+        assert result.joint_log_weights == joints
+        assert result.state.assignments == ref.assignments
+        assert cluster_table(result.state) == cluster_table(ref)
+
+    def test_stay_restores_cached_terms(self, monkeypatch):
+        # A datum that returns to the cluster it left reuses the terms saved
+        # before the detach, so a sweep computes at most one fresh tuple per
+        # detach plus one per flip.
+        data = mixed_counts(4, sizes=(40, 20, 10))
+        state = MixtureState.init_single_cluster(data, UNIT, 4)
+        for _ in range(5):
+            gibbs_sweep(state)
+        calls = 0
+        real = dppmm._terms
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(dppmm, "_terms", counting)
+        diag = {}
+        gibbs_sweep(state, diagnostics=diag)
+        assert calls <= len(data) + diag["flips"]
+
+
+class TestUniformStream:
+    def test_take_equals_successive_random(self):
+        batched, scalar = UniformStream(11), UniformStream(11)
+        assert batched.take(1_000) == [scalar.random() for _ in range(1_000)]
+        assert batched.draws == scalar.draws == 1_000
+
+    def test_take_zero_advances_nothing(self):
+        stream = UniformStream(11)
+        assert stream.take(0) == []
+        assert stream.draws == 0
+        assert stream.random() == UniformStream(11).random()
+
+    def test_interleaving_agrees_with_resume(self):
+        stream = UniformStream(5)
+        values = stream.take(3) + [stream.random()] + stream.take(70_000)
+        values.append(stream.random())
+        assert stream.draws == len(values) == 70_005
+        for position in (0, 3, 4, 65_536, 70_004):
+            assert UniformStream.resume(5, position).random() == values[position]
+        assert UniformStream.resume(5, stream.draws).random() == stream.random()
+
+    def test_sweep_draws_exactly_one_uniform_per_datum(self):
+        data = mixed_counts(2)
+        state = MixtureState.init_single_cluster(data, UNIT, 8)
+        gibbs_sweep(state)
+        assert state.rng.draws == len(data)
+        assert state.rng.random() == UniformStream(8).take(len(data) + 1)[-1]
 
 
 class TestFit:
@@ -427,8 +559,8 @@ class TestSerialization:
         assert restored.assignments == result.state.assignments
         assert restored.rng.draws == result.state.rng.draws
         # Resumed chains continue identically.
-        continued_a, _ = gibbs_sweep(result.state)
-        continued_b, _ = gibbs_sweep(restored)
+        continued_a = gibbs_sweep(result.state)
+        continued_b = gibbs_sweep(restored)
         assert continued_a.assignments == continued_b.assignments
 
     def test_digest_guards_data(self):
