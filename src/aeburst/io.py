@@ -15,11 +15,15 @@ terminated by a newline, followed by the concatenated ``raw_f32_le``
 records.  The payload must be an exact multiple of
 ``4 * record_length`` bytes; ``trigger_times``, when present, must match
 the record count (when absent, the record ordinal stands in).
+``read_hits`` reads and checks only the header; a record is read from the
+file and decoded when it is indexed, so skipped records cost nothing.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +34,7 @@ from .windowing import Waveform
 __all__ = [
     "DataFormatError",
     "HitRecord",
+    "HitFile",
     "WAVEFORM_FORMATS",
     "read_waveform",
     "write_waveform",
@@ -160,50 +165,88 @@ def write_waveform(path: str | Path, waveform: Waveform, fmt: str) -> None:
         raise DataFormatError(f"unknown waveform format {fmt!r}")
 
 
-def read_hits(path: str | Path) -> list[HitRecord]:
-    """Parse a hit container into its records, in stored order."""
+@dataclass(frozen=True, eq=False)
+class HitFile(Sequence[HitRecord]):
+    """The records of a hit container; indexing reads and decodes one record."""
+
+    path: Path
+    offset: int
+    record_bytes: int
+    trigger_times: Sequence[float]
+    pretrigger: int
+    channel: int
+    sample_rate: float
+
+    def __len__(self) -> int:
+        return len(self.trigger_times)
+
+    def __getitem__(self, index: int) -> HitRecord:
+        i = range(len(self))[index]
+        with self.path.open("rb") as handle:
+            handle.seek(self.offset + self.record_bytes * i)
+            raw = handle.read(self.record_bytes)
+        if len(raw) != self.record_bytes:
+            raise DataFormatError(f"{self.path}: record {i} is truncated")
+        return HitRecord(
+            trigger_time=float(self.trigger_times[i]),
+            samples=np.frombuffer(raw, dtype="<f4").astype(np.float64),
+            pretrigger=self.pretrigger,
+            channel=self.channel,
+            sample_rate=self.sample_rate,
+        )
+
+
+def read_hits(path: str | Path) -> HitFile:
+    """Open a hit container; its records are decoded when indexed.
+
+    Only the header line is read and validated here; the file's length
+    gives the payload size, which must be a whole number of records.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
+    with path.open("rb") as handle:
+        line = handle.readline()
+        payload_bytes = os.fstat(handle.fileno()).st_size - len(line)
+    if not line.endswith(b"\n"):
         raise DataFormatError(f"{path}: missing header line")
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: bad header: {exc}") from exc
-    if header.get("format") != _HIT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != _HIT_FORMAT:
         raise DataFormatError(f"{path}: not an {_HIT_FORMAT} container")
-    record_length = int(header["record_length"])
-    sample_rate = float(header["sample_rate"])
-    pretrigger = int(header["pretrigger"])
-    channel = int(header.get("channel", 0))
-    payload = raw[newline + 1 :]
+    # type() rather than isinstance(): JSON true/false decode to bool.
+    record_length = header.get("record_length")
+    if type(record_length) is not int or record_length < 1:
+        raise DataFormatError(f"{path}: bad record_length {record_length!r}")
+    sample_rate = header.get("sample_rate")
+    if type(sample_rate) not in (int, float) or not 0 < sample_rate < float("inf"):
+        raise DataFormatError(f"{path}: bad sample_rate {sample_rate!r}")
+    pretrigger = header.get("pretrigger")
+    if type(pretrigger) is not int or not 0 <= pretrigger < record_length:
+        raise DataFormatError(f"{path}: bad pretrigger {pretrigger!r}")
+    channel = header.get("channel", 0)
+    if type(channel) is not int:
+        raise DataFormatError(f"{path}: bad channel {channel!r}")
     record_bytes = 4 * record_length
-    if record_length < 1 or len(payload) % record_bytes != 0:
+    if payload_bytes % record_bytes != 0:
         raise DataFormatError(
-            f"{path}: payload of {len(payload)} bytes is not a whole number of "
+            f"{path}: payload of {payload_bytes} bytes is not a whole number of "
             f"{record_bytes}-byte records"
         )
-    n_records = len(payload) // record_bytes
+    n_records = payload_bytes // record_bytes
     times = header.get("trigger_times")
-    if times is not None and len(times) != n_records:
+    if times is None:
+        times = range(n_records)
+    elif type(times) is not list or not all(type(t) in (int, float) for t in times):
+        raise DataFormatError(f"{path}: trigger_times must be a list of numbers")
+    if len(times) != n_records:
         raise DataFormatError(
             f"{path}: header lists {len(times)} trigger times for "
             f"{n_records} records"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    hits = []
-    for i in range(n_records):
-        hits.append(
-            HitRecord(
-                trigger_time=float(times[i]) if times is not None else float(i),
-                samples=flat[i * record_length : (i + 1) * record_length],
-                pretrigger=pretrigger,
-                channel=channel,
-                sample_rate=sample_rate,
-            )
-        )
-    return hits
+    return HitFile(
+        path, len(line), record_bytes, times, pretrigger, channel, float(sample_rate)
+    )
 
 
 def write_hits(path: str | Path, hits: list[HitRecord]) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .dppmm import (
     MixtureState,
@@ -205,16 +205,18 @@ def decimate(stream: Iterable[T], keep_ratio: float) -> Iterator[T]:
 
     Item ``i`` (0-based) is kept iff ``floor(i * r) > floor((i - 1) * r)``,
     which retains items evenly spaced in arrival order; a full pass yields
-    ``floor(len * r)`` or ``ceil(len * r)`` items for every length.
+    ``floor(len * r)`` or ``ceil(len * r)`` items for every length.  A
+    ``Sequence`` is indexed at the kept positions only, never iterated.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
-    previous = -1
-    for i, item in enumerate(stream):
-        bucket = math.floor(i * keep_ratio)
-        if bucket > previous:
-            yield item
-        previous = bucket
+
+    def kept(i: int) -> bool:
+        return math.floor(i * keep_ratio) > math.floor((i - 1) * keep_ratio)
+
+    if isinstance(stream, Sequence):
+        return (stream[i] for i in range(len(stream)) if kept(i))
+    return (item for i, item in enumerate(stream) if kept(i))
 
 
 @dataclass

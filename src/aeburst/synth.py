@@ -11,15 +11,15 @@ below the noise floor.
 
 ``synthesize_hit_stream`` produces triggered fixed-length hit records the
 way acquisition hardware would, with each hit seeded independently so
-streams can be generated lazily and decimated without burning randomness
-on skipped records.
+the stream is an index-addressable sequence: a hit is rendered only when
+it is indexed, and decimation renders no skipped record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -176,15 +176,19 @@ class HitStreamSpec:
             raise ValueError("damage_fraction must lie in [0, 1]")
 
 
-def synthesize_hit_stream(spec: HitStreamSpec, rng_seed: int = 0) -> Iterator[HitRecord]:
-    """Lazily generate the hit records of a stream.
+@dataclass(frozen=True)
+class _HitStream(Sequence[HitRecord]):
+    spec: HitStreamSpec
+    rng_seed: int
 
-    Hit ``i`` is rendered from ``default_rng([rng_seed, i])``, so consumers
-    that skip records (decimation) reproduce the kept hits exactly.
-    """
-    dt = 1.0 / spec.sample_rate
-    for i in range(spec.n_hits):
-        rng = np.random.default_rng([rng_seed, i])
+    def __len__(self) -> int:
+        return self.spec.n_hits
+
+    def __getitem__(self, index: int) -> HitRecord:
+        spec = self.spec
+        i = range(spec.n_hits)[index]
+        dt = 1.0 / spec.sample_rate
+        rng = np.random.default_rng([self.rng_seed, i])
         is_damage = (
             spec.damage_start_hit is not None
             and i >= spec.damage_start_hit
@@ -202,10 +206,19 @@ def synthesize_hit_stream(spec: HitStreamSpec, rng_seed: int = 0) -> Iterator[Hi
             * np.exp(-t / spec.decay_tau)
             * np.sin(2.0 * math.pi * spec.carrier_freq * t)
         )
-        yield HitRecord(
+        return HitRecord(
             trigger_time=i * spec.hit_period,
             samples=samples,
             pretrigger=spec.pretrigger,
             channel=spec.channel,
             sample_rate=spec.sample_rate,
         )
+
+
+def synthesize_hit_stream(spec: HitStreamSpec, rng_seed: int = 0) -> Sequence[HitRecord]:
+    """The hit records of a stream, each rendered when indexed.
+
+    Hit ``i`` is rendered from ``default_rng([rng_seed, i])``, so decimation
+    renders only the kept hits and reproduces them exactly.
+    """
+    return _HitStream(spec, rng_seed)

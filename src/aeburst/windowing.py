@@ -153,7 +153,8 @@ def resolve_threshold(waveform: Waveform, policy: ThresholdPolicy) -> float:
     if policy.kind == "fixed":
         return float(policy.value)
     values = np.abs(waveform.samples) if policy.rectify else waveform.samples
-    return float(np.percentile(values, policy.value))
+    # Only a fresh |v| may be partitioned in place; raw samples must not be.
+    return float(np.percentile(values, policy.value, overwrite_input=policy.rectify))
 
 
 def count_crossings(segment: np.ndarray, threshold: float, rectify: bool = True) -> int:
@@ -183,13 +184,14 @@ def extract_counts(
     """
     threshold = resolve_threshold(waveform, policy)
     starts = spec.window_starts(len(waveform))
-    v = np.abs(waveform.samples) if policy.rectify else waveform.samples
-    above = v > threshold
+    v = waveform.samples
+    above = (np.abs(v) if policy.rectify else v) > threshold
     # Global upward edges; window-local index 0 is special-cased below.
-    edges = np.empty(above.size, dtype=np.int64)
+    edges = np.empty(above.size, dtype=bool)
     edges[0] = above[0]
-    edges[1:] = above[1:] & ~above[:-1]
-    cum = np.concatenate(([0], np.cumsum(edges)))
+    np.greater(above[1:], above[:-1], out=edges[1:])
+    cum = np.zeros(above.size + 1, dtype=np.int64)
+    np.cumsum(edges, out=cum[1:])
     n = spec.length_n
     # Edges strictly inside the window, plus one if the window opens above
     # threshold (the slice-local "starts above" rule).

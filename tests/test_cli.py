@@ -276,6 +276,61 @@ class TestMonitor:
         assert code == 1
 
 
+def _without(key):
+    def mutate(header):
+        del header[key]
+        return header
+
+    return mutate
+
+
+def _with(key, value):
+    return lambda header: {**header, key: value}
+
+
+MALFORMED_HEADERS = {
+    "record_length missing": _without("record_length"),
+    "record_length zero": _with("record_length", 0),
+    "record_length text": _with("record_length", "128"),
+    "header is a list": lambda header: [header],
+    "sample_rate missing": _without("sample_rate"),
+    "sample_rate zero": _with("sample_rate", 0.0),
+    "sample_rate infinite": _with("sample_rate", float("inf")),
+    "sample_rate nan": _with("sample_rate", float("nan")),
+    "pretrigger missing": _without("pretrigger"),
+    "pretrigger negative": _with("pretrigger", -1),
+    "pretrigger at record_length": _with("pretrigger", 128),
+    "channel a list": _with("channel", [5]),
+    "trigger_times a number": _with("trigger_times", 5),
+    "trigger_times with text": _with("trigger_times", ["0.0"] * 5),
+}
+
+
+class TestMalformedHitHeader:
+    @pytest.mark.parametrize("mutate", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_exits_with_data_error(self, tmp_path, capsys, mutate):
+        hits_path = tmp_path / "hits.bin"
+        spec = HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)
+        write_hits(hits_path, list(synthesize_hit_stream(spec, rng_seed=0)))
+        raw = hits_path.read_bytes()
+        newline = raw.find(b"\n")
+        header = mutate(json.loads(raw[:newline]))
+        hits_path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        alarms_out, tracks_out = tmp_path / "a.jsonl", tmp_path / "t.csv"
+        code = cli(
+            [
+                "monitor",
+                "--hits", str(hits_path),
+                "--threshold-volts", "0.05",
+                "--alarms-out", str(alarms_out),
+                "--tracks-out", str(tracks_out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not alarms_out.exists() and not tracks_out.exists()
+
+
 class TestFeatures:
     def test_features_for_annotated_events(self, lead_break_files, tmp_path):
         wave, ann = lead_break_files

@@ -138,7 +138,8 @@ class TestHitContainer:
             "channel": 5,
         }
         path.write_bytes(json.dumps(header).encode() + b"\n")
-        assert read_hits(path) == []
+        assert list(read_hits(path)) == []
+        assert len(read_hits(path)) == 0
 
     def test_payload_size_mismatch_rejected(self, tmp_path):
         hits = make_hits(2)
@@ -170,6 +171,38 @@ class TestHitContainer:
         path.write_bytes(json.dumps(header).encode() + b"\n" + raw[newline + 1 :])
         back = read_hits(path)
         assert [h.trigger_time for h in back] == [0.0, 1.0]
+
+    def test_indexing_matches_eager_decode(self, tmp_path):
+        path = tmp_path / "hits.bin"
+        write_hits(path, make_hits(4, record_length=64, pretrigger=8))
+        raw = path.read_bytes()
+        newline = raw.find(b"\n")
+        times = json.loads(raw[:newline])["trigger_times"]
+        flat = np.frombuffer(raw[newline + 1 :], dtype="<f4").astype(np.float64)
+        hits = read_hits(path)
+        assert len(hits) == 4
+        for i in [0, 1, 2, 3, -1, -4]:
+            hit = hits[i]
+            j = i % 4
+            assert hit.samples.dtype == np.float64
+            assert hit.samples.tobytes() == flat[64 * j : 64 * (j + 1)].tobytes()
+            assert hit.trigger_time == float(times[j])
+            assert (hit.pretrigger, hit.channel, hit.sample_rate) == (8, 5, 2e6)
+        for bad in [4, -5]:
+            with pytest.raises(IndexError):
+                hits[bad]
+
+    def test_record_lost_after_open_rejected(self, tmp_path):
+        path = tmp_path / "hits.bin"
+        write_hits(path, make_hits(3, record_length=64, pretrigger=8))
+        hits = read_hits(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-10])
+        assert hits[1].samples.size == 64
+        with pytest.raises(DataFormatError):
+            hits[2]
+        with pytest.raises(DataFormatError):
+            hits[-1]
 
     def test_pretrigger_must_fit(self):
         with pytest.raises(ValueError):

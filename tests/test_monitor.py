@@ -1,6 +1,7 @@
 """Entropy gate, online observation, decimation, tracks, and alarms."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -136,7 +137,36 @@ class TestObserve:
         assert state_b.rng.draws == 1 + 1 + 51
 
 
+class CountingSequence(Sequence):
+    """A sequence that records which positions were indexed."""
+
+    def __init__(self, length):
+        self.length = length
+        self.indexed = []
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        i = range(self.length)[index]
+        self.indexed.append(i)
+        return 3 * i + 1
+
+
 class TestDecimate:
+    @pytest.mark.parametrize("length", [0, 1, 2, 9, 10, 57, 1000])
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, 0.35, 0.1, 0.003])
+    def test_sequence_indexed_only_where_kept(self, length, ratio):
+        stream = CountingSequence(length)
+        kept = list(decimate(stream, ratio))
+        expected = [
+            i
+            for i in range(length)
+            if math.floor(i * ratio) > math.floor((i - 1) * ratio)
+        ]
+        assert stream.indexed == expected
+        assert kept == list(decimate(iter(CountingSequence(length)), ratio))
+
     def test_identity_ratio(self):
         items = list(range(57))
         assert list(decimate(items, 1.0)) == items

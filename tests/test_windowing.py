@@ -49,6 +49,15 @@ class TestResolveThreshold:
         raw = resolve_threshold(w, ThresholdPolicy("percentile", 75.0, False))
         assert rectified > raw
 
+    @pytest.mark.parametrize("rectify", [True, False])
+    def test_leaves_samples_unchanged(self, rectify):
+        samples = np.random.default_rng(2).normal(size=1001)
+        w = Waveform(samples.copy(), 1.0)
+        threshold = resolve_threshold(w, ThresholdPolicy.percentile(90.0, rectify))
+        assert np.array_equal(w.samples, samples)
+        values = np.abs(samples) if rectify else samples
+        assert threshold == float(np.percentile(values, 90.0))
+
     def test_percentile_bounds_enforced(self):
         with pytest.raises(ValueError):
             ThresholdPolicy.percentile(0.0)
@@ -152,6 +161,21 @@ class TestExtractCounts:
             assert count == count_crossings(
                 w.samples[start : start + 512], wc.threshold
             )
+
+    @pytest.mark.parametrize("rectify", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_slice_counts_at_random(self, rectify, seed):
+        rng = np.random.default_rng(seed)
+        w = Waveform(rng.normal(size=3000), 1e6)
+        policy = ThresholdPolicy.percentile(float(rng.uniform(50.0, 99.0)), rectify)
+        spec = WindowSpec(int(rng.integers(8, 300)), float(rng.choice([0.0, 0.5, 0.875])))
+        wc = extract_counts(w, policy, spec)
+        opens_above = 0
+        for start, count in wc.entries:
+            segment = w.samples[start : start + spec.length_n]
+            assert count == count_crossings(segment, wc.threshold, rectify)
+            opens_above += (abs(segment[0]) if rectify else segment[0]) > wc.threshold
+        assert opens_above > 0
 
     def test_scale_invariance_with_percentile_threshold(self):
         rng = np.random.default_rng(5)
