@@ -10,13 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import PipelineConfig
 from .detector import flag_events, pick_noise_training, score, train_background
 from .dppmm import MixtureState, fit, state_to_json_dict
-from .io import DataFormatError, read_hits, read_waveform, write_hits, write_waveform
+from .io import (
+    DataFormatError,
+    read_hits,
+    read_waveform,
+    write_atomic,
+    write_hits,
+    write_waveform,
+)
 from .monitor import StreamMonitor, decimate
 from .segmentation import (
     average_probabilities,
@@ -43,8 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
+def _json_line(obj: dict) -> bytes:
+    return json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def _write_json(path: str, doc: dict) -> None:
+    write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2).encode("utf-8") + b"\n"])
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -228,9 +239,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                     for a in annotations
                 ],
             }
-            Path(args.annotations_out).write_text(
-                json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            _write_json(args.annotations_out, doc)
     else:
         spec = HitStreamSpec(
             n_hits=args.n_hits,
@@ -240,7 +249,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             damage_energy_factor=args.damage_energy_factor,
             damage_fraction=args.damage_fraction,
         )
-        write_hits(args.out, list(synthesize_hit_stream(spec, rng_seed=config.seed)))
+        write_hits(args.out, synthesize_hit_stream(spec, rng_seed=config.seed))
     return EXIT_OK
 
 
@@ -268,16 +277,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     lines = ["start_index,count,nll"]
     for start, count, value in zip(trace.starts, trace.counts, trace.nlls.tolist()):
         lines.append(f"{int(start)},{int(count)},{value!r}")
-    Path(args.nll_out).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(args.nll_out, [("\n".join(lines) + "\n").encode("ascii")])
     intervals = flag_events(trace)
     doc = {
         "flag_threshold": trace.flag_threshold,
         "training_windows": train_idx,
         "events": [{"start_index": s, "end_index": e} for s, e in intervals],
     }
-    Path(args.events_out).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(args.events_out, doc)
     return EXIT_OK
 
 
@@ -307,32 +314,24 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             min_length=config.min_event_length,
             rectify=config.rectify,
         )
-    with open(args.events_out, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                _json_line(
-                    {
-                        "start_index": record.start_index,
-                        "end_index": record.end_index,
-                        "start_time": record.start_index / waveform.sample_rate,
-                        "end_time": record.end_index / waveform.sample_rate,
-                        "label": record.label,
-                        "mean_probability": record.mean_probability,
-                        "features": {
-                            "count": record.features.count,
-                            "peak_amplitude": record.features.peak_amplitude,
-                            "rise_time": record.features.rise_time,
-                            "duration": record.features.duration,
-                            "energy": record.features.energy,
-                        },
-                    }
-                )
-                + "\n"
+    write_atomic(
+        args.events_out,
+        (
+            _json_line(
+                {
+                    "start_index": record.start_index,
+                    "end_index": record.end_index,
+                    "start_time": record.start_index / waveform.sample_rate,
+                    "end_time": record.end_index / waveform.sample_rate,
+                    "label": record.label,
+                    "mean_probability": record.mean_probability,
+                    "features": asdict(record.features),
+                }
             )
-    Path(args.state_out).write_text(
-        json.dumps(state_to_json_dict(result.state), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+            for record in records
+        ),
     )
+    _write_json(args.state_out, state_to_json_dict(result.state))
     return EXIT_OK
 
 
@@ -362,11 +361,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         raise UsageError("--snapshot-every needs --state-out")
 
     def write_state() -> None:
-        Path(args.state_out).write_text(
-            json.dumps(state_to_json_dict(monitor.state), sort_keys=True, indent=2)
-            + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.state_out, state_to_json_dict(monitor.state))
 
     alarm_lines = []
     track_rows = ["time,cluster,cumulative_events,cumulative_counts,cumulative_energy"]
@@ -398,10 +393,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             track.cumulative_energy,
         ):
             track_rows.append(f"{t},{cluster_id},{ev},{ct},{en!r}")
-    Path(args.alarms_out).write_text(
-        "\n".join(alarm_lines) + ("\n" if alarm_lines else ""), encoding="utf-8"
-    )
-    Path(args.tracks_out).write_text("\n".join(track_rows) + "\n", encoding="ascii")
+    write_atomic(args.alarms_out, alarm_lines)
+    write_atomic(args.tracks_out, [("\n".join(track_rows) + "\n").encode("ascii")])
     if args.state_out:
         write_state()
     return EXIT_OK
@@ -421,23 +414,13 @@ def _load_event_spans(path: str) -> list[tuple[int, int]]:
 def _cmd_features(args: argparse.Namespace) -> int:
     waveform = _read_input_waveform(args)
     spans = _load_event_spans(args.events)
-    with open(args.out, "w", encoding="utf-8") as handle:
+
+    def lines():
         for start, end in spans:
             feats = extract_features(waveform, (start, end), args.threshold_volts)
-            handle.write(
-                _json_line(
-                    {
-                        "start_index": start,
-                        "end_index": end,
-                        "count": feats.count,
-                        "peak_amplitude": feats.peak_amplitude,
-                        "rise_time": feats.rise_time,
-                        "duration": feats.duration,
-                        "energy": feats.energy,
-                    }
-                )
-                + "\n"
-            )
+            yield _json_line({"start_index": start, "end_index": end, **asdict(feats)})
+
+    write_atomic(args.out, lines())
     return EXIT_OK
 
 

@@ -17,14 +17,17 @@ records.  The payload must be an exact multiple of
 the record count (when absent, the record ordinal stands in).
 ``read_hits`` reads and checks only the header; a record is read from the
 file and decoded when it is indexed, so skipped records cost nothing.
+Every writer goes through ``write_atomic``, so a failed write leaves the
+target as it was.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ __all__ = [
     "write_waveform",
     "read_hits",
     "write_hits",
+    "write_atomic",
 ]
 
 WAVEFORM_FORMATS = ("csv", "raw_f32_le", "raw_i16_le")
@@ -49,6 +53,24 @@ _HIT_FORMAT = "ae-hits"
 
 class DataFormatError(ValueError):
     """A file's contents do not match its declared format."""
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a sibling temp file, then ``os.replace`` it onto ``path``.
+
+    A reader of ``path`` sees the old file or the complete new one.  If
+    writing fails, including while ``chunks`` is being produced, the temp
+    file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -150,17 +172,16 @@ def write_waveform(path: str | Path, waveform: Waveform, fmt: str) -> None:
     ``raw_f32_le`` round-trips bit-exactly for float32-valued data;
     ``raw_i16_le`` requires integral samples within the int16 range.
     """
-    path = Path(path)
     if fmt == "csv":
         lines = "\n".join(repr(v) for v in waveform.samples.tolist())
-        path.write_text(lines + "\n", encoding="ascii")
+        write_atomic(path, [(lines + "\n").encode("ascii")])
     elif fmt == "raw_f32_le":
-        path.write_bytes(waveform.samples.astype("<f4").tobytes())
+        write_atomic(path, [waveform.samples.astype("<f4").tobytes()])
     elif fmt == "raw_i16_le":
         values = waveform.samples
         if np.any(values != np.round(values)) or np.any(np.abs(values) > 32767):
             raise DataFormatError("raw_i16_le requires integral samples in int16 range")
-        path.write_bytes(values.astype("<i2").tobytes())
+        write_atomic(path, [values.astype("<i2").tobytes()])
     else:
         raise DataFormatError(f"unknown waveform format {fmt!r}")
 
@@ -249,33 +270,45 @@ def read_hits(path: str | Path) -> HitFile:
     )
 
 
-def write_hits(path: str | Path, hits: list[HitRecord]) -> None:
-    """Write records into a hit container.
+def write_hits(path: str | Path, hits: Iterable[HitRecord]) -> None:
+    """Write records into a hit container, one record in memory at a time.
 
     Records must agree on length, pretrigger, channel and sample rate;
-    those become the container header.
+    those become the container header.  Record bodies stream to a temp
+    file beside ``path`` while the trigger times are collected; the header
+    and the bodies then replace ``path`` in one ``write_atomic``.
     """
-    if not hits:
-        raise DataFormatError("cannot write an empty hit container")
-    first = hits[0]
-    record_length = first.samples.size
-    for hit in hits:
-        if (
-            hit.samples.size != record_length
-            or hit.pretrigger != first.pretrigger
-            or hit.channel != first.channel
-            or hit.sample_rate != first.sample_rate
-        ):
-            raise DataFormatError("hit records disagree on container metadata")
-    header = {
-        "format": _HIT_FORMAT,
-        "version": 1,
-        "sample_rate": first.sample_rate,
-        "record_length": record_length,
-        "pretrigger": first.pretrigger,
-        "channel": first.channel,
-        "trigger_times": [hit.trigger_time for hit in hits],
-    }
-    body = b"".join(hit.samples.astype("<f4").tobytes() for hit in hits)
     path = Path(path)
-    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+    body_path = path.with_name(f".{path.name}.{os.getpid()}.body")
+    first = None
+    times: list[float] = []
+    try:
+        with open(body_path, "w+b") as body:
+            for hit in hits:
+                if first is None:
+                    first = hit
+                if (
+                    hit.samples.size != first.samples.size
+                    or hit.pretrigger != first.pretrigger
+                    or hit.channel != first.channel
+                    or hit.sample_rate != first.sample_rate
+                ):
+                    raise DataFormatError("hit records disagree on container metadata")
+                times.append(hit.trigger_time)
+                body.write(hit.samples.astype("<f4").tobytes())
+            if first is None:
+                raise DataFormatError("cannot write an empty hit container")
+            header = {
+                "format": _HIT_FORMAT,
+                "version": 1,
+                "sample_rate": first.sample_rate,
+                "record_length": first.samples.size,
+                "pretrigger": first.pretrigger,
+                "channel": first.channel,
+                "trigger_times": times,
+            }
+            header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+            body.seek(0)
+            write_atomic(path, chain([header_line], iter(lambda: body.read(1 << 20), b"")))
+    finally:
+        body_path.unlink(missing_ok=True)

@@ -1,11 +1,13 @@
-"""Per-sample assignment probabilities, event boundaries, and AE features.
+"""Window-cell assignment probabilities, event boundaries, and AE features.
 
 Window-level assignment probabilities are projected back onto the raw
 time axis by averaging, per sample, the probability vectors of every
-window covering it.  Maximal runs where the non-noise probability clears
-a minimum become events, and each event slice yields the classic AE
-features: ringdown count, peak amplitude, rise time, duration, and
-energy.
+window covering it.  Window edges cut the axis into cells whose samples
+share their windows, so the average is held once per cell and memory
+follows the window count, not the recording length.  Maximal runs where
+the non-noise probability clears a minimum become events, and each event
+slice yields the classic AE features: ringdown count, peak amplitude,
+rise time, duration, and energy.
 """
 
 from __future__ import annotations
@@ -30,23 +32,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleProbabilityField:
-    """Per-sample cluster probabilities over a waveform.
+    """Cluster probabilities over a waveform, one value per window cell.
 
-    ``probabilities`` maps each cluster key (stable id, or ``None`` for
-    the fresh-component route) to a float array over samples.  Where
-    ``coverage`` is zero no window reached the sample and every vector
-    entry is zero; elsewhere each per-sample vector sums to one.
+    Cell ``j`` spans samples ``[edges[j], edges[j + 1])``; ``edges`` runs
+    from 0 to the signal length.  ``coverage`` counts the windows covering
+    each cell, and ``probabilities`` maps each cluster key (stable id, or
+    ``None`` for the fresh-component route) to a float array over cells.
+    Where coverage is zero every entry is zero; elsewhere each cell's
+    vector sums to one.  ``expand`` and ``probability_of`` give the
+    per-sample values.
     """
 
-    probabilities: dict[int | None, np.ndarray]
+    edges: np.ndarray
     coverage: np.ndarray
+    probabilities: dict[int | None, np.ndarray]
 
     def __len__(self) -> int:
-        return self.coverage.size
+        return int(self.edges[-1])
+
+    def expand(self, cell_values: np.ndarray) -> np.ndarray:
+        """Per-cell values repeated over the samples of each cell."""
+        return np.repeat(cell_values, np.diff(self.edges))
 
     def probability_of(self, key: int | None) -> np.ndarray:
-        zero = np.zeros(self.coverage.size)
-        return self.probabilities.get(key, zero)
+        """Per-sample probability of ``key`` (zero for an absent key)."""
+        return self.expand(self.probabilities.get(key, np.zeros(self.edges.size - 1)))
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,9 @@ def average_probabilities(
     Window ``i`` covers samples ``[i*step, i*step + n)``.  Each covered
     sample averages the vectors of all windows containing it and is
     renormalised against accumulated rounding; coverage is recorded.
+    Sums run over windows in index order and over keys in the order they
+    are first seen, so each cell holds exactly the value a per-sample
+    accumulation would give its samples.
 
     Raises:
         ValueError: if the number of vectors does not match the window
@@ -92,27 +105,35 @@ def average_probabilities(
             f"got {len(window_probs)} window vectors but spec places {expected} "
             f"windows over {signal_len} samples"
         )
-    n = spec.length_n
-    step = spec.step
-    coverage = np.zeros(signal_len, dtype=np.int64)
-    sums: dict[int | None, np.ndarray] = {}
-    for i, probs in enumerate(window_probs):
-        start = i * step
-        coverage[start : start + n] += 1
-        for key, p in probs.items():
-            if key not in sums:
-                sums[key] = np.zeros(signal_len)
-            sums[key][start : start + n] += p
+    starts = np.arange(expected, dtype=np.int64) * spec.step
+    ends = starts + spec.length_n
+    edges = np.unique(np.concatenate(([0, signal_len], starts, ends)))
+    first_cells = np.searchsorted(edges, starts).tolist()
+    end_cells = np.searchsorted(edges, ends).tolist()
+    # One column per key, in the order keys are first seen; a key absent
+    # from a window adds 0.0 there, which leaves every sum exact.
+    columns: dict[int | None, int] = {}
+    keys = [columns.setdefault(key, len(columns)) for probs in window_probs for key in probs]
+    rows = np.zeros((expected, len(columns)))
+    rows[np.repeat(np.arange(expected), [len(probs) for probs in window_probs]), keys] = [
+        p for probs in window_probs for p in probs.values()
+    ]
+    n_cells = edges.size - 1
+    coverage = np.zeros(n_cells, dtype=np.int64)
+    sums = np.zeros((len(columns), n_cells))
+    for row, first, end in zip(rows, first_cells, end_cells):
+        coverage[first:end] += 1
+        sums[:, first:end] += row[:, None]
     covered = coverage > 0
-    total = np.zeros(signal_len)
-    for acc in sums.values():
+    total = np.zeros(n_cells)
+    for acc in sums:
         total += acc
-    # Dividing by the per-sample vector sum both averages and renormalises.
+    # Dividing by the per-cell vector sum both averages and renormalises.
     safe_total = np.where(covered & (total > 0), total, 1.0)
-    probabilities = {
-        key: np.where(covered, acc / safe_total, 0.0) for key, acc in sums.items()
-    }
-    return SampleProbabilityField(probabilities=probabilities, coverage=coverage)
+    averaged = np.where(covered, sums / safe_total, 0.0)
+    return SampleProbabilityField(
+        edges=edges, coverage=coverage, probabilities=dict(zip(columns, averaged))
+    )
 
 
 def segment_events(
@@ -126,13 +147,14 @@ def segment_events(
     Each run is labelled with the non-noise cluster holding the highest
     mean probability over the run; runs shorter than ``min_length``
     samples are discarded.  ``mean_probability`` is the mean non-noise
-    probability over the run, hence never below the minimum.
+    probability over the run, hence never below the minimum.  Runs are
+    found on cells; means are taken over a run's samples.
     """
     if noise_cluster not in field.probabilities:
         raise ValueError(f"noise cluster {noise_cluster} not present in field")
     if not 0.0 < min_probability <= 1.0:
         raise ValueError(f"min_probability must lie in (0, 1], got {min_probability}")
-    event_prob = 1.0 - field.probability_of(noise_cluster)
+    event_prob = 1.0 - field.probabilities[noise_cluster]
     active = (event_prob >= min_probability) & (field.coverage > 0)
     events: list[EventRecord] = []
     boundaries = np.flatnonzero(np.diff(active.astype(np.int8)))
@@ -141,15 +163,18 @@ def segment_events(
     ends = [int(i) + 1 for i in boundaries if active[i]]
     if active[-1]:
         ends.append(active.size)
-    for start, end in zip(starts, ends):
+    edges = field.edges
+    for first, end_cell in zip(starts, ends):
+        start, end = int(edges[first]), int(edges[end_cell])
         if end - start < min_length:
             continue
+        widths = np.diff(edges[first : end_cell + 1])
         label = None
         best = -1.0
         for key, probs in field.probabilities.items():
             if key == noise_cluster or key is None:
                 continue
-            mean_p = float(probs[start:end].mean())
+            mean_p = float(np.repeat(probs[first:end_cell], widths).mean())
             if mean_p > best:
                 best, label = mean_p, key
         if label is None:
@@ -159,7 +184,9 @@ def segment_events(
                 start_index=start,
                 end_index=end,
                 label=label,
-                mean_probability=float(event_prob[start:end].mean()),
+                mean_probability=float(
+                    np.repeat(event_prob[first:end_cell], widths).mean()
+                ),
             )
         )
     return events

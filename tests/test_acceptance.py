@@ -500,7 +500,7 @@ def test_ac7_overlap_robustness():
     field = average_probabilities(
         fit_overlap.mean_probabilities, overlapped.spec, signal_len
     )
-    core_probability = field.probabilities[event_overlap][
+    core_probability = field.probability_of(event_overlap)[
         offset_core : offset_core + span
     ]
     core_fraction = float(np.mean(core_probability >= 0.5))

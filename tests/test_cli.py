@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from aeburst.cli import cli
@@ -354,6 +355,34 @@ class TestFeatures:
             assert row["peak_amplitude"] > 0.1
             assert row["rise_time"] <= row["duration"]
             assert row["energy"] > 0
+
+
+    def test_failure_leaves_no_partial_output(self, tmp_path):
+        wave = tmp_path / "wave.f32"
+        np.random.default_rng(0).normal(0.0, 0.1, 1_000).astype("<f4").tofile(wave)
+        events = tmp_path / "events.json"
+        # The second span runs past the 1,000-sample waveform.
+        events.write_text(
+            json.dumps(
+                {"events": [{"start_index": 10, "end_index": 100},
+                            {"start_index": 900, "end_index": 1_100}]}
+            )
+        )
+        out = tmp_path / "features.jsonl"
+        code = cli(
+            [
+                "features",
+                "--input", str(wave),
+                "--format", "raw_f32_le",
+                "--sample-rate", "1e6",
+                "--events", str(events),
+                "--threshold-volts", "0.03",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.json", "wave.f32"]
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 """File formats: waveform CSV/raw codecs and the hit container."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,11 @@ class TestHitContainer:
         with pytest.raises(DataFormatError):
             hits[-1]
 
+    def test_empty_container_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError):
+            write_hits(tmp_path / "hits.bin", iter([]))
+        assert list(tmp_path.iterdir()) == []
+
     def test_pretrigger_must_fit(self):
         with pytest.raises(ValueError):
             HitRecord(
@@ -213,3 +219,65 @@ class TestHitContainer:
                 channel=0,
                 sample_rate=1.0,
             )
+
+
+def eager_write_hits(path, hits):
+    """The all-in-memory writer: one header, then every body joined."""
+    header = {
+        "format": "ae-hits",
+        "version": 1,
+        "sample_rate": hits[0].sample_rate,
+        "record_length": hits[0].samples.size,
+        "pretrigger": hits[0].pretrigger,
+        "channel": hits[0].channel,
+        "trigger_times": [hit.trigger_time for hit in hits],
+    }
+    body = b"".join(hit.samples.astype("<f4").tobytes() for hit in hits)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+
+
+class TestStreamingWriteHits:
+    def test_bytes_match_eager_writer(self, tmp_path):
+        # 300 records of 8 KiB span several of the writer's 1 MiB copy chunks.
+        hits = make_hits(300)
+        write_hits(tmp_path / "streamed.bin", hits)
+        eager_write_hits(tmp_path / "eager.bin", hits)
+        streamed = (tmp_path / "streamed.bin").read_bytes()
+        assert streamed == (tmp_path / "eager.bin").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eager.bin", "streamed.bin"]
+
+    def test_generator_input(self, tmp_path):
+        hits = make_hits(5, record_length=64, pretrigger=8)
+        write_hits(tmp_path / "hits.bin", (hit for hit in hits))
+        eager_write_hits(tmp_path / "eager.bin", hits)
+        assert (tmp_path / "hits.bin").read_bytes() == (tmp_path / "eager.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("channel", 6), ("pretrigger", 9), ("sample_rate", 1e6), ("samples", np.zeros(65))],
+    )
+    def test_mismatch_mid_stream_leaves_no_file(self, tmp_path, field, value):
+        hits = make_hits(6, record_length=64, pretrigger=8)
+        hits[3] = replace(hits[3], **{field: value})
+        consumed = []
+
+        def stream():
+            for hit in hits:
+                consumed.append(hit)
+                yield hit
+
+        with pytest.raises(DataFormatError):
+            write_hits(tmp_path / "hits.bin", stream())
+        assert len(consumed) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "hits.bin"
+        write_hits(path, make_hits(2, record_length=64, pretrigger=8))
+        before = path.read_bytes()
+        bad = make_hits(3, record_length=64, pretrigger=8)
+        bad[2] = replace(bad[2], channel=9)
+        with pytest.raises(DataFormatError):
+            write_hits(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["hits.bin"]

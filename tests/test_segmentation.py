@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from aeburst.config import PipelineConfig
 from aeburst.distributions import GammaParams
-from aeburst.dppmm import Hyperparams, MixtureState
+from aeburst.dppmm import Hyperparams, MixtureState, fit
 from aeburst.segmentation import (
+    EventRecord,
     SampleProbabilityField,
     average_probabilities,
     build_event_records,
@@ -15,15 +17,20 @@ from aeburst.segmentation import (
     noise_cluster_id,
     segment_events,
 )
-from aeburst.windowing import Waveform, WindowSpec, count_crossings
+from aeburst.synth import BurstSpec, SynthSpec, synthesize
+from aeburst.windowing import Waveform, WindowSpec, count_crossings, extract_counts
 
 
 def field_from_event_prob(event_prob, noise=0, event=1):
-    """Two-cluster field with a prescribed per-sample event probability."""
+    """Two-cluster field with a prescribed per-sample event probability.
+
+    Every sample is its own cell, so cell values are sample values.
+    """
     event_prob = np.asarray(event_prob, dtype=float)
     return SampleProbabilityField(
-        probabilities={noise: 1.0 - event_prob, event: event_prob},
+        edges=np.arange(event_prob.size + 1),
         coverage=np.ones(event_prob.size, dtype=np.int64),
+        probabilities={noise: 1.0 - event_prob, event: event_prob},
     )
 
 
@@ -32,20 +39,21 @@ class TestAverageProbabilities:
         spec = WindowSpec(10, 0.0)
         vectors = [{0: 1.0}, {1: 1.0}, {0: 0.25, 1: 0.75}]
         field = average_probabilities(vectors, spec, 30)
-        assert np.all(field.coverage == 1)
-        np.testing.assert_allclose(field.probabilities[0][0:10], 1.0)
-        np.testing.assert_allclose(field.probabilities[1][10:20], 1.0)
-        np.testing.assert_allclose(field.probabilities[1][20:30], 0.75)
+        assert np.all(field.expand(field.coverage) == 1)
+        np.testing.assert_allclose(field.probability_of(0)[0:10], 1.0)
+        np.testing.assert_allclose(field.probability_of(1)[10:20], 1.0)
+        np.testing.assert_allclose(field.probability_of(1)[20:30], 0.75)
 
     def test_two_window_mean(self):
         spec = WindowSpec(10, 0.5)
         vectors = [{0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}]
         field = average_probabilities(vectors, spec, 15)
         # Samples 5..9 are covered by both windows.
-        np.testing.assert_allclose(field.probabilities[0][5:10], 0.5)
-        np.testing.assert_allclose(field.probabilities[1][5:10], 0.5)
-        assert list(field.coverage[:5]) == [1] * 5
-        assert list(field.coverage[5:10]) == [2] * 5
+        np.testing.assert_allclose(field.probability_of(0)[5:10], 0.5)
+        np.testing.assert_allclose(field.probability_of(1)[5:10], 0.5)
+        coverage = field.expand(field.coverage)
+        assert list(coverage[:5]) == [1] * 5
+        assert list(coverage[5:10]) == [2] * 5
 
     def test_normalisation_at_every_covered_sample(self):
         rng = np.random.default_rng(3)
@@ -58,20 +66,181 @@ class TestAverageProbabilities:
             raw /= raw.sum()
             vectors.append({0: raw[0], 1: raw[1], None: raw[2]})
         field = average_probabilities(vectors, spec, signal_len)
-        total = sum(field.probabilities.values())
-        covered = field.coverage > 0
+        total = sum(field.probability_of(key) for key in field.probabilities)
+        covered = field.expand(field.coverage) > 0
         np.testing.assert_allclose(total[covered], 1.0, atol=1e-9)
         assert np.all(total[~covered] == 0.0)
 
     def test_uncovered_tail_has_empty_vectors(self):
         spec = WindowSpec(10, 0.0)
         field = average_probabilities([{0: 1.0}], spec, 15)
-        assert list(field.coverage[10:]) == [0] * 5
-        assert np.all(field.probabilities[0][10:] == 0.0)
+        assert list(field.expand(field.coverage)[10:]) == [0] * 5
+        assert np.all(field.probability_of(0)[10:] == 0.0)
 
     def test_window_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             average_probabilities([{0: 1.0}], WindowSpec(10, 0.0), 30)
+
+
+def reference_average(window_probs, spec, signal_len):
+    """The per-sample field: one float array over the recording per key."""
+    n = spec.length_n
+    step = spec.step
+    coverage = np.zeros(signal_len, dtype=np.int64)
+    sums = {}
+    for i, probs in enumerate(window_probs):
+        start = i * step
+        coverage[start : start + n] += 1
+        for key, p in probs.items():
+            if key not in sums:
+                sums[key] = np.zeros(signal_len)
+            sums[key][start : start + n] += p
+    covered = coverage > 0
+    total = np.zeros(signal_len)
+    for acc in sums.values():
+        total += acc
+    safe_total = np.where(covered & (total > 0), total, 1.0)
+    probabilities = {
+        key: np.where(covered, acc / safe_total, 0.0) for key, acc in sums.items()
+    }
+    return probabilities, coverage
+
+
+def reference_segment(probabilities, coverage, noise_cluster, min_probability, min_length):
+    """Events found sample by sample on a per-sample field."""
+    event_prob = 1.0 - probabilities[noise_cluster]
+    active = (event_prob >= min_probability) & (coverage > 0)
+    events = []
+    boundaries = np.flatnonzero(np.diff(active.astype(np.int8)))
+    starts = [0] if active[0] else []
+    starts += [int(i) + 1 for i in boundaries if not active[i]]
+    ends = [int(i) + 1 for i in boundaries if active[i]]
+    if active[-1]:
+        ends.append(active.size)
+    for start, end in zip(starts, ends):
+        if end - start < min_length:
+            continue
+        label = None
+        best = -1.0
+        for key, probs in probabilities.items():
+            if key == noise_cluster or key is None:
+                continue
+            mean_p = float(probs[start:end].mean())
+            if mean_p > best:
+                best, label = mean_p, key
+        if label is None:
+            continue
+        events.append(
+            EventRecord(
+                start_index=start,
+                end_index=end,
+                label=label,
+                mean_probability=float(event_prob[start:end].mean()),
+            )
+        )
+    return events
+
+
+def assert_matches_reference(window_probs, spec, signal_len, min_lengths=(1, 7)):
+    """Cell field and cell segmentation equal the per-sample ones exactly."""
+    field = average_probabilities(window_probs, spec, signal_len)
+    probabilities, coverage = reference_average(window_probs, spec, signal_len)
+    assert len(field) == signal_len
+    assert np.array_equal(field.expand(field.coverage), coverage)
+    assert list(field.probabilities) == list(probabilities)
+    for key, expected in probabilities.items():
+        assert field.probability_of(key).tobytes() == expected.tobytes()
+    assert not field.probability_of("absent").any()
+    labelled = [key for key in probabilities if key is not None]
+    for noise in labelled:
+        for min_probability in (0.5, 0.2, 1.0):
+            for min_length in min_lengths:
+                got = segment_events(field, noise, min_probability, min_length)
+                want = reference_segment(
+                    probabilities, coverage, noise, min_probability, min_length
+                )
+                assert repr(got) == repr(want)
+
+
+class TestCellFieldMatchesPerSample:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_geometries(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        # Overlap 0 (step n), n a multiple of the step, and n not a multiple.
+        step = [n, max(1, n // int(rng.integers(1, 5))), int(rng.integers(1, n + 1))][
+            seed % 3
+        ]
+        spec = WindowSpec(n, 1.0 - step / n)
+        assert spec.step == step
+        n_windows = int(rng.integers(1, 30))
+        tail = int(rng.integers(0, step)) if seed % 2 else 0
+        signal_len = n + step * (n_windows - 1) + tail
+        assert spec.n_windows(signal_len) == n_windows
+        pool = [0, 1, 2, 3, 4, 5, None]
+        window_probs = []
+        for i in range(n_windows):
+            # Keys 4 and 5 appear only in the later windows.
+            allowed = pool if i >= n_windows // 2 else [0, 1, 2, 3, None]
+            size = int(rng.integers(1, len(allowed) + 1))
+            keys = [allowed[j] for j in rng.permutation(len(allowed))[:size]]
+            values = rng.random(size)
+            values[rng.random(size) < 0.25] = 0.0
+            if values.sum() == 0.0:
+                values[0] = 1.0
+            values /= values.sum()
+            window_probs.append(dict(zip(keys, values.tolist())))
+        assert_matches_reference(window_probs, spec, signal_len)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_on_overlapped_recording(self, seed):
+        rate = 1e6
+        bursts = tuple(
+            BurstSpec(
+                onset=onset / rate,
+                amplitude=0.2,
+                decay_tau=3.4e-4,
+                carrier_freq=120e3,
+            )
+            for onset in (4_096, 12_288, 22_528)
+        )
+        spec = SynthSpec(
+            duration=32_768 / rate, sample_rate=rate, noise_sigma=0.01, bursts=bursts
+        )
+        waveform, _ = synthesize(spec, rng_seed=seed)
+        config = PipelineConfig(seed=seed, window_length=250, overlap=0.875)
+        windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
+        assert windowed.spec.length_n % windowed.spec.step != 0
+        result = fit(
+            windowed.counts.tolist(),
+            config.hyperparams(),
+            sweeps=40,
+            burn_in=20,
+            rng_seed=seed,
+        )
+        assert result.state.n_clusters > 1
+        assert_matches_reference(
+            result.mean_probabilities, windowed.spec, len(waveform), min_lengths=(1,)
+        )
+
+    def test_stored_arrays_scale_with_windows_not_samples(self):
+        spec = WindowSpec(200_000, 0.5)
+        signal_len = 2_000_000
+        n_windows = spec.n_windows(signal_len)
+        rng = np.random.default_rng(0)
+        keys = list(range(6))
+        window_probs = []
+        for _ in range(n_windows):
+            values = rng.random(len(keys))
+            window_probs.append(dict(zip(keys, (values / values.sum()).tolist())))
+        field = average_probabilities(window_probs, spec, signal_len)
+        stored = sum(
+            value.nbytes
+            for value in vars(field).values()
+            if isinstance(value, np.ndarray)
+        )
+        stored += sum(probs.nbytes for probs in field.probabilities.values())
+        assert stored < 0.01 * len(keys) * signal_len * 8
 
 
 class TestSegmentEvents:
@@ -122,8 +291,9 @@ class TestSegmentEvents:
         prob_b = np.zeros(40)
         prob_b[10:30] = 0.6
         field = SampleProbabilityField(
-            probabilities={0: 1.0 - prob_a - prob_b, 1: prob_a, 2: prob_b},
+            edges=np.arange(41),
             coverage=np.ones(40, dtype=np.int64),
+            probabilities={0: 1.0 - prob_a - prob_b, 1: prob_a, 2: prob_b},
         )
         (event,) = segment_events(field, noise_cluster=0)
         assert event.label == 2
@@ -217,7 +387,7 @@ class TestOverlapAveragedPipeline:
             (c for c in result.state.clusters.values() if c.n_members >= 10),
             key=lambda c: posterior_mean_rate(c, base),
         ).id
-        event_prob = field.probabilities[event]
+        event_prob = field.probability_of(event)
         # Monotone ramp into the core and decay after (coarse-grained).
         assert event_prob[onset - n : onset].mean() < 0.5
         assert event_prob[onset + n : onset + span - n].min() >= 0.5
