@@ -37,12 +37,9 @@ from .dppmm import (
     UniformStream,
     assignment_log_weights,
     audit,
-    crp_prior,
     fit,
     gibbs_sweep,
-    normalize_log_weights,
     posterior_mean_rate,
-    resample_one,
     state_from_json_dict,
     state_to_json_dict,
 )

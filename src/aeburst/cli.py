@@ -402,13 +402,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def _load_event_spans(path: str) -> list[tuple[int, int]]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):
-        rows = doc.get("bursts", doc.get("events"))
-        if rows is None:
-            raise DataFormatError(f"{path}: no 'bursts' or 'events' key")
-    else:
-        rows = doc
-    return [(int(row["start_index"]), int(row["end_index"])) for row in rows]
+    rows = doc.get("bursts", doc.get("events")) if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise DataFormatError(f"{path}: no span list, bare or under 'bursts' or 'events'")
+    try:
+        return [(int(row["start_index"]), int(row["end_index"])) for row in rows]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(
+            f"{path}: every span needs integer 'start_index' and 'end_index'"
+        ) from exc
 
 
 def _cmd_features(args: argparse.Namespace) -> int:

@@ -60,6 +60,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:

@@ -45,10 +45,6 @@ __all__ = [
     "UniformStream",
     "FitResult",
     "assignment_log_weights",
-    "normalize_log_weights",
-    "draw_assignment",
-    "crp_prior",
-    "resample_one",
     "gibbs_sweep",
     "fit",
     "audit",
@@ -135,7 +131,7 @@ class ClusterStats:
 
     ``terms`` caches the count-independent pieces of the component's log
     weight (see ``_terms``); the owning ``MixtureState`` refreshes it
-    whenever a member is attached or detached.
+    whenever its statistics change.
     """
 
     __slots__ = ("id", "n_members", "sum_x", "created_at", "terms")
@@ -152,10 +148,11 @@ class ClusterStats:
 class MixtureState:
     """Assignments, per-cluster statistics, and hyperparameters of the mixture.
 
-    A state is mutated by exactly one writer at a time, via ``append_datum``,
-    ``detach_datum``, ``attach_datum`` and ``gibbs_sweep``, which keep each
-    cluster's cached weight terms current.  Cluster ids are minted from
-    ``next_cluster_id`` and never reused within a run.
+    A state is mutated by exactly one writer at a time, via ``append_datum``
+    and ``gibbs_sweep``, which keep each cluster's cached weight terms
+    current.  Cluster ids are minted from ``next_cluster_id`` and never
+    reused within a run.  All of the sampler's randomness comes from
+    ``rng``, so the state document always records the stream position.
     """
 
     hyper: Hyperparams
@@ -185,15 +182,8 @@ class MixtureState:
         return state
 
     @property
-    def rng_seed(self) -> int:
-        return self.rng.seed
-
-    @property
     def n_clusters(self) -> int:
         return len(self.clusters)
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def mint_cluster(self) -> ClusterStats:
         cluster = ClusterStats(self.next_cluster_id, len(self.data))
@@ -221,53 +211,17 @@ class MixtureState:
         self._set_stats(target, target.n_members + 1, target.sum_x + int(x))
         return target.id
 
-    def detach_datum(self, index: int) -> int:
-        """Remove datum ``index`` from its cluster, deleting the cluster if emptied.
 
-        The datum stays in ``data``; only its membership is dissolved.
-        Returns the cluster id it was detached from.
-        """
-        k = self.assignments[index]
-        cluster = self.clusters[k]
-        self._set_stats(cluster, cluster.n_members - 1, cluster.sum_x - self.data[index])
-        if cluster.n_members == 0:
-            del self.clusters[k]
-        return k
-
-    def attach_datum(self, index: int, cluster_id: int | None) -> int:
-        """Re-attach datum ``index`` to a cluster (None mints a fresh one)."""
-        target = self.mint_cluster() if cluster_id is None else self.clusters[cluster_id]
-        self._set_stats(target, target.n_members + 1, target.sum_x + self.data[index])
-        self.assignments[index] = target.id
-        return target.id
-
-
-def assignment_log_weights(
-    x: int, state: MixtureState, excluding: int | None = None
-) -> list[tuple[int | None, float]]:
+def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None, float]]:
     """Unnormalised log assignment weights of a count over clusters plus NEW.
 
     One ``(cluster_id, log_weight)`` entry per retained component in
     ascending creation order, followed by ``(None, log_weight)`` for the
-    empty-component route.  With ``excluding`` set, that datum's statistics
-    are removed from its cluster before weighting and a cluster emptied by
-    the removal is skipped entirely.
+    empty-component route.
     """
-    if excluding is not None and not 0 <= excluding < len(state.data):
-        raise ValueError(f"excluding index {excluding} out of range")
     x = int(x)
     lgamma_x1 = math.lgamma(x + 1)
-    excl_cluster = state.assignments[excluding] if excluding is not None else None
-    out: list[tuple[int | None, float]] = []
-    for k, cluster in state.clusters.items():
-        terms = cluster.terms
-        if k == excl_cluster:
-            n = cluster.n_members - 1
-            if n == 0:
-                continue
-            s = cluster.sum_x - state.data[excluding]
-            terms = _terms(math.log(n), n, s, state.hyper.base)
-        out.append((k, _log_weight(terms, x, lgamma_x1)))
+    out = [(k, _log_weight(c.terms, x, lgamma_x1)) for k, c in state.clusters.items()]
     out.append((None, _log_weight(state._new_terms, x, lgamma_x1)))
     return out
 
@@ -289,37 +243,6 @@ def _scan(raw: Sequence[float], target: float) -> int:
     return len(raw) - 1
 
 
-def normalize_log_weights(
-    weights: Sequence[tuple[int | None, float]],
-) -> list[tuple[int | None, float]]:
-    """Normalise log weights into probabilities via max-subtraction."""
-    raw, total = _exp_weights(weights)
-    return [(k, w / total) for (k, _), w in zip(weights, raw)]
-
-
-def crp_prior(state: MixtureState, excluding: int) -> list[tuple[int | None, float]]:
-    """Partition prior over clusters plus NEW with one datum held out.
-
-    Each retained cluster receives ``c_k / (alpha + N - 1)`` and the
-    empty-component route ``alpha / (alpha + N - 1)``; the entries sum to
-    one exactly because the cluster counts sum to ``N - 1``.
-    """
-    if not 0 <= excluding < len(state.data):
-        raise ValueError(f"excluding index {excluding} out of range")
-    alpha = state.hyper.alpha
-    n_total = len(state.data)
-    denom = alpha + n_total - 1
-    excl_cluster = state.assignments[excluding]
-    out: list[tuple[int | None, float]] = []
-    for k, cluster in state.clusters.items():
-        c = cluster.n_members - (1 if k == excl_cluster else 0)
-        if c == 0:
-            continue
-        out.append((k, c / denom))
-    out.append((None, alpha / denom))
-    return out
-
-
 def greedy_pick(weights: Sequence[tuple[int | None, float]]) -> int | None:
     """Highest-weight key; ties resolved toward the lowest cluster id.
 
@@ -337,74 +260,34 @@ def greedy_pick(weights: Sequence[tuple[int | None, float]]) -> int | None:
     return best_key
 
 
-def draw_assignment(
-    weights: Sequence[tuple[int | None, float]], rng: UniformStream
-) -> tuple[int | None, dict[int | None, float], float]:
-    """Single categorical draw from log weights, consuming one uniform.
-
-    Returns the drawn key, the normalised probabilities keyed like
-    ``weights``, and the unnormalised log weight of the drawn entry.
-    """
-    raw, total = _exp_weights(weights)
-    idx = _scan(raw, rng.random() * total)
-    probs = {k: w / total for (k, _), w in zip(weights, raw)}
-    return weights[idx][0], probs, weights[idx][1]
-
-
-def resample_one(
-    state: MixtureState,
-    index: int,
-    rng: UniformStream | None = None,
-    *,
-    greedy: bool = False,
-) -> MixtureState:
-    """Resample the assignment of one datum in place.
-
-    The datum is detached (its cluster deleted if emptied), a new
-    assignment is drawn from the normalised leave-one-out weights, and the
-    statistics are re-added; a NEW draw mints a fresh cluster id.  With
-    ``greedy`` the draw is replaced by the argmax rule (lowest id wins
-    ties), consuming no randomness.
-    """
-    if not 0 <= index < len(state.data):
-        raise ValueError(f"index {index} out of range")
-    state.detach_datum(index)
-    weights = assignment_log_weights(state.data[index], state)
-    if greedy:
-        choice = greedy_pick(weights)
-    else:
-        choice, _, _ = draw_assignment(weights, rng if rng is not None else state.rng)
-    state.attach_datum(index, choice)
-    return state
-
-
 def gibbs_sweep(
     state: MixtureState,
-    rng: UniformStream | None = None,
     *,
     diagnostics: dict | None = None,
     accumulate: list[dict[int | None, float]] | None = None,
 ) -> MixtureState:
     """One full sweep: every datum resampled once, in data order.
 
-    Each step is ``resample_one`` fused into one loop over slot lists of
-    the live clusters plus NEW, in creation order, with the N uniforms
-    taken in one batch.  Returns the updated state.  Given ``accumulate``
-    (one dict per datum), each datum's normalised assignment probabilities
-    are added into its dict, keyed by stable cluster id (``None`` for NEW).
-    Given ``diagnostics``, records ``joint_log_weight`` (the sum of the
+    Each step removes the datum from its cluster (deleting the cluster if
+    emptied), draws its assignment from the leave-one-out weights and adds
+    it back, minting a fresh id on a NEW draw.  The steps run in one loop
+    over slot lists of the live clusters plus NEW, in creation order, with
+    the N uniforms taken from ``state.rng`` in one batch; the step-by-step
+    reference it must match exactly is ``tests/sampler_oracle.py``.
+    Returns the updated state.  Given ``accumulate`` (one dict per datum),
+    each datum's normalised assignment probabilities are added into its
+    dict, keyed by stable cluster id (``None`` for NEW).  Given
+    ``diagnostics``, records ``joint_log_weight`` (the sum of the
     chosen entries' unnormalised log weights) and ``flips`` (number of
     assignments that changed).
     """
-    if rng is None:
-        rng = state.rng
     data, assignments, clusters = state.data, state.assignments, state.clusters
     base = state.hyper.base
     lgamma, log, exp = math.lgamma, math.log, math.exp
     ids: list[int | None] = [*clusters, None]
     stats = list(clusters.values())
     terms = [c.terms for c in stats] + [state._new_terms]
-    uniforms = rng.take(len(data))
+    uniforms = state.rng.take(len(data))
     joint, flips = 0.0, 0
     for i, x in enumerate(data):
         left = assignments[i]
@@ -474,19 +357,12 @@ def fit(
     sweeps: int,
     burn_in: int = 0,
     rng_seed: int = 0,
-    *,
-    early_stop: bool = False,
-    early_stop_patience: int = 10,
-    early_stop_flip_fraction: float = 0.01,
 ) -> FitResult:
     """Run the collapsed Gibbs sampler for a fixed sweep budget.
 
     All data start in a single component.  Reported labels are those of
     the final sweep; only the sweeps after ``burn_in`` accumulate
-    ``mean_probabilities``.  With ``early_stop``, sampling halts once the
-    cluster count is unchanged and fewer than ``early_stop_flip_fraction``
-    of assignments flip for ``early_stop_patience`` consecutive
-    post-burn-in sweeps.
+    ``mean_probabilities``.  Every sweep in the budget runs.
 
     An empty dataset returns an empty state rather than raising; it means
     "no events" downstream.
@@ -504,31 +380,16 @@ def fit(
             sweeps_run=0,
         )
     state = MixtureState.init_single_cluster(data, hyper, rng_seed)
-    n = len(state.data)
-    accumulated: list[dict[int | None, float]] = [dict() for _ in range(n)]
-    averaged_sweeps = 0
+    accumulated: list[dict[int | None, float]] = [dict() for _ in state.data]
     cluster_counts: list[int] = []
     joint_log_weights: list[float] = []
-    stable_streak = 0
-    sweeps_run = 0
     for sweep_idx in range(sweeps):
         diag: dict = {}
         averaging = sweep_idx >= burn_in
         gibbs_sweep(state, diagnostics=diag, accumulate=accumulated if averaging else None)
-        sweeps_run += 1
-        averaged_sweeps += averaging
         cluster_counts.append(state.n_clusters)
         joint_log_weights.append(diag["joint_log_weight"])
-        if early_stop and averaging:
-            unchanged = (
-                len(cluster_counts) >= 2 and cluster_counts[-1] == cluster_counts[-2]
-            )
-            if unchanged and diag["flips"] < early_stop_flip_fraction * n:
-                stable_streak += 1
-                if stable_streak >= early_stop_patience:
-                    break
-            else:
-                stable_streak = 0
+    averaged_sweeps = sweeps - burn_in
     mean_probabilities = [
         {key: total / averaged_sweeps for key, total in acc.items()}
         for acc in accumulated
@@ -538,7 +399,7 @@ def fit(
         mean_probabilities=mean_probabilities,
         cluster_counts=cluster_counts,
         joint_log_weights=joint_log_weights,
-        sweeps_run=sweeps_run,
+        sweeps_run=sweeps,
     )
 
 

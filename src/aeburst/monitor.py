@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .dppmm import (
     MixtureState,
-    UniformStream,
     _exp_weights,
     _scan,
     assignment_log_weights,
@@ -118,7 +117,6 @@ class AlarmEvent:
 def observe(
     x: int,
     state: MixtureState,
-    rng: UniformStream | None = None,
     *,
     eta_override: float | None = None,
 ) -> ObserveOutcome:
@@ -130,18 +128,17 @@ def observe(
     categorical draw and a full sweep reassesses every assignment;
     otherwise the count joins the highest-weight component greedily.
 
-    Draw order per observation is fixed for replay: the gate uniform
-    first, then (resampling path only) the assignment draw for ``x``
-    followed by the sweep's draws in data order.  An empty state consumes
-    no draws: the first count simply founds the first cluster.
+    Every uniform comes from ``state.rng``, in an order fixed for replay:
+    the gate uniform first, then (resampling path only) the assignment
+    draw for ``x`` followed by the sweep's draws in data order.  An empty
+    state consumes no draws: the first count simply founds the first
+    cluster.
 
     ``eta_override`` forces the gate (0 never resamples, 1 always does).
 
     Emits a ``new_cluster`` alarm when the number of clusters grew and the
     newborn cluster still exists once the update settled.
     """
-    if rng is None:
-        rng = state.rng
     before_ids = set(state.clusters)
     ordinal = len(state.data)
     if not state.clusters:
@@ -168,12 +165,12 @@ def observe(
     eta = information_efficiency(list(probs.values()), state.n_clusters)
     if eta_override is not None:
         eta = eta_override
-    gate = rng.random()
+    gate = state.rng.random()
     if gate < eta:
         # Full reassessment: add by a draw, then one sweep over everything.
-        choice = weights[_scan(raw, rng.random() * total)][0]
+        choice = weights[_scan(raw, state.rng.random() * total)][0]
         state.append_datum(int(x), choice)
-        gibbs_sweep(state, rng)
+        gibbs_sweep(state)
         resampled = True
         assigned = state.assignments[-1]
     else:

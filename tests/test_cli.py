@@ -384,6 +384,31 @@ class TestFeatures:
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["events.json", "wave.f32"]
 
+    @pytest.mark.parametrize(
+        "events",
+        ['{"bursts": [{"start": 1}]}', "5", '{"bursts": 5}', "[[1, 2]]", "{}"],
+    )
+    def test_malformed_events_file_is_data_error(self, tmp_path, capsys, events):
+        wave = tmp_path / "wave.f32"
+        np.zeros(1_000, dtype="<f4").tofile(wave)
+        events_path = tmp_path / "events.json"
+        events_path.write_text(events)
+        out = tmp_path / "features.jsonl"
+        code = cli(
+            [
+                "features",
+                "--input", str(wave),
+                "--format", "raw_f32_le",
+                "--sample-rate", "1e6",
+                "--events", str(events_path),
+                "--threshold-volts", "0.03",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
@@ -414,3 +439,24 @@ class TestExitCodes:
         loaded = PipelineConfig.from_json_file(path)
         assert loaded == config
         assert loaded.to_json() == config.to_json()
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]"])
+    def test_config_that_is_not_an_object_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            PipelineConfig.from_json_file(path)
+        code = cli(
+            [
+                "detect",
+                "--input", str(tmp_path / "unread.f32"),
+                "--format", "raw_f32_le",
+                "--sample-rate", "1e6",
+                "--config", str(path),
+                "--nll-out", str(tmp_path / "t.csv"),
+                "--events-out", str(tmp_path / "e.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: config must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -1,7 +1,8 @@
 """Collapsed Gibbs sampler for the Poisson mixture with a process prior.
 
 The assignment weights are checked against brute-force evaluation with
-quadrature negative-binomial marginals, and the sampler itself against
+quadrature negative-binomial marginals, the fused sweep against the
+step-by-step sampler in ``sampler_oracle``, and the sampler itself against
 exact partition-posterior enumeration on a tiny dataset.
 """
 
@@ -21,17 +22,21 @@ from aeburst.dppmm import (
     _terms,
     assignment_log_weights,
     audit,
-    crp_prior,
     data_digest,
-    draw_assignment,
     fit,
     gibbs_sweep,
     greedy_pick,
-    normalize_log_weights,
     posterior_mean_rate,
-    resample_one,
     state_from_json_dict,
     state_to_json_dict,
+)
+from aeburst.monitor import observe
+from sampler_oracle import (
+    crp_prior,
+    detach_datum,
+    normalize_log_weights,
+    reference_sweep,
+    resample_step,
 )
 
 UNIT = Hyperparams(alpha=1.0, base=GammaParams(1.0, 1.0))
@@ -105,12 +110,15 @@ class TestAssignmentLogWeights:
         # times the count's marginal likelihood; closed-form marginals
         # keep the identity checkable at 1e-10, quadrature cross-checks
         # the values themselves at its own accuracy.
-        state = state_with_clusters([[0, 1, 0], [12, 9], [4]])
+        cluster_data = [[0, 1, 0], [12, 9], [4]]
+        state = state_with_clusters(cluster_data)
         n_total = len(state.data)
         log_denominator = math.log(state.hyper.alpha + n_total - 1)
         for index in range(n_total):
             x = state.data[index]
-            weights = dict(assignment_log_weights(x, state, excluding=index))
+            detached = state_with_clusters(cluster_data)
+            detach_datum(detached, index)
+            weights = dict(assignment_log_weights(x, detached))
             prior = dict(crp_prior(state, excluding=index))
             for key, log_w in weights.items():
                 if key is None:
@@ -133,30 +141,16 @@ class TestAssignmentLogWeights:
                     quad_marginal(x, shape, rate), rel=1e-6
                 )
 
-    def test_excluding_equals_detached_state(self):
-        # The leave-one-out branch recomputes the held-out cluster's terms;
-        # it must give exactly the weights of the state with the datum
-        # actually detached, singleton cluster included.
-        cluster_data = [[0, 1, 0], [12, 9], [4]]
-        state = state_with_clusters(cluster_data)
-        for index, x in enumerate(state.data):
-            excluded = assignment_log_weights(x, state, excluding=index)
-            detached = state_with_clusters(cluster_data)
-            detached.detach_datum(index)
-            assert excluded == assignment_log_weights(x, detached)
-
     def test_exclusion_drops_emptied_cluster(self):
         state = state_with_clusters([[5], [0, 0]])
         singleton_id = state.assignments[0]
-        weights = assignment_log_weights(5, state, excluding=0)
+        assert detach_datum(state, 0) == singleton_id
+        weights = assignment_log_weights(5, state)
         assert singleton_id not in dict(weights)
-        # Non-mutating: the cluster is still there afterwards.
-        assert singleton_id in state.clusters
-
-    def test_excluding_out_of_range(self):
-        state = state_with_clusters([[1]])
-        with pytest.raises(ValueError):
-            assignment_log_weights(1, state, excluding=5)
+        assert singleton_id not in state.clusters
+        # The other cluster's cached terms weight the count unchanged.
+        intact = state_with_clusters([[5], [0, 0]])
+        assert weights == assignment_log_weights(5, intact)[1:]
 
     def test_normalised_weights_sum_to_one(self):
         rng = np.random.default_rng(42)
@@ -212,15 +206,15 @@ class TestCrpPrior:
 class TestResampleOne:
     def test_singleton_dataset_keeps_one_cluster(self):
         state = state_with_clusters([[4]])
-        resample_one(state, 0)
+        resample_step(state, 0)
         assert state.n_clusters == 1
         assert audit(state)
 
     def test_greedy_outlier_mints_new_cluster(self):
+        # The greedy argmax is ``observe``'s path with the gate held shut.
         state = state_with_clusters([[5, 4, 5], [1, 0, 2]])
         before_ids = set(state.clusters)
-        state.append_datum(500, state.assignments[0])
-        resample_one(state, len(state.data) - 1, greedy=True)
+        assert not observe(500, state, eta_override=0.0).resampled
         new_ids = set(state.clusters) - before_ids
         assert len(new_ids) == 1
         assert state.assignments[-1] in new_ids
@@ -236,7 +230,7 @@ class TestResampleOne:
         data = list(rng.poisson(3, 80)) + list(rng.poisson(30, 20))
         state = MixtureState.init_single_cluster(data, UNIT, rng_seed=2)
         for _ in range(10_000):
-            resample_one(state, int(rng.integers(0, len(data))))
+            resample_step(state, int(rng.integers(0, len(data))))
         assert audit(state)
 
     def test_audit_detects_corruption(self):
@@ -289,22 +283,6 @@ class TestGibbsSweep:
         rates = sorted(posterior_mean_rate(c, UNIT.base) for c in large)
         assert rates[0] == pytest.approx(2.0, rel=0.35)
         assert rates[1] == pytest.approx(40.0, rel=0.15)
-
-
-def reference_sweep(state, accumulate=None):
-    """One sweep written from the public step primitives, one call each."""
-    joint, flips = 0.0, 0
-    for i, x in enumerate(state.data):
-        before = state.detach_datum(i)
-        choice, probs, chosen_log_w = draw_assignment(
-            assignment_log_weights(x, state), state.rng
-        )
-        joint += chosen_log_w
-        flips += state.attach_datum(i, choice) != before
-        if accumulate is not None:
-            for key, p in probs.items():
-                accumulate[i][key] = accumulate[i].get(key, 0.0) + p
-    return joint, flips
 
 
 def cluster_table(state):
@@ -453,17 +431,6 @@ class TestFit:
         result = fit(data, UNIT, sweeps=25, burn_in=5, rng_seed=1)
         assert len(result.cluster_counts) == result.sweeps_run == 25
         assert len(result.joint_log_weights) == 25
-
-    def test_early_stop_halts_on_stability(self):
-        result = fit(
-            [5] * 50,
-            UNIT,
-            sweeps=200,
-            burn_in=5,
-            rng_seed=4,
-            early_stop=True,
-        )
-        assert result.sweeps_run < 200
 
     def test_alpha_monotone_in_expected_cluster_count(self):
         # Larger concentration never reduces the expected number of

@@ -199,3 +199,18 @@ class TestExtractCounts:
     def test_step_rounds_to_zero_rejected(self):
         with pytest.raises(ValueError):
             WindowSpec(2, 0.9)
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    def test_window_count_agrees_with_starts(self, overlap):
+        # Shorter than one window, both raise; otherwise both place the
+        # same windows, every one of them inside the signal.
+        spec = WindowSpec(10, overlap)
+        for signal_len in range(1, 41):
+            try:
+                starts = spec.window_starts(signal_len)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    spec.n_windows(signal_len)
+                continue
+            assert spec.n_windows(signal_len) == len(starts)
+            assert starts.tolist() == list(range(0, signal_len - 9, spec.step))
