@@ -1,8 +1,14 @@
 """Command-line pipeline: synth, detect, cluster, monitor, features.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  All randomness is
-governed by ``--seed`` (or the config file's seed), and every output is
-byte-deterministic for fixed inputs and seed.
+Every subcommand takes ``--config``, a JSON file of ``PipelineConfig``
+fields, and flags that override single fields: each such flag is the field
+name with dashes (``--window`` for ``window_length``) and has its type.  The
+config is loaded and type-checked once, before any command runs.
+
+Exit codes: 0 success, 1 usage error, 2 data error (a malformed input or
+config file).  All randomness is governed by ``--seed`` (or the config
+file's seed), and every output is byte-deterministic for fixed inputs and
+seed.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -32,7 +38,7 @@ from .segmentation import (
     noise_cluster_id,
 )
 from .synth import BurstSpec, HitStreamSpec, SynthSpec, synthesize, synthesize_hit_stream
-from .windowing import Waveform, extract_counts
+from .windowing import extract_counts
 
 __all__ = ["cli", "main"]
 
@@ -59,34 +65,24 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = (
-        PipelineConfig.from_json_file(args.config)
-        if getattr(args, "config", None)
-        else PipelineConfig()
-    )
-    overrides = {}
-    for flag, key in (
-        ("seed", "seed"),
-        ("window", "window_length"),
-        ("overlap", "overlap"),
-        ("alpha", "alpha"),
-        ("sweeps", "sweeps"),
-        ("burn_in", "burn_in"),
-        ("prior_shape", "prior_shape"),
-        ("prior_rate", "prior_rate"),
-        ("keep_ratio", "keep_ratio"),
-        ("min_probability", "min_probability"),
-        ("threshold_kind", "threshold_kind"),
-        ("threshold_value", "threshold_value"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return replace(config, **overrides) if overrides else config
+    config = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return replace(config, **overrides)
 
 
-def _read_input_waveform(args: argparse.Namespace) -> Waveform:
-    return read_waveform(args.input, args.format, args.sample_rate)
+def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """One flag per named config field, overriding the config file's value."""
+    for name in names:
+        parser.add_argument(
+            "--window" if name == "window_length" else "--" + name.replace("_", "-"),
+            dest=name,
+            type=type(getattr(PipelineConfig, name)),
+            choices=("percentile", "fixed") if name == "threshold_kind" else None,
+        )
 
 
 def _add_waveform_input(parser: argparse.ArgumentParser) -> None:
@@ -105,23 +101,19 @@ def _add_waveform_input(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="rng seed")
+    _add_config_flags(parser, "seed")
 
 
 def _parse_burst(text: str) -> BurstSpec:
+    """The ``--burst`` flag's type: argparse turns its errors into usage errors."""
     parts = text.split(",")
-    if len(parts) not in (4, 5):
-        raise UsageError(
-            f"--burst expects onset,amplitude,tau,freq[,family], got {text!r}"
-        )
-    family = int(parts[4]) if len(parts) == 5 else 0
-    return BurstSpec(
-        onset=float(parts[0]),
-        amplitude=float(parts[1]),
-        decay_tau=float(parts[2]),
-        carrier_freq=float(parts[3]),
-        family=family,
-    )
+    try:
+        if len(parts) not in (4, 5):
+            raise ValueError("expects onset,amplitude,tau,freq[,family]")
+        family = int(parts[4]) if len(parts) == 5 else 0
+        return BurstSpec(*(float(part) for part in parts[:4]), family=family)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sample-rate", dest="sample_rate", type=float, default=1e6)
     p_synth.add_argument("--noise-sigma", type=float, default=0.01)
     p_synth.add_argument(
-        "--burst", action="append", default=[],
+        "--burst", action="append", default=[], type=_parse_burst,
         help="onset,amplitude,tau,freq[,family]; repeatable",
     )
     p_synth.add_argument("--annotations-out", default=None, help="ground-truth JSON")
@@ -151,12 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="score windows against a noise background")
     _add_common(p_detect)
     _add_waveform_input(p_detect)
-    p_detect.add_argument("--window", type=int, default=None)
-    p_detect.add_argument("--overlap", type=float, default=None)
-    p_detect.add_argument("--threshold-kind", choices=("percentile", "fixed"), default=None)
-    p_detect.add_argument("--threshold-value", type=float, default=None)
-    p_detect.add_argument("--prior-shape", type=float, default=None)
-    p_detect.add_argument("--prior-rate", type=float, default=None)
+    _add_config_flags(
+        p_detect, "window_length", "overlap", "threshold_kind", "threshold_value",
+        "prior_shape", "prior_rate",
+    )
     p_detect.add_argument(
         "--train-windows", default=None,
         help="explicit noise window index range START:STOP (e.g. 0:20)",
@@ -171,26 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser("cluster", help="cluster windows and segment events")
     _add_common(p_cluster)
     _add_waveform_input(p_cluster)
-    p_cluster.add_argument("--window", type=int, default=None)
-    p_cluster.add_argument("--overlap", type=float, default=None)
-    p_cluster.add_argument("--threshold-kind", choices=("percentile", "fixed"), default=None)
-    p_cluster.add_argument("--threshold-value", type=float, default=None)
-    p_cluster.add_argument("--alpha", type=float, default=None)
-    p_cluster.add_argument("--sweeps", type=int, default=None)
-    p_cluster.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p_cluster.add_argument("--prior-shape", type=float, default=None)
-    p_cluster.add_argument("--prior-rate", type=float, default=None)
-    p_cluster.add_argument("--min-probability", type=float, default=None)
+    _add_config_flags(
+        p_cluster, "window_length", "overlap", "threshold_kind", "threshold_value",
+        "alpha", "sweeps", "burn_in", "prior_shape", "prior_rate", "min_probability",
+    )
     p_cluster.add_argument("--events-out", required=True, help="event records JSONL")
     p_cluster.add_argument("--state-out", required=True, help="model state JSON")
 
     p_monitor = sub.add_parser("monitor", help="stream a hit file through the online model")
     _add_common(p_monitor)
     p_monitor.add_argument("--hits", required=True, help="hit container file")
-    p_monitor.add_argument("--keep-ratio", type=float, default=None)
-    p_monitor.add_argument("--alpha", type=float, default=None)
-    p_monitor.add_argument("--prior-shape", type=float, default=None)
-    p_monitor.add_argument("--prior-rate", type=float, default=None)
+    _add_config_flags(p_monitor, "keep_ratio", "alpha", "prior_shape", "prior_rate")
     p_monitor.add_argument(
         "--threshold-volts", type=float, default=None,
         help="fixed crossing threshold applied to every hit",
@@ -200,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument("--state-out", default=None, help="final model state JSON")
     p_monitor.add_argument(
         "--snapshot-every", type=int, default=None,
-        help="rewrite the state file every N retained hits (needs --state-out)",
+        help="rewrite the state file every N >= 1 retained hits (needs --state-out)",
     )
 
     p_features = sub.add_parser("features", help="extract AE features for annotated events")
@@ -215,14 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.mode == "waveform":
         spec = SynthSpec(
             duration=args.duration,
             sample_rate=args.sample_rate,
             noise_sigma=args.noise_sigma,
-            bursts=tuple(_parse_burst(text) for text in args.burst),
+            bursts=tuple(args.burst),
         )
         waveform, annotations = synthesize(spec, rng_seed=config.seed)
         write_waveform(args.out, waveform, args.out_format)
@@ -263,9 +243,8 @@ def _parse_range(text: str, upper: int) -> list[int]:
     return list(range(lo, hi))
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    waveform = _read_input_waveform(args)
+def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
+    waveform = read_waveform(args.input, args.format, args.sample_rate)
     windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
     counts = windowed.counts.tolist()
     if args.train_windows:
@@ -288,9 +267,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    waveform = _read_input_waveform(args)
+def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
+    waveform = read_waveform(args.input, args.format, args.sample_rate)
     windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
     result = fit(
         windowed.counts.tolist(),
@@ -335,8 +313,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_monitor(args: argparse.Namespace, config: PipelineConfig) -> int:
+    if args.snapshot_every is not None and (args.snapshot_every < 1 or not args.state_out):
+        raise UsageError("--snapshot-every needs a count of at least 1 and --state-out")
     if args.threshold_volts is not None:
         threshold = args.threshold_volts
     elif config.threshold_kind == "fixed":
@@ -357,8 +336,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         min_survivors=config.min_survivors,
         warmup=config.alarm_warmup,
     )
-    if args.snapshot_every is not None and not args.state_out:
-        raise UsageError("--snapshot-every needs --state-out")
 
     def write_state() -> None:
         _write_json(args.state_out, state_to_json_dict(monitor.state))
@@ -413,13 +390,15 @@ def _load_event_spans(path: str) -> list[tuple[int, int]]:
         ) from exc
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
-    waveform = _read_input_waveform(args)
+def _cmd_features(args: argparse.Namespace, config: PipelineConfig) -> int:
+    waveform = read_waveform(args.input, args.format, args.sample_rate)
     spans = _load_event_spans(args.events)
 
     def lines():
         for start, end in spans:
-            feats = extract_features(waveform, (start, end), args.threshold_volts)
+            feats = extract_features(
+                waveform, (start, end), args.threshold_volts, rectify=config.rectify
+            )
             yield _json_line({"start_index": start, "end_index": end, **asdict(feats)})
 
     write_atomic(args.out, lines())
@@ -443,7 +422,7 @@ def cli(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,6 +6,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .detector import DEFAULT_FLAG_MARGIN
 from .distributions import GammaParams
 from .dppmm import Hyperparams
 from .windowing import ThresholdPolicy, WindowSpec
@@ -18,7 +19,9 @@ class PipelineConfig:
     """Every knob of the detection/clustering/monitoring pipeline.
 
     Serialises to a flat JSON object; ``from_dict`` accepts any subset of
-    keys on top of the defaults, so config files may be partial.
+    keys on top of the defaults, so config files may be partial.  Each value
+    must have its default's type (an ``int`` may stand for a ``float``, a
+    ``bool`` for nothing else); anything else raises ``ValueError``.
     """
 
     threshold_kind: str = "percentile"
@@ -34,7 +37,7 @@ class PipelineConfig:
     keep_ratio: float = 0.1
     min_probability: float = 0.5
     min_event_length: int = 1
-    flag_margin: float = 2.302585092994046  # log(10)
+    flag_margin: float = DEFAULT_FLAG_MARGIN
     step_factor: float = 10.0
     alarm_lag: int = 50
     alarm_min_history: int = 10
@@ -42,6 +45,14 @@ class PipelineConfig:
     min_survivors: int = 2
     alarm_warmup: int = 50
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value, expected = getattr(self, f.name), type(f.default)
+            if type(value) is not expected and (type(value), expected) != (int, float):
+                raise ValueError(
+                    f"config {f.name} must be {expected.__name__}, got {value!r}"
+                )
 
     def threshold_policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.threshold_kind, self.threshold_value, self.rectify)
@@ -54,9 +65,6 @@ class PipelineConfig:
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(self.alpha, self.prior())
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -73,4 +81,4 @@ class PipelineConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

@@ -100,6 +100,7 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if self.length_n != int(self.length_n) or self.length_n < 1:
             raise ValueError(f"length_n must be a positive integer, got {self.length_n}")
+        object.__setattr__(self, "length_n", int(self.length_n))
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError(
                 f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}"

@@ -1,12 +1,13 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
+import argparse
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aeburst.cli import cli
+from aeburst.cli import build_parser, cli
 from aeburst.config import PipelineConfig
 from aeburst.detector import score, train_background
 from aeburst.io import read_hits, read_waveform, write_hits
@@ -61,6 +62,16 @@ class TestSynth:
         hits = read_hits(out)
         assert len(hits) == 12
         assert hits[0].samples.size == 2048
+
+    @pytest.mark.parametrize(
+        "burst", ["a,b,c,d", "0.01,0.2,0.001", "0.01,0.2,0.001,1e5,0,0", "0.01,0.2,0.001,1e5,x"]
+    )
+    def test_malformed_burst_is_usage_error(self, tmp_path, capsys, burst):
+        out = tmp_path / "wave.f32"
+        code = cli(["synth", "--out", str(out), "--burst", burst])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --burst: ")
+        assert not out.exists()
 
 
 class TestDetect:
@@ -262,6 +273,27 @@ class TestMonitor:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_snapshot_every_below_one_is_usage_error(self, tmp_path, capsys, every):
+        hits_path = tmp_path / "hits.bin"
+        spec = HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)
+        write_hits(hits_path, list(synthesize_hit_stream(spec, rng_seed=0)))
+        code = cli(
+            [
+                "monitor",
+                "--hits", str(hits_path),
+                "--keep-ratio", "1.0",
+                "--threshold-volts", "0.05",
+                "--alarms-out", str(tmp_path / "a.jsonl"),
+                "--tracks-out", str(tmp_path / "t.csv"),
+                "--state-out", str(tmp_path / "state.json"),
+                "--snapshot-every", every,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: --snapshot-every")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hits.bin"]
+
     def test_percentile_threshold_is_usage_error(self, tmp_path):
         hits_path = tmp_path / "hits.bin"
         spec = HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)
@@ -356,6 +388,38 @@ class TestFeatures:
             assert row["rise_time"] <= row["duration"]
             assert row["energy"] > 0
 
+
+    def test_config_rectify_matches_cluster(self, lead_break_files, tmp_path):
+        # Raw-signal crossings count differently from |v| crossings, so the
+        # features of cluster's events agree only if both honour rectify.
+        wave, _ = lead_break_files
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"rectify": False, "threshold_kind": "fixed", "threshold_value": 0.03})
+        )
+        source = ["--input", str(wave), "--format", "raw_f32_le", "--sample-rate", "1e6"]
+        events_out = tmp_path / "events.jsonl"
+        code = cli(
+            ["cluster", *source, "--config", str(config),
+             "--window", "1024", "--overlap", "0.875", "--sweeps", "40", "--burn-in", "20",
+             "--events-out", str(events_out), "--state-out", str(tmp_path / "state.json")]
+        )
+        assert code == 0
+        records = [json.loads(line) for line in events_out.read_text().splitlines()]
+        assert records
+        spans = tmp_path / "spans.json"
+        spans.write_text(json.dumps({"events": records}))
+        out = tmp_path / "features.jsonl"
+        code = cli(
+            ["features", *source, "--config", str(config), "--events", str(spans),
+             "--threshold-volts", "0.03", "--out", str(out)]
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [
+            {"start_index": r["start_index"], "end_index": r["end_index"], **r["features"]}
+            for r in records
+        ] == rows
 
     def test_failure_leaves_no_partial_output(self, tmp_path):
         wave = tmp_path / "wave.f32"
@@ -460,3 +524,181 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: config must be")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# Each subcommand's options as (option strings, type, choices, default,
+# required), written out literally so that a change to how the flags are
+# declared cannot change what they accept.  argparse keeps an untyped
+# option's text as it is, so ``type=str`` is listed as no type.
+PARSER_SNAPSHOT = {
+    "synth": [
+        (("--config",), None, None, None, False),
+        (("--seed",), "int", None, None, False),
+        (("--mode",), None, ("waveform", "hits"), "waveform", False),
+        (("--out",), None, None, None, True),
+        (("--duration",), "float", None, 0.1, False),
+        (("--sample-rate",), "float", None, 1000000.0, False),
+        (("--noise-sigma",), "float", None, 0.01, False),
+        (("--burst",), "_parse_burst", None, [], False),
+        (("--annotations-out",), None, None, None, False),
+        (("--out-format",), None, ("csv", "raw_f32_le"), "raw_f32_le", False),
+        (("--n-hits",), "int", None, 1000, False),
+        (("--damage-start-hit",), "int", None, None, False),
+        (("--damage-energy-factor",), "float", None, 50.0, False),
+        (("--damage-fraction",), "float", None, 0.3, False),
+    ],
+    "detect": [
+        (("--config",), None, None, None, False),
+        (("--seed",), "int", None, None, False),
+        (("--input",), None, None, None, True),
+        (("--format",), None, ("csv", "raw_f32_le", "raw_i16_le"), "raw_f32_le", False),
+        (("--sample-rate",), "float", None, None, False),
+        (("--window",), "int", None, None, False),
+        (("--overlap",), "float", None, None, False),
+        (("--threshold-kind",), None, ("percentile", "fixed"), None, False),
+        (("--threshold-value",), "float", None, None, False),
+        (("--prior-shape",), "float", None, None, False),
+        (("--prior-rate",), "float", None, None, False),
+        (("--train-windows",), None, None, None, False),
+        (("--train-count",), "int", None, 20, False),
+        (("--nll-out",), None, None, None, True),
+        (("--events-out",), None, None, None, True),
+    ],
+    "cluster": [
+        (("--config",), None, None, None, False),
+        (("--seed",), "int", None, None, False),
+        (("--input",), None, None, None, True),
+        (("--format",), None, ("csv", "raw_f32_le", "raw_i16_le"), "raw_f32_le", False),
+        (("--sample-rate",), "float", None, None, False),
+        (("--window",), "int", None, None, False),
+        (("--overlap",), "float", None, None, False),
+        (("--threshold-kind",), None, ("percentile", "fixed"), None, False),
+        (("--threshold-value",), "float", None, None, False),
+        (("--alpha",), "float", None, None, False),
+        (("--sweeps",), "int", None, None, False),
+        (("--burn-in",), "int", None, None, False),
+        (("--prior-shape",), "float", None, None, False),
+        (("--prior-rate",), "float", None, None, False),
+        (("--min-probability",), "float", None, None, False),
+        (("--events-out",), None, None, None, True),
+        (("--state-out",), None, None, None, True),
+    ],
+    "monitor": [
+        (("--config",), None, None, None, False),
+        (("--seed",), "int", None, None, False),
+        (("--hits",), None, None, None, True),
+        (("--keep-ratio",), "float", None, None, False),
+        (("--alpha",), "float", None, None, False),
+        (("--prior-shape",), "float", None, None, False),
+        (("--prior-rate",), "float", None, None, False),
+        (("--threshold-volts",), "float", None, None, False),
+        (("--alarms-out",), None, None, None, True),
+        (("--tracks-out",), None, None, None, True),
+        (("--state-out",), None, None, None, False),
+        (("--snapshot-every",), "int", None, None, False),
+    ],
+    "features": [
+        (("--config",), None, None, None, False),
+        (("--seed",), "int", None, None, False),
+        (("--input",), None, None, None, True),
+        (("--format",), None, ("csv", "raw_f32_le", "raw_i16_le"), "raw_f32_le", False),
+        (("--sample-rate",), "float", None, None, False),
+        (("--events",), None, None, None, True),
+        (("--threshold-volts",), "float", None, None, True),
+        (("--out",), None, None, None, True),
+    ],
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParserSnapshot:
+    def test_subcommands(self):
+        assert list(_subparsers()) == list(PARSER_SNAPSHOT)
+
+    @pytest.mark.parametrize("command", PARSER_SNAPSHOT)
+    def test_options(self, command):
+        options = [
+            (
+                tuple(action.option_strings),
+                None if action.type in (None, str) else action.type.__name__,
+                action.choices,
+                action.default,
+                action.required,
+            )
+            for action in _subparsers()[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        assert options == PARSER_SNAPSHOT[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--window", "1.5"],
+            ["cluster", "--sweeps", "x"],
+            ["cluster", "--alpha", "x"],
+            ["detect", "--threshold-kind", "median"],
+            ["detect", "--seed", "1.5"],
+            ["monitor", "--keep-ratio", "x"],
+            ["features", "--overlap", "0.5"],
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, capsys, argv):
+        assert cli(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
+# Each file names a known field with a value of the wrong type.
+MALFORMED_CONFIGS = [
+    ("cluster", {"sweeps": "x"}),
+    ("cluster", {"min_probability": "0.5"}),
+    ("cluster", {"window_length": 1000.0}),
+    ("cluster", {"rectify": "no"}),
+    ("cluster", {"seed": 1.5}),
+    ("cluster", {"alpha": True}),
+    ("monitor", {"keep_ratio": "0.5"}),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "command, doc",
+        MALFORMED_CONFIGS,
+        ids=[f"{command} {json.dumps(doc)}" for command, doc in MALFORMED_CONFIGS],
+    )
+    def test_exits_with_data_error(self, lead_break_files, tmp_path, capsys, command, doc):
+        wave, _ = lead_break_files
+        hits_path = tmp_path / "hits.bin"
+        write_hits(
+            hits_path,
+            synthesize_hit_stream(HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)),
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        if command == "cluster":
+            argv = [
+                "cluster", "--input", str(wave), "--format", "raw_f32_le",
+                "--sample-rate", "1e6", "--events-out", str(tmp_path / "events.jsonl"),
+                "--state-out", str(tmp_path / "state.json"),
+            ]
+        else:
+            argv = [
+                "monitor", "--hits", str(hits_path), "--threshold-volts", "0.05",
+                "--alarms-out", str(tmp_path / "a.jsonl"), "--tracks-out", str(tmp_path / "t.csv"),
+            ]
+        code = cli([*argv, "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_int_stands_for_float(self):
+        assert PipelineConfig.from_dict({"alpha": 2}).alpha == 2
+        with pytest.raises(ValueError, match="sweeps must be int"):
+            PipelineConfig.from_dict({"sweeps": 2.0})
+        with pytest.raises(ValueError, match="rectify must be bool"):
+            replace(PipelineConfig(), rectify=1)

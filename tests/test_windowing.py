@@ -214,3 +214,13 @@ class TestExtractCounts:
                 continue
             assert spec.n_windows(signal_len) == len(starts)
             assert starts.tolist() == list(range(0, signal_len - 9, spec.step))
+
+    def test_integral_float_length_counts_like_int(self):
+        rng = np.random.default_rng(5)
+        w = Waveform(rng.normal(size=10_000), 1e6)
+        policy = ThresholdPolicy.percentile(95)
+        as_float = extract_counts(w, policy, WindowSpec(1000.0, 0.875))
+        as_int = extract_counts(w, policy, WindowSpec(1000, 0.875))
+        assert type(as_float.spec.length_n) is int
+        assert as_float.starts.tolist() == as_int.starts.tolist()
+        assert as_float.counts.tolist() == as_int.counts.tolist()
