@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .config import PipelineConfig
-from .detector import flag_events, pick_noise_training, score, train_background
+from .detector import NllTrace, flag_events, pick_noise_training, score, train_background
 from .dppmm import MixtureState, fit, state_to_json_dict
 from .io import (
     DataFormatError,
@@ -71,7 +72,11 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         for f in fields(PipelineConfig)
         if getattr(args, f.name, None) is not None
     }
-    return replace(config, **overrides)
+    try:
+        return replace(config, **overrides)
+    except ValueError as exc:
+        # The file alone passed, so a flag's value is at fault.
+        raise UsageError(str(exc)) from exc
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -102,6 +107,13 @@ def _add_waveform_input(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     _add_config_flags(parser, "seed")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text}")
+    return value
 
 
 def _parse_burst(text: str) -> BurstSpec:
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit noise window index range START:STOP (e.g. 0:20)",
     )
     p_detect.add_argument(
-        "--train-count", type=int, default=20,
+        "--train-count", type=_positive_int, default=20,
         help="auto-pick this many lowest-count windows when no range is given",
     )
     p_detect.add_argument("--nll-out", required=True, help="per-window NLL CSV")
@@ -243,6 +255,18 @@ def _parse_range(text: str, upper: int) -> list[int]:
     return list(range(lo, hi))
 
 
+def _nll_csv(trace: NllTrace, block: int = 4096) -> Iterator[bytes]:
+    """The per-window NLL CSV, ``block`` lines at a time."""
+    yield b"start_index,count,nll\n"
+    for i in range(0, len(trace.nlls), block):
+        rows = zip(
+            trace.starts[i : i + block].tolist(),
+            trace.counts[i : i + block].tolist(),
+            trace.nlls[i : i + block].tolist(),
+        )
+        yield "".join(f"{s},{c},{v!r}\n" for s, c, v in rows).encode("ascii")
+
+
 def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
     waveform = read_waveform(args.input, args.format, args.sample_rate)
     windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
@@ -253,10 +277,7 @@ def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
         train_idx = pick_noise_training(counts, min(args.train_count, len(counts)))
     model = train_background(config.prior(), [counts[i] for i in train_idx])
     trace = score(model, windowed, margin=config.flag_margin)
-    lines = ["start_index,count,nll"]
-    for start, count, value in zip(trace.starts, trace.counts, trace.nlls.tolist()):
-        lines.append(f"{int(start)},{int(count)},{value!r}")
-    write_atomic(args.nll_out, [("\n".join(lines) + "\n").encode("ascii")])
+    write_atomic(args.nll_out, _nll_csv(trace))
     intervals = flag_events(trace)
     doc = {
         "flag_threshold": trace.flag_threshold,
@@ -393,6 +414,9 @@ def _load_event_spans(path: str) -> list[tuple[int, int]]:
 def _cmd_features(args: argparse.Namespace, config: PipelineConfig) -> int:
     waveform = read_waveform(args.input, args.format, args.sample_rate)
     spans = _load_event_spans(args.events)
+    # Decoding every chunk checks every sample is finite, not only the spans'.
+    for _ in waveform.chunks():
+        pass
 
     def lines():
         for start, end in spans:

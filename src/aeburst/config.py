@@ -53,6 +53,8 @@ class PipelineConfig:
                 raise ValueError(
                     f"config {f.name} must be {expected.__name__}, got {value!r}"
                 )
+        if self.seed < 0:
+            raise ValueError(f"config seed must be non-negative, got {self.seed}")
 
     def threshold_policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.threshold_kind, self.threshold_value, self.rectify)

@@ -112,7 +112,9 @@ def score(
     counts the model was trained on, plus ``margin``; pass
     ``flag_threshold`` to override the calibration entirely.
     """
-    nlls = np.array([nll(int(c), model.predictive) for c in windowed.counts])
+    # Windows share few distinct counts: one nll call per distinct value.
+    values, inverse = np.unique(windowed.counts, return_inverse=True)
+    nlls = np.array([nll(int(c), model.predictive) for c in values])[inverse]
     if flag_threshold is None:
         flag_threshold = model.train_nll_max + margin
     return NllTrace(

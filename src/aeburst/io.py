@@ -3,7 +3,11 @@
 Waveforms travel as CSV (one sample per line, or ``time,value`` pairs
 with uniform spacing) or headerless little-endian raw arrays
 (``raw_f32_le``, ``raw_i16_le``); the sample rate always comes from
-metadata supplied by the caller, never from sniffing.
+metadata supplied by the caller, never from sniffing.  CSV is read whole
+into a ``Waveform``.  A raw file is opened as a ``RawRecording``: its
+length comes from the file size, and its samples are decoded to float64
+``CHUNK_SAMPLES`` at a time, or one requested span at a time, each checked
+finite as it is decoded, so reading it holds one chunk, not the recording.
 
 Hit files use a self-describing container: a single UTF-8 JSON header
 line
@@ -25,19 +29,22 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .windowing import Waveform
+from .windowing import Recording, Waveform
 
 __all__ = [
+    "CHUNK_SAMPLES",
     "DataFormatError",
     "HitRecord",
     "HitFile",
+    "RawRecording",
     "WAVEFORM_FORMATS",
     "read_waveform",
     "write_waveform",
@@ -47,6 +54,12 @@ __all__ = [
 ]
 
 WAVEFORM_FORMATS = ("csv", "raw_f32_le", "raw_i16_le")
+
+_RAW_DTYPES = {"raw_f32_le": np.dtype("<f4"), "raw_i16_le": np.dtype("<i2")}
+
+# Samples a RawRecording decodes per read: with the window count, this sets
+# the memory of thresholding and counting a raw recording.
+CHUNK_SAMPLES = 1 << 18
 
 _HIT_FORMAT = "ae-hits"
 
@@ -104,33 +117,79 @@ class HitRecord:
         return Waveform(samples=self.samples, sample_rate=self.sample_rate)
 
 
+@dataclass(frozen=True)
+class RawRecording:
+    """A headerless raw recording on disk, decoded to float64 when read.
+
+    ``chunks`` decodes ``CHUNK_SAMPLES`` samples per read and ``span`` one
+    range; a read that comes up short, or a sample that is not finite,
+    raises ``DataFormatError``.
+    """
+
+    path: Path
+    dtype: np.dtype
+    n_samples: int
+    sample_rate: float
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        size = CHUNK_SAMPLES
+        with self.path.open("rb") as handle:
+            for start in range(0, self.n_samples, size):
+                yield self._decode(handle, start, min(size, self.n_samples - start))
+
+    def span(self, start: int, end: int) -> np.ndarray:
+        if not 0 <= start <= end <= self.n_samples:
+            raise ValueError(f"span ({start}, {end}) outside {self.n_samples} samples")
+        with self.path.open("rb") as handle:
+            handle.seek(start * self.dtype.itemsize)
+            return self._decode(handle, start, end - start)
+
+    def _decode(self, handle: BinaryIO, start: int, count: int) -> np.ndarray:
+        raw = handle.read(count * self.dtype.itemsize)
+        if len(raw) != count * self.dtype.itemsize:
+            raise DataFormatError(
+                f"{self.path}: file ends inside samples [{start}, {start + count})"
+            )
+        values = np.frombuffer(raw, dtype=self.dtype)
+        if self.dtype.kind == "f" and not np.isfinite(values).all():
+            bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
+            raise DataFormatError(f"{self.path}: sample {bad} is not finite")
+        return values.astype(np.float64)
+
+
 def read_waveform(
     path: str | Path, fmt: str, sample_rate: float | None = None
-) -> Waveform:
+) -> Recording:
     """Read a waveform in a declared format.
 
     CSV accepts one value per line or ``time,value`` pairs; pair
     timestamps must be uniformly spaced within 1e-6 relative, and when a
     ``sample_rate`` is also supplied it must agree with the timestamps to
-    the same tolerance.  Raw formats require ``sample_rate``.
+    the same tolerance; it is read whole into a ``Waveform``.  Raw formats
+    require ``sample_rate`` and open as a ``RawRecording``, whose size is
+    checked here and whose samples are decoded when read.
     """
     path = Path(path)
     if fmt not in WAVEFORM_FORMATS:
         raise DataFormatError(f"unknown waveform format {fmt!r}")
     if fmt == "csv":
         return _read_waveform_csv(path, sample_rate)
-    raw = path.read_bytes()
-    item = 4 if fmt == "raw_f32_le" else 2
-    if len(raw) == 0 or len(raw) % item != 0:
+    with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+    dtype = _RAW_DTYPES[fmt]
+    if size == 0 or size % dtype.itemsize != 0:
         raise DataFormatError(
-            f"{path}: {len(raw)} bytes is not a whole number of "
-            f"{item}-byte samples"
+            f"{path}: {size} bytes is not a whole number of "
+            f"{dtype.itemsize}-byte samples"
         )
     if sample_rate is None:
         raise DataFormatError(f"{fmt} requires an explicit sample rate")
-    dtype = "<f4" if fmt == "raw_f32_le" else "<i2"
-    samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    return Waveform(samples=samples, sample_rate=sample_rate)
+    if not 0 < sample_rate < float("inf"):
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    return RawRecording(path, dtype, size // dtype.itemsize, float(sample_rate))
 
 
 def _read_waveform_csv(path: Path, sample_rate: float | None) -> Waveform:

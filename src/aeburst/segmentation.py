@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dppmm import MixtureState, posterior_mean_rate
-from .windowing import Waveform, WindowSpec, count_crossings
+from .windowing import Recording, WindowSpec, count_crossings
 
 __all__ = [
     "SampleProbabilityField",
@@ -193,7 +193,7 @@ def segment_events(
 
 
 def extract_features(
-    waveform: Waveform,
+    waveform: Recording,
     event: tuple[int, int],
     threshold: float,
     rectify: bool = True,
@@ -205,12 +205,13 @@ def extract_features(
     first above-threshold sample to the absolute peak; energy is the sum
     of squared voltages divided by the sample rate.  A slice that never
     crosses the threshold reports count 0 with zero rise time and
-    duration, but energy is still computed.
+    duration, but energy is still computed.  Only the event's samples are
+    read from the recording.
     """
     start, end = event
     if not 0 <= start < end <= len(waveform):
         raise ValueError(f"event ({start}, {end}) outside waveform of {len(waveform)}")
-    v = waveform.samples[start:end]
+    v = waveform.span(start, end)
     magnitude = np.abs(v)
     observed = magnitude if rectify else v
     count = count_crossings(v, threshold, rectify)
@@ -250,7 +251,7 @@ def noise_cluster_id(state: MixtureState) -> int:
 
 
 def build_event_records(
-    waveform: Waveform,
+    waveform: Recording,
     field: SampleProbabilityField,
     noise_cluster: int,
     threshold: float,

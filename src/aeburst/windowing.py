@@ -5,15 +5,28 @@ upward threshold crossings (the ringdown count) inside each window.  The
 threshold is either a fixed voltage or a percentile of the (optionally
 rectified) signal, and windows may overlap; the window slides in steps of
 ``round(length * (1 - overlap))`` samples.
+
+Both steps read a ``Recording`` one chunk at a time: an in-memory
+``Waveform`` is a single chunk, and a raw file (``aeburst.io``) is decoded
+in fixed-size chunks.  The percentile is exact, equal to ``np.percentile``'s
+linear method: a radix select over the float64 bit patterns finds the two
+order statistics it interpolates, holding a histogram and at most one
+chunk's worth of candidate values.  Window counts carry only a running edge
+count and one sample's state across a chunk boundary, so memory is set by
+the chunk size and the window count, not by the recording length.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 __all__ = [
+    "Recording",
     "Waveform",
     "ThresholdPolicy",
     "WindowSpec",
@@ -22,6 +35,25 @@ __all__ = [
     "count_crossings",
     "extract_counts",
 ]
+
+
+class Recording(Protocol):
+    """A uniformly sampled signal read in consecutive float64 chunks.
+
+    ``chunks`` yields non-empty arrays that together cover samples
+    ``[0, len)`` in order; ``span`` returns samples ``[start, end)``.
+    Every sample either returns is finite: a recording that is not checked
+    when it is made raises ``ValueError`` when it reads a non-finite one.
+    """
+
+    @property
+    def sample_rate(self) -> float: ...
+
+    def __len__(self) -> int: ...
+
+    def chunks(self) -> Iterator[np.ndarray]: ...
+
+    def span(self, start: int, end: int) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -48,6 +80,13 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The samples, as one chunk."""
+        yield self.samples
+
+    def span(self, start: int, end: int) -> np.ndarray:
+        return self.samples[start:end]
 
     @property
     def duration(self) -> float:
@@ -98,7 +137,11 @@ class WindowSpec:
     overlap_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length_n != int(self.length_n) or self.length_n < 1:
+        if (
+            not math.isfinite(self.length_n)
+            or self.length_n != int(self.length_n)
+            or self.length_n < 1
+        ):
             raise ValueError(f"length_n must be a positive integer, got {self.length_n}")
         object.__setattr__(self, "length_n", int(self.length_n))
         if not 0.0 <= self.overlap_fraction < 1.0:
@@ -146,18 +189,103 @@ class WindowedCounts:
         return self.starts.size
 
 
-def resolve_threshold(waveform: Waveform, policy: ThresholdPolicy) -> float:
-    """Resolve a threshold policy against a waveform, in volts.
+_SIGN = 1 << 63
+_RADIX_BITS = 16
+
+
+def _sort_keys(values: np.ndarray, rectify: bool) -> np.ndarray:
+    """uint64 keys that order like ``|values|`` (or ``values``) as floats.
+
+    Non-negative floats already order like their bit patterns.  Signed
+    values flip every bit of a negative value and only the sign bit of the
+    rest, so negatives come first, in reverse magnitude.
+    """
+    if rectify:
+        return np.abs(values).view(np.uint64)
+    bits = values.view(np.uint64)
+    return bits ^ ((bits.view(np.int64) >> 63).view(np.uint64) | np.uint64(_SIGN))
+
+
+def _key_value(key: int, rectify: bool) -> float:
+    """The float a key of ``_sort_keys`` stands for."""
+    if not rectify:
+        key = key ^ _SIGN if key & _SIGN else key ^ (2 * _SIGN - 1)
+    return float(np.array([key], dtype=np.uint64).view(np.float64)[0])
+
+
+def _order_statistics(
+    recording: Recording, rectify: bool, low: int, high: int
+) -> tuple[float, float]:
+    """The values of ranks ``low`` and ``high = low`` or ``low + 1``, ascending.
+
+    A radix select over the keys of ``_sort_keys``: each pass reads every
+    chunk and histograms the next 16 bits of the keys inside the bucket
+    that holds the ranks, whose base is ``base`` and whose width is
+    ``2 ** (shift + 16)``.  The select stops when the bucket holds one
+    distinct key, or no more keys than the largest chunk, which are then
+    collected and partitioned.
+    """
+    base, below, shift = 0, 0, 64 - _RADIX_BITS
+    while True:
+        top = base + (1 << (shift + _RADIX_BITS)) - 1
+        hist = np.zeros(1 << _RADIX_BITS, dtype=np.int64)
+        limit = 0
+        for chunk in recording.chunks():
+            limit = max(limit, chunk.size)
+            keys = _sort_keys(chunk, rectify)
+            if shift + _RADIX_BITS < 64:
+                keys = keys[(keys >= base) & (keys <= top)] - np.uint64(base)
+            # Digits fit in 16 bits, so the int64 view is the same numbers.
+            digits = (keys >> np.uint64(shift)).view(np.int64).astype(np.intp, copy=False)
+            hist += np.bincount(digits, minlength=hist.size)
+        cum = np.cumsum(hist)
+        b_low, b_high = np.searchsorted(cum, [low - below, high - below], side="right")
+        if b_low != b_high:
+            # Rare: the ranks straddle two buckets, so select each alone.
+            return (
+                _order_statistics(recording, rectify, low, low)[0],
+                _order_statistics(recording, rectify, high, high)[0],
+            )
+        below += int(cum[b_low - 1]) if b_low else 0
+        base += int(b_low) << shift
+        if shift == 0:
+            value = _key_value(base, rectify)
+            return value, value
+        if hist[b_low] <= limit:
+            top = base + (1 << shift) - 1
+            found = []
+            for chunk in recording.chunks():
+                keys = _sort_keys(chunk, rectify)
+                found.append(keys[(keys >= base) & (keys <= top)])
+            found = np.concatenate(found)
+            ranks = (low - below, high - below)
+            found.partition(ranks)
+            return _key_value(int(found[ranks[0]]), rectify), _key_value(
+                int(found[ranks[1]]), rectify
+            )
+        shift -= _RADIX_BITS
+
+
+def resolve_threshold(recording: Recording, policy: ThresholdPolicy) -> float:
+    """Resolve a threshold policy against a recording, in volts.
 
     Percentile thresholds use linear interpolation between closest order
-    statistics of ``|v|`` (or of ``v`` when ``rectify`` is off); fixed
-    thresholds pass through unchanged.
+    statistics of ``|v|`` (or of ``v`` when ``rectify`` is off), bit for bit
+    as ``np.percentile`` computes it; fixed thresholds pass through
+    unchanged.
     """
     if policy.kind == "fixed":
         return float(policy.value)
-    values = np.abs(waveform.samples) if policy.rectify else waveform.samples
-    # Only a fresh |v| may be partitioned in place; raw samples must not be.
-    return float(np.percentile(values, policy.value, overwrite_input=policy.rectify))
+    n = len(recording)
+    index = (n - 1) * (policy.value / 100)
+    if index >= n - 1:
+        return _order_statistics(recording, policy.rectify, n - 1, n - 1)[1]
+    below = math.floor(index)
+    a, b = _order_statistics(recording, policy.rectify, below, below + 1)
+    # np.percentile's lerp, including the form it takes from the upper end.
+    t = index - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def count_crossings(segment: np.ndarray, threshold: float, rectify: bool = True) -> int:
@@ -178,27 +306,38 @@ def count_crossings(segment: np.ndarray, threshold: float, rectify: bool = True)
 
 
 def extract_counts(
-    waveform: Waveform, policy: ThresholdPolicy, spec: WindowSpec
+    recording: Recording, policy: ThresholdPolicy, spec: WindowSpec
 ) -> WindowedCounts:
-    """Slide a window over the waveform and count crossings in each position.
+    """Slide a window over the recording and count crossings in each position.
 
     Window positions start at 0 and advance by ``spec.step``; trailing
     samples that do not fill a window are dropped, never zero-padded.
     """
-    threshold = resolve_threshold(waveform, policy)
-    starts = spec.window_starts(len(waveform))
-    v = waveform.samples
-    above = (np.abs(v) if policy.rectify else v) > threshold
-    # Global upward edges; window-local index 0 is special-cased below.
-    edges = np.empty(above.size, dtype=bool)
-    edges[0] = above[0]
-    np.greater(above[1:], above[:-1], out=edges[1:])
-    cum = np.zeros(above.size + 1, dtype=np.int64)
-    np.cumsum(edges, out=cum[1:])
-    n = spec.length_n
-    # Edges strictly inside the window, plus one if the window opens above
-    # threshold (the slice-local "starts above" rule).
-    counts = (cum[starts + n] - cum[starts + 1]) + above[starts]
+    starts = spec.window_starts(len(recording))
+    threshold = resolve_threshold(recording, policy)
+    ends = starts + spec.length_n
+    # With cum[j] the upward edges in samples [0, j), sample 0 counting as an
+    # edge when above, window s counts the edges strictly inside it plus one
+    # if it opens above threshold: cum[s + n] - (cum[s + 1] - above[s]).
+    opens = np.empty(starts.size, dtype=np.int64)
+    closes = np.empty(starts.size, dtype=np.int64)
+    offset, edges_before, was_above = 0, 0, False
+    for chunk in recording.chunks():
+        above = (np.abs(chunk) if policy.rectify else chunk) > threshold
+        edges = np.empty(above.size, dtype=bool)
+        edges[0] = above[0] and not was_above
+        np.greater(above[1:], above[:-1], out=edges[1:])
+        # cum[offset + j] - edges_before is the number of this chunk's edges
+        # before local index j, found by a search of their positions.
+        at = np.flatnonzero(edges)
+        first, last = np.searchsorted(starts, [offset, offset + chunk.size])
+        local = starts[first:last] - offset
+        opens[first:last] = edges_before + np.searchsorted(at, local + 1) - above[local]
+        first, last = np.searchsorted(ends, [offset + 1, offset + chunk.size + 1])
+        closes[first:last] = edges_before + np.searchsorted(at, ends[first:last] - offset)
+        offset += chunk.size
+        edges_before += at.size
+        was_above = bool(above[-1])
     return WindowedCounts(
-        starts=starts, counts=counts.astype(np.int64), spec=spec, threshold=threshold
+        starts=starts, counts=closes - opens, spec=spec, threshold=threshold
     )

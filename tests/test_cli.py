@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aeburst.cli import build_parser, cli
+from aeburst.cli import _nll_csv, build_parser, cli
 from aeburst.config import PipelineConfig
 from aeburst.detector import score, train_background
+import aeburst.io as aeio
 from aeburst.io import read_hits, read_waveform, write_hits
 from aeburst.synth import HitStreamSpec, synthesize_hit_stream
-from aeburst.windowing import extract_counts
+from aeburst.windowing import WindowedCounts, WindowSpec, extract_counts
 
 
 @pytest.fixture
@@ -119,6 +120,20 @@ class TestDetect:
                 and e["end_index"] > burst["start_index"]
                 for e in doc["events"]
             )
+
+    def test_nll_csv_blocks_join_to_one_document(self):
+        counts = np.random.default_rng(0).poisson(2.0, 23)
+        windowed = WindowedCounts(
+            starts=np.arange(23) * 10, counts=counts, spec=WindowSpec(10), threshold=1.0
+        )
+        trace = score(train_background(PipelineConfig().prior(), [0, 1]), windowed)
+        lines = ["start_index,count,nll"] + [
+            f"{s},{c},{v!r}"
+            for s, c, v in zip(windowed.starts.tolist(), counts.tolist(), trace.nlls.tolist())
+        ]
+        whole = ("\n".join(lines) + "\n").encode("ascii")
+        for block in (1, 5, 23, 4096):
+            assert b"".join(_nll_csv(trace, block)) == whole
 
     def test_explicit_training_range(self, lead_break_files, tmp_path):
         wave, _ = lead_break_files
@@ -474,6 +489,68 @@ class TestFeatures:
         assert not out.exists()
 
 
+def _raw_f32(path, values):
+    np.asarray(values, dtype="<f4").tofile(path)
+    return path
+
+
+class TestMalformedRaw:
+    """Raw recordings are read in chunks; a fault anywhere still writes nothing."""
+
+    def _run(self, tmp_path, capsys, command, wave, fmt="raw_f32_le", spans=None):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        source = ["--input", str(wave), "--format", fmt, "--sample-rate", "1e6"]
+        if command == "detect":
+            argv = [
+                "detect", *source, "--window", "50", "--train-count", "2",
+                "--nll-out", str(tmp_path / "t.csv"), "--events-out", str(tmp_path / "e.json"),
+            ]
+        elif command == "cluster":
+            argv = [
+                "cluster", *source, "--window", "50", "--sweeps", "2", "--burn-in", "1",
+                "--events-out", str(tmp_path / "e.jsonl"), "--state-out", str(tmp_path / "s.json"),
+            ]
+        else:
+            events = tmp_path / "spans.json"
+            events.write_text(json.dumps({"events": spans}))
+            before.append(events.name)
+            argv = [
+                "features", *source, "--events", str(events),
+                "--threshold-volts", "0.03", "--out", str(tmp_path / "f.jsonl"),
+            ]
+        code = cli(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+
+    @pytest.mark.parametrize("command", ["detect", "cluster"])
+    def test_nan_in_last_partial_chunk(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 64)
+        values = np.random.default_rng(0).normal(0.0, 0.01, 64 * 5 + 17)
+        values[-3] = np.nan
+        self._run(tmp_path, capsys, command, _raw_f32(tmp_path / "w.f32", values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outside_every_span(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 64)
+        values = np.random.default_rng(1).normal(0.0, 0.01, 1_000)
+        values[700] = bad
+        wave = _raw_f32(tmp_path / "w.f32", values)
+        spans = [{"start_index": 10, "end_index": 200}, {"start_index": 800, "end_index": 900}]
+        self._run(tmp_path, capsys, "features", wave, spans=spans)
+
+    def test_odd_length_i16(self, tmp_path, capsys):
+        wave = tmp_path / "w.i16"
+        wave.write_bytes(np.arange(500, dtype="<i2").tobytes() + b"\x01")
+        self._run(tmp_path, capsys, "detect", wave, fmt="raw_i16_le")
+
+    @pytest.mark.parametrize("fmt", ["raw_f32_le", "raw_i16_le"])
+    def test_empty_file(self, tmp_path, capsys, fmt):
+        wave = tmp_path / "w.raw"
+        wave.write_bytes(b"")
+        self._run(tmp_path, capsys, "detect", wave, fmt=fmt)
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert cli(["detect", "--no-such-flag"]) == 1
@@ -560,7 +637,7 @@ PARSER_SNAPSHOT = {
         (("--prior-shape",), "float", None, None, False),
         (("--prior-rate",), "float", None, None, False),
         (("--train-windows",), None, None, None, False),
-        (("--train-count",), "int", None, 20, False),
+        (("--train-count",), "_positive_int", None, 20, False),
         (("--nll-out",), None, None, None, True),
         (("--events-out",), None, None, None, True),
     ],
@@ -651,8 +728,28 @@ class TestParserSnapshot:
         assert cli(argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    def test_out_of_range_flags_are_usage_errors(self, lead_break_files, tmp_path, capsys):
+        wave, _ = lead_break_files
+        hits_path = tmp_path / "hits.bin"
+        write_hits(
+            hits_path,
+            synthesize_hit_stream(HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)),
+        )
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for argv in [
+            ["monitor", "--hits", str(hits_path), "--threshold-volts", "0.05", "--seed", "-1",
+             "--alarms-out", str(tmp_path / "a.jsonl"), "--tracks-out", str(tmp_path / "t.csv")],
+            ["detect", "--input", str(wave), "--sample-rate", "1e6", "--train-count", "0",
+             "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json")],
+        ]:
+            assert cli(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ")
+            assert "seed" in err or "positive integer" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
-# Each file names a known field with a value of the wrong type.
+
+# Each file names a known field with a value of the wrong type or range.
 MALFORMED_CONFIGS = [
     ("cluster", {"sweeps": "x"}),
     ("cluster", {"min_probability": "0.5"}),
@@ -661,6 +758,7 @@ MALFORMED_CONFIGS = [
     ("cluster", {"seed": 1.5}),
     ("cluster", {"alpha": True}),
     ("monitor", {"keep_ratio": "0.5"}),
+    ("monitor", {"seed": -1}),
 ]
 
 

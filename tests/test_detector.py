@@ -105,6 +105,13 @@ class TestScore:
         t2 = self._trace([0, 3, 7], model)
         assert np.array_equal(t1.nlls, t2.nlls)
 
+    def test_equals_one_nll_call_per_window(self):
+        model = train_background(UNIT_PRIOR, [0, 1, 2, 0])
+        counts = np.random.default_rng(3).poisson(3.0, 500).tolist() + [0, 40, 0]
+        trace = self._trace(counts, model)
+        assert trace.nlls.tolist() == [nll(c, model.predictive) for c in counts]
+        assert trace.nlls.dtype == np.float64
+
     def test_flag_threshold_default_and_override(self):
         model = train_background(UNIT_PRIOR, [0, 1])
         trace = self._trace([0], model)

@@ -74,7 +74,7 @@ class TestWaveformRaw:
         path = tmp_path / "w.f32"
         write_waveform(path, w, "raw_f32_le")
         back = read_waveform(path, "raw_f32_le", sample_rate=2e6)
-        assert back.samples.tobytes() == w.samples.tobytes()
+        assert back.span(0, len(back)).tobytes() == w.samples.tobytes()
 
     def test_truncated_raw_rejected(self, tmp_path):
         path = tmp_path / "w.f32"
@@ -87,7 +87,18 @@ class TestWaveformRaw:
         path = tmp_path / "w.i16"
         write_waveform(path, w, "raw_i16_le")
         back = read_waveform(path, "raw_i16_le", sample_rate=10.0)
-        np.testing.assert_array_equal(back.samples, w.samples)
+        np.testing.assert_array_equal(back.span(0, len(back)), w.samples)
+
+    def test_file_shortened_after_open_is_data_error(self, tmp_path):
+        path = tmp_path / "w.f32"
+        np.zeros(100, dtype="<f4").tofile(path)
+        recording = read_waveform(path, "raw_f32_le", sample_rate=1.0)
+        np.zeros(60, dtype="<f4").tofile(path)
+        with pytest.raises(DataFormatError, match="file ends inside"):
+            list(recording.chunks())
+        with pytest.raises(DataFormatError, match="file ends inside"):
+            recording.span(50, 80)
+        assert recording.span(10, 20).tolist() == [0.0] * 10
 
     def test_rate_required(self, tmp_path):
         path = tmp_path / "w.f32"

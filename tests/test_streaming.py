@@ -1,0 +1,160 @@
+"""Chunked reading of raw recordings: exact thresholds, window counts and
+event features equal to the whole-array code, in memory set by the chunk."""
+
+import tracemalloc
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+import aeburst.io as aeio
+from aeburst.io import read_waveform
+from aeburst.segmentation import extract_features
+from aeburst.windowing import (
+    ThresholdPolicy,
+    Waveform,
+    WindowSpec,
+    extract_counts,
+    resolve_threshold,
+)
+
+import windowing_oracle as oracle
+
+# Over 2,357 samples these hit an order statistic exactly (25), interpolate
+# from below (99, 99.9) and from the upper end (0.5, 62.5).
+PERCENTILES = (0.5, 25.0, 62.5, 99.0, 99.9)
+# Chunk sizes that cut windows, and one that holds the whole recording.
+CHUNKS = (5, 64, 1000, 1 << 18)
+SPECS = (WindowSpec(3, 0.0), WindowSpec(50, 0.5), WindowSpec(300, 0.875))
+
+
+@dataclass(frozen=True)
+class ChunkedWaveform:
+    """In-memory float64 samples served ``size`` at a time."""
+
+    samples: np.ndarray
+    sample_rate: float
+    size: int
+
+    def __len__(self) -> int:
+        return self.samples.size
+
+    def chunks(self):
+        for start in range(0, self.samples.size, self.size):
+            yield self.samples[start : start + self.size]
+
+    def span(self, start: int, end: int) -> np.ndarray:
+        return self.samples[start:end]
+
+
+def _recording(tmp_path, monkeypatch, source, values, chunk):
+    """A recording of ``values`` read in ``chunk``-sample chunks, and its samples."""
+    if source == "float64":
+        return ChunkedWaveform(values, 1e6, chunk), values
+    monkeypatch.setattr(aeio, "CHUNK_SAMPLES", chunk)
+    dtype = "<f4" if source == "raw_f32_le" else "<i2"
+    path = tmp_path / "wave.raw"
+    values.astype(dtype).tofile(path)
+    return read_waveform(path, source, 1e6), values.astype(dtype).astype(np.float64)
+
+
+def _signal(source, rng, n):
+    if source == "raw_i16_le":
+        return rng.integers(-300, 301, size=n).astype(np.float64)
+    return rng.normal(0.0, 0.1, size=n) * rng.choice([1.0, 1e-3, 50.0], size=n)
+
+
+def _assert_matches_oracle(recording, samples, policies, specs=SPECS):
+    for policy in policies:
+        want = oracle.resolve_threshold(samples, policy)
+        assert resolve_threshold(recording, policy) == want
+        for spec in specs:
+            got = extract_counts(recording, policy, spec)
+            expected = oracle.extract_counts(samples, policy, spec)
+            assert got.threshold == expected.threshold
+            assert got.starts.tolist() == expected.starts.tolist()
+            assert got.counts.tolist() == expected.counts.tolist()
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("rectify", [True, False])
+@pytest.mark.parametrize("source", ["float64", "raw_f32_le", "raw_i16_le"])
+def test_threshold_and_counts_equal_oracle(tmp_path, monkeypatch, source, rectify, chunk):
+    rng = np.random.default_rng([CHUNKS.index(chunk), rectify])
+    values = _signal(source, rng, 2_357)
+    recording, samples = _recording(tmp_path, monkeypatch, source, values, chunk)
+    policies = [ThresholdPolicy.percentile(q, rectify) for q in PERCENTILES]
+    _assert_matches_oracle(recording, samples, policies)
+
+
+@pytest.mark.parametrize("rectify", [True, False])
+@pytest.mark.parametrize(
+    "source, values",
+    [
+        ("raw_f32_le", np.full(3_000, -0.25)),
+        ("raw_i16_le", np.full(3_000, 7.0)),
+        ("raw_i16_le", np.resize([-2.0, 0.0, 1.0, 2.0, 2.0, -1.0], 3_000)),
+        ("float64", np.resize([-0.0, 0.0, 5e-324, -5e-324, 1.0], 3_000)),
+    ],
+    ids=["constant f32", "constant i16", "few i16 values", "zeros and denormals"],
+)
+def test_few_distinct_values_equal_oracle(tmp_path, monkeypatch, source, values, rectify):
+    # Every bucket holds far more than one 16-sample chunk, so the select
+    # has to refine down to a single key.
+    recording, samples = _recording(tmp_path, monkeypatch, source, values, 16)
+    policies = [ThresholdPolicy.percentile(q, rectify) for q in PERCENTILES]
+    _assert_matches_oracle(recording, samples, policies, specs=(WindowSpec(40, 0.5),))
+
+
+def test_one_sample_chunks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    recording, samples = _recording(
+        tmp_path, monkeypatch, "raw_f32_le", rng.normal(size=201), 1
+    )
+    policies = [ThresholdPolicy.percentile(q, r) for q in (10.0, 99.0) for r in (True, False)]
+    _assert_matches_oracle(recording, samples, policies, specs=(WindowSpec(4, 0.5),))
+
+
+def test_windows_longer_than_chunks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    recording, samples = _recording(
+        tmp_path, monkeypatch, "raw_f32_le", rng.normal(size=5_000), 5
+    )
+    specs = (WindowSpec(1_234, 0.0), WindowSpec(4_999, 0.0), WindowSpec(5_000, 0.5))
+    policies = [ThresholdPolicy.percentile(95.0), ThresholdPolicy.fixed(0.5, False)]
+    _assert_matches_oracle(recording, samples, policies, specs)
+
+
+def test_event_features_from_span_reads_equal_eager(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    recording, samples = _recording(
+        tmp_path, monkeypatch, "raw_f32_le", rng.normal(0.0, 0.1, 4_000), 64
+    )
+    eager = Waveform(samples, 1e6)
+    for start, end in [(0, 4_000), (0, 1), (63, 65), (100, 1_900), (3_999, 4_000)]:
+        for rectify in (True, False):
+            assert extract_features(recording, (start, end), 0.12, rectify) == (
+                extract_features(eager, (start, end), 0.12, rectify)
+            )
+
+
+@pytest.mark.parametrize("kind", ["noise", "constant"])
+def test_count_memory_is_set_by_the_chunk(tmp_path, monkeypatch, kind):
+    # A large window keeps the per-window arrays a few entries long, so only
+    # the recording length changes between the two runs.
+    monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 1 << 12)
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n in (1 << 16, 1 << 19):
+        path = tmp_path / f"{n}.f32"
+        values = rng.normal(size=n) if kind == "noise" else np.full(n, 0.25)
+        values.astype("<f4").tofile(path)
+        recording = read_waveform(path, "raw_f32_le", 1e6)
+        tracemalloc.start()
+        try:
+            extract_counts(recording, ThresholdPolicy.percentile(99.0), WindowSpec(1 << 14))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Holding the longer recording whole would add at least 4 MiB of float64.
+    assert peaks[1] < 1.1 * peaks[0]

@@ -196,6 +196,11 @@ class TestExtractCounts:
         for start, count in disjoint.entries:
             assert by_start[start] == count
 
+    @pytest.mark.parametrize("length", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length_n must be a positive integer"):
+            WindowSpec(length)
+
     def test_step_rounds_to_zero_rejected(self):
         with pytest.raises(ValueError):
             WindowSpec(2, 0.9)

@@ -1,0 +1,37 @@
+"""Whole-array threshold and window counts, the reference for the chunked code.
+
+``resolve_threshold`` is ``np.percentile`` over every sample at once and
+``extract_counts`` takes one cumulative sum of edges over the whole signal.
+The chunked implementations in ``aeburst.windowing`` must reproduce both
+exactly, so the tests compare them with ``==``.
+"""
+
+import numpy as np
+
+from aeburst.windowing import ThresholdPolicy, WindowedCounts, WindowSpec
+
+
+def resolve_threshold(samples: np.ndarray, policy: ThresholdPolicy) -> float:
+    if policy.kind == "fixed":
+        return float(policy.value)
+    values = np.abs(samples) if policy.rectify else samples.copy()
+    return float(np.percentile(values, policy.value, overwrite_input=True))
+
+
+def extract_counts(
+    samples: np.ndarray, policy: ThresholdPolicy, spec: WindowSpec
+) -> WindowedCounts:
+    threshold = resolve_threshold(samples, policy)
+    starts = spec.window_starts(samples.size)
+    above = (np.abs(samples) if policy.rectify else samples) > threshold
+    # Global upward edges; window-local index 0 is special-cased below.
+    edges = np.empty(above.size, dtype=bool)
+    edges[0] = above[0]
+    np.greater(above[1:], above[:-1], out=edges[1:])
+    cum = np.zeros(above.size + 1, dtype=np.int64)
+    np.cumsum(edges, out=cum[1:])
+    n = spec.length_n
+    counts = (cum[starts + n] - cum[starts + 1]) + above[starts]
+    return WindowedCounts(
+        starts=starts, counts=counts.astype(np.int64), spec=spec, threshold=threshold
+    )
