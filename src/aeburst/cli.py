@@ -364,10 +364,7 @@ def _cmd_monitor(args: argparse.Namespace, config: PipelineConfig) -> int:
     alarm_lines = []
     track_rows = ["time,cluster,cumulative_events,cumulative_counts,cumulative_energy"]
     for hit in decimate(hits, config.keep_ratio):
-        waveform = hit.waveform()
-        features = extract_features(
-            waveform, (0, len(waveform)), threshold, rectify=config.rectify
-        )
+        features = extract_features(hit, (0, len(hit)), threshold, rectify=config.rectify)
         alarms = monitor.process(features.count, features.energy)
         for alarm in alarms:
             alarm_lines.append(

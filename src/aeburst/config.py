@@ -21,7 +21,9 @@ class PipelineConfig:
     Serialises to a flat JSON object; ``from_dict`` accepts any subset of
     keys on top of the defaults, so config files may be partial.  Each value
     must have its default's type (an ``int`` may stand for a ``float``, a
-    ``bool`` for nothing else); anything else raises ``ValueError``.
+    ``bool`` for nothing else) and lie in its field's range, as the window
+    spec, threshold policy and hyperparameters built from it check; anything
+    else raises ``ValueError``.
     """
 
     threshold_kind: str = "percentile"
@@ -53,8 +55,18 @@ class PipelineConfig:
                 raise ValueError(
                     f"config {f.name} must be {expected.__name__}, got {value!r}"
                 )
-        if self.seed < 0:
-            raise ValueError(f"config seed must be non-negative, got {self.seed}")
+        # The builders check their own fields; the rest are checked here.
+        self.window_spec(), self.threshold_policy(), self.hyperparams()
+        for name, ok, rule in [
+            ("seed", self.seed >= 0, ">= 0"),
+            ("burn_in", self.burn_in >= 0, ">= 0"),
+            ("sweeps", self.sweeps > self.burn_in, f"> burn_in {self.burn_in}"),
+            ("keep_ratio", 0 < self.keep_ratio <= 1, "in (0, 1]"),
+            ("min_probability", 0 < self.min_probability <= 1, "in (0, 1]"),
+            ("min_event_length", self.min_event_length >= 1, ">= 1"),
+        ]:
+            if not ok:
+                raise ValueError(f"config {name} must be {rule}, got {getattr(self, name)}")
 
     def threshold_policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.threshold_kind, self.threshold_value, self.rectify)

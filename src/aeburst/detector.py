@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import GammaParams, NBParams, nll, predictive_update
-from .windowing import WindowedCounts, WindowSpec
+from .windowing import WindowedCounts, WindowSpec, runs
 
 __all__ = [
     "DEFAULT_FLAG_MARGIN",
@@ -134,23 +134,11 @@ def flag_events(trace: NllTrace) -> list[tuple[int, int]]:
     intervals separated by a gap smaller than one window step are merged so
     that a single event split by window phase is reported once.
     """
-    n = trace.spec.length_n
-    step = trace.spec.step
-    flagged = trace.nlls > trace.flag_threshold
-    intervals: list[tuple[int, int]] = []
-    run_start: int | None = None
-    for i, is_flagged in enumerate(flagged):
-        if is_flagged and run_start is None:
-            run_start = int(trace.starts[i])
-        elif not is_flagged and run_start is not None:
-            intervals.append((run_start, int(trace.starts[i - 1]) + n))
-            run_start = None
-    if run_start is not None:
-        intervals.append((run_start, int(trace.starts[-1]) + n))
-
+    firsts, ends = runs(trace.nlls > trace.flag_threshold)
+    last_ends = trace.starts[ends - 1] + trace.spec.length_n
     merged: list[tuple[int, int]] = []
-    for start, end in intervals:
-        if merged and start - merged[-1][1] < step:
+    for start, end in zip(trace.starts[firsts].tolist(), last_ends.tolist()):
+        if merged and start - merged[-1][1] < trace.spec.step:
             merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:
             merged.append((start, end))

@@ -19,8 +19,11 @@ terminated by a newline, followed by the concatenated ``raw_f32_le``
 records.  The payload must be an exact multiple of
 ``4 * record_length`` bytes; ``trigger_times``, when present, must match
 the record count (when absent, the record ordinal stands in).
-``read_hits`` reads and checks only the header; a record is read from the
-file and decoded when it is indexed, so skipped records cost nothing.
+``read_hits`` reads and checks only the header and opens the payload as a
+``RawRecording`` past it.  Indexing decodes one record as a span of that
+recording, checked finite like any raw sample, so skipped records cost
+nothing; each record is a ``HitRecord``, a ``Waveform`` with its trigger
+time, pretrigger and channel.
 Every writer goes through ``write_atomic``, so a failed write leaves the
 target as it was.
 """
@@ -87,7 +90,7 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
 
 
 @dataclass(frozen=True)
-class HitRecord:
+class HitRecord(Waveform):
     """One fixed-length triggered waveform snippet.
 
     ``pretrigger`` samples at the head of ``samples`` precede the trigger
@@ -95,41 +98,33 @@ class HitRecord:
     """
 
     trigger_time: float
-    samples: np.ndarray
     pretrigger: int
     channel: int
-    sample_rate: float
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
-        if not 0 <= self.pretrigger < samples.size:
+        super().__post_init__()
+        if not 0 <= self.pretrigger < self.samples.size:
             raise ValueError(
                 f"pretrigger {self.pretrigger} must be less than the record "
-                f"length {samples.size}"
+                f"length {self.samples.size}"
             )
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", samples)
-
-    def waveform(self) -> Waveform:
-        return Waveform(samples=self.samples, sample_rate=self.sample_rate)
 
 
 @dataclass(frozen=True)
 class RawRecording:
-    """A headerless raw recording on disk, decoded to float64 when read.
+    """A raw recording on disk, decoded to float64 when read.
 
-    ``chunks`` decodes ``CHUNK_SAMPLES`` samples per read and ``span`` one
-    range; a read that comes up short, or a sample that is not finite,
-    raises ``DataFormatError``.
+    The samples start ``offset`` bytes into the file.  ``chunks`` decodes
+    ``CHUNK_SAMPLES`` samples per read and ``span`` one range; a read that
+    comes up short, or a sample that is not finite, raises
+    ``DataFormatError``.
     """
 
     path: Path
     dtype: np.dtype
     n_samples: int
     sample_rate: float
+    offset: int = 0
 
     def __len__(self) -> int:
         return self.n_samples
@@ -137,6 +132,7 @@ class RawRecording:
     def chunks(self) -> Iterator[np.ndarray]:
         size = CHUNK_SAMPLES
         with self.path.open("rb") as handle:
+            handle.seek(self.offset)
             for start in range(0, self.n_samples, size):
                 yield self._decode(handle, start, min(size, self.n_samples - start))
 
@@ -144,7 +140,7 @@ class RawRecording:
         if not 0 <= start <= end <= self.n_samples:
             raise ValueError(f"span ({start}, {end}) outside {self.n_samples} samples")
         with self.path.open("rb") as handle:
-            handle.seek(start * self.dtype.itemsize)
+            handle.seek(self.offset + start * self.dtype.itemsize)
             return self._decode(handle, start, end - start)
 
     def _decode(self, handle: BinaryIO, start: int, count: int) -> np.ndarray:
@@ -247,32 +243,26 @@ def write_waveform(path: str | Path, waveform: Waveform, fmt: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HitFile(Sequence[HitRecord]):
-    """The records of a hit container; indexing reads and decodes one record."""
+    """The records of a hit container; indexing decodes one record's span."""
 
-    path: Path
-    offset: int
-    record_bytes: int
+    payload: RawRecording
+    record_length: int
     trigger_times: Sequence[float]
     pretrigger: int
     channel: int
-    sample_rate: float
 
     def __len__(self) -> int:
         return len(self.trigger_times)
 
     def __getitem__(self, index: int) -> HitRecord:
         i = range(len(self))[index]
-        with self.path.open("rb") as handle:
-            handle.seek(self.offset + self.record_bytes * i)
-            raw = handle.read(self.record_bytes)
-        if len(raw) != self.record_bytes:
-            raise DataFormatError(f"{self.path}: record {i} is truncated")
+        start = i * self.record_length
         return HitRecord(
+            samples=self.payload.span(start, start + self.record_length),
+            sample_rate=self.payload.sample_rate,
             trigger_time=float(self.trigger_times[i]),
-            samples=np.frombuffer(raw, dtype="<f4").astype(np.float64),
             pretrigger=self.pretrigger,
             channel=self.channel,
-            sample_rate=self.sample_rate,
         )
 
 
@@ -307,7 +297,8 @@ def read_hits(path: str | Path) -> HitFile:
     channel = header.get("channel", 0)
     if type(channel) is not int:
         raise DataFormatError(f"{path}: bad channel {channel!r}")
-    record_bytes = 4 * record_length
+    dtype = _RAW_DTYPES["raw_f32_le"]
+    record_bytes = dtype.itemsize * record_length
     if payload_bytes % record_bytes != 0:
         raise DataFormatError(
             f"{path}: payload of {payload_bytes} bytes is not a whole number of "
@@ -324,9 +315,10 @@ def read_hits(path: str | Path) -> HitFile:
             f"{path}: header lists {len(times)} trigger times for "
             f"{n_records} records"
         )
-    return HitFile(
-        path, len(line), record_bytes, times, pretrigger, channel, float(sample_rate)
+    payload = RawRecording(
+        path, dtype, n_records * record_length, float(sample_rate), len(line)
     )
+    return HitFile(payload, record_length, times, pretrigger, channel)
 
 
 def write_hits(path: str | Path, hits: Iterable[HitRecord]) -> None:

@@ -143,51 +143,33 @@ def observe(
     ordinal = len(state.data)
     if not state.clusters:
         assigned = state.append_datum(int(x), None)
-        outcome = ObserveOutcome(
-            cluster_id=assigned,
-            eta=0.0,
-            resampled=False,
-            probabilities={None: 1.0},
-            alarms=[
-                AlarmEvent(
-                    time=ordinal,
-                    kind="new_cluster",
-                    cluster_id=assigned,
-                    magnitude=1.0,
-                )
-            ],
-        )
-        return outcome
-
-    weights = assignment_log_weights(int(x), state)
-    raw, total = _exp_weights(weights)
-    probs = {k: w / total for (k, _), w in zip(weights, raw)}
-    eta = information_efficiency(list(probs.values()), state.n_clusters)
-    if eta_override is not None:
-        eta = eta_override
-    gate = state.rng.random()
-    if gate < eta:
-        # Full reassessment: add by a draw, then one sweep over everything.
-        choice = weights[_scan(raw, state.rng.random() * total)][0]
-        state.append_datum(int(x), choice)
-        gibbs_sweep(state)
-        resampled = True
-        assigned = state.assignments[-1]
+        eta, resampled, probs = 0.0, False, {None: 1.0}
     else:
-        choice = greedy_pick(weights)
-        assigned = state.append_datum(int(x), choice)
-        resampled = False
+        weights = assignment_log_weights(int(x), state)
+        raw, total = _exp_weights(weights)
+        probs = {k: w / total for (k, _), w in zip(weights, raw)}
+        eta = information_efficiency(list(probs.values()), state.n_clusters)
+        if eta_override is not None:
+            eta = eta_override
+        resampled = state.rng.random() < eta
+        if resampled:
+            # Full reassessment: add by a draw, then one sweep over everything.
+            choice = weights[_scan(raw, state.rng.random() * total)][0]
+            state.append_datum(int(x), choice)
+            gibbs_sweep(state)
+            assigned = state.assignments[-1]
+        else:
+            assigned = state.append_datum(int(x), greedy_pick(weights))
 
-    alarms = []
-    for new_id in set(state.clusters) - before_ids:
-        alarms.append(
-            AlarmEvent(
-                time=ordinal,
-                kind="new_cluster",
-                cluster_id=new_id,
-                magnitude=float(state.clusters[new_id].n_members),
-            )
+    alarms = [
+        AlarmEvent(
+            time=ordinal,
+            kind="new_cluster",
+            cluster_id=new_id,
+            magnitude=float(state.clusters[new_id].n_members),
         )
+        for new_id in set(state.clusters) - before_ids
+    ]
     return ObserveOutcome(
         cluster_id=assigned,
         eta=eta,
@@ -304,12 +286,6 @@ def top_clusters_by_rate(state: MixtureState, m: int) -> list[int]:
     return [c.id for c in ranked[:m]]
 
 
-@dataclass
-class _PendingCluster:
-    cluster_id: int
-    created_at: int
-
-
 class StreamMonitor:
     """Single-writer state machine tying the online pieces together.
 
@@ -345,7 +321,8 @@ class StreamMonitor:
         self.survival_horizon = survival_horizon
         self.min_survivors = min_survivors
         self.warmup = warmup
-        self._pending: list[_PendingCluster] = []
+        # Cluster id -> ordinal of its birth, for births awaiting confirmation.
+        self._pending: dict[int, int] = {}
         self.n_observed = 0
 
     def process(self, count: int, energy: float) -> list[AlarmEvent]:
@@ -353,13 +330,10 @@ class StreamMonitor:
         ordinal = self.n_observed
         outcome = observe(count, self.state)
         self.n_observed += 1
-        confirmed: list[AlarmEvent] = []
         for alarm in outcome.alarms:
             if alarm.kind == "new_cluster" and ordinal >= self.warmup:
-                self._pending.append(
-                    _PendingCluster(cluster_id=alarm.cluster_id, created_at=ordinal)
-                )
-        confirmed.extend(self._settle_pending())
+                self._pending[alarm.cluster_id] = ordinal
+        confirmed = self._settle_pending()
         growth = update_tracks(
             self.tracks,
             outcome.cluster_id,
@@ -376,24 +350,19 @@ class StreamMonitor:
 
     def _settle_pending(self) -> list[AlarmEvent]:
         confirmed: list[AlarmEvent] = []
-        still_pending: list[_PendingCluster] = []
-        for pending in self._pending:
-            cluster = self.state.clusters.get(pending.cluster_id)
-            if cluster is None:
-                continue  # collapsed; sampler noise, not damage
-            age = self.n_observed - pending.created_at
-            if age >= self.survival_horizon:
-                if cluster.n_members >= self.min_survivors:
-                    confirmed.append(
-                        AlarmEvent(
-                            time=self.n_observed - 1,
-                            kind="new_cluster",
-                            cluster_id=pending.cluster_id,
-                            magnitude=float(cluster.n_members),
-                        )
+        for cluster_id, born in list(self._pending.items()):
+            cluster = self.state.clusters.get(cluster_id)
+            if cluster is not None and self.n_observed - born < self.survival_horizon:
+                continue
+            # Collapsed (sampler noise, not damage) or at its horizon: settled.
+            del self._pending[cluster_id]
+            if cluster is not None and cluster.n_members >= self.min_survivors:
+                confirmed.append(
+                    AlarmEvent(
+                        time=self.n_observed - 1,
+                        kind="new_cluster",
+                        cluster_id=cluster_id,
+                        magnitude=float(cluster.n_members),
                     )
-                # Below the survivor bar at the horizon: drop silently.
-            else:
-                still_pending.append(pending)
-        self._pending = still_pending
+                )
         return confirmed

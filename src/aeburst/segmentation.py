@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dppmm import MixtureState, posterior_mean_rate
-from .windowing import Recording, WindowSpec, count_crossings
+from .windowing import Recording, WindowSpec, count_crossings, runs
 
 __all__ = [
     "SampleProbabilityField",
@@ -105,7 +105,7 @@ def average_probabilities(
             f"got {len(window_probs)} window vectors but spec places {expected} "
             f"windows over {signal_len} samples"
         )
-    starts = np.arange(expected, dtype=np.int64) * spec.step
+    starts = spec.window_starts(signal_len)
     ends = starts + spec.length_n
     edges = np.unique(np.concatenate(([0, signal_len], starts, ends)))
     first_cells = np.searchsorted(edges, starts).tolist()
@@ -157,14 +157,9 @@ def segment_events(
     event_prob = 1.0 - field.probabilities[noise_cluster]
     active = (event_prob >= min_probability) & (field.coverage > 0)
     events: list[EventRecord] = []
-    boundaries = np.flatnonzero(np.diff(active.astype(np.int8)))
-    starts = [0] if active[0] else []
-    starts += [int(i) + 1 for i in boundaries if not active[i]]
-    ends = [int(i) + 1 for i in boundaries if active[i]]
-    if active[-1]:
-        ends.append(active.size)
     edges = field.edges
-    for first, end_cell in zip(starts, ends):
+    firsts, ends = runs(active)
+    for first, end_cell in zip(firsts.tolist(), ends.tolist()):
         start, end = int(edges[first]), int(edges[end_cell])
         if end - start < min_length:
             continue

@@ -34,6 +34,7 @@ __all__ = [
     "resolve_threshold",
     "count_crossings",
     "extract_counts",
+    "runs",
 ]
 
 
@@ -341,3 +342,10 @@ def extract_counts(
     return WindowedCounts(
         starts=starts, counts=closes - opens, spec=spec, threshold=threshold
     )
+
+
+def runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and exclusive ends of the maximal runs of True in a 1-D mask."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    steps = np.diff(padded.astype(np.int8))
+    return np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)

@@ -589,7 +589,7 @@ def test_ac9_monitor_end_to_end():
         monitor = StreamMonitor(state, warmup=100)
         alarms = []
         for hit in decimate(synthesize_hit_stream(spec, rng_seed=seed), 0.1):
-            waveform = hit.waveform()
+            waveform = hit
             features = extract_features(waveform, (0, len(waveform)), 0.05)
             alarms.extend(monitor.process(features.count, features.energy))
         early = [a for a in alarms if a.time < injection_retained]

@@ -309,6 +309,29 @@ class TestMonitor:
         assert capsys.readouterr().err.startswith("usage error: --snapshot-every")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hits.bin"]
 
+    def test_non_finite_hit_sample_is_data_error(self, tmp_path, capsys):
+        hits_path = tmp_path / "hits.bin"
+        spec = HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)
+        write_hits(hits_path, synthesize_hit_stream(spec, rng_seed=0))
+        raw = bytearray(hits_path.read_bytes())
+        at = raw.find(b"\n") + 1 + 4 * (3 * 128 + 40)
+        raw[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        hits_path.write_bytes(bytes(raw))
+        code = cli(
+            [
+                "monitor",
+                "--hits", str(hits_path),
+                "--keep-ratio", "1.0",
+                "--threshold-volts", "0.05",
+                "--alarms-out", str(tmp_path / "a.jsonl"),
+                "--tracks-out", str(tmp_path / "t.csv"),
+                "--state-out", str(tmp_path / "state.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hits.bin"]
+
     def test_percentile_threshold_is_usage_error(self, tmp_path):
         hits_path = tmp_path / "hits.bin"
         spec = HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)
@@ -748,6 +771,35 @@ class TestParserSnapshot:
             assert "seed" in err or "positive integer" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    def test_out_of_range_config_flags_are_usage_errors(
+        self, lead_break_files, tmp_path, capsys
+    ):
+        wave, _ = lead_break_files
+        hits_path = tmp_path / "hits.bin"
+        write_hits(
+            hits_path,
+            synthesize_hit_stream(HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)),
+        )
+        before = sorted(p.name for p in tmp_path.iterdir())
+        wave_in = ["--input", str(wave), "--sample-rate", "1e6"]
+        cluster_out = [
+            "--events-out", str(tmp_path / "e.jsonl"), "--state-out", str(tmp_path / "s.json"),
+        ]
+        for argv, field in [
+            (["detect", *wave_in, "--window", "0", "--nll-out", str(tmp_path / "n.csv"),
+              "--events-out", str(tmp_path / "e.json")], "length_n"),
+            (["cluster", *wave_in, "--sweeps", "-3", *cluster_out], "sweeps"),
+            (["monitor", "--hits", str(hits_path), "--threshold-volts", "0.05",
+              "--keep-ratio", "0", "--alarms-out", str(tmp_path / "a.jsonl"),
+              "--tracks-out", str(tmp_path / "t.csv")], "keep_ratio"),
+            (["cluster", *wave_in, "--min-probability", "2", *cluster_out], "min_probability"),
+        ]:
+            assert cli(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ")
+            assert field in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 # Each file names a known field with a value of the wrong type or range.
 MALFORMED_CONFIGS = [
@@ -759,6 +811,7 @@ MALFORMED_CONFIGS = [
     ("cluster", {"alpha": True}),
     ("monitor", {"keep_ratio": "0.5"}),
     ("monitor", {"seed": -1}),
+    ("cluster", {"sweeps": -3}),
 ]
 
 

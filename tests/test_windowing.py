@@ -15,6 +15,7 @@ from aeburst.windowing import (
     count_crossings,
     extract_counts,
     resolve_threshold,
+    runs,
 )
 
 
@@ -229,3 +230,37 @@ class TestExtractCounts:
         assert type(as_float.spec.length_n) is int
         assert as_float.starts.tolist() == as_int.starts.tolist()
         assert as_float.counts.tolist() == as_int.counts.tolist()
+
+
+def loop_runs(mask):
+    """Reference run scan: (start, exclusive end) of each run of True."""
+    found, start = [], None
+    for i, value in enumerate(mask):
+        if value and start is None:
+            start = i
+        elif not value and start is not None:
+            found.append((start, i))
+            start = None
+    if start is not None:
+        found.append((start, len(mask)))
+    return found
+
+
+class TestRuns:
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            [], [True], [False], [True] * 7, [False] * 7,
+            [True, False, True], [False, True, False],
+        ],
+    )
+    def test_edge_cases_match_loop(self, mask):
+        starts, ends = runs(np.array(mask, dtype=bool))
+        assert list(zip(starts.tolist(), ends.tolist())) == loop_runs(mask)
+
+    def test_random_masks_match_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            mask = rng.random(int(rng.integers(0, 60))) < rng.random()
+            starts, ends = runs(mask)
+            assert list(zip(starts.tolist(), ends.tolist())) == loop_runs(mask.tolist())
