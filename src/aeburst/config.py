@@ -13,6 +13,16 @@ from .windowing import ThresholdPolicy, WindowSpec
 
 __all__ = ["PipelineConfig"]
 
+# The config field behind each parameter name the builders' checks report.
+_BUILT_FROM = {
+    "length_n": "window_length",
+    "overlap_fraction": "overlap",
+    "kind": "threshold_kind",
+    "percentile": "threshold_value",
+    "shape": "prior_shape",
+    "rate": "prior_rate",
+}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -55,8 +65,15 @@ class PipelineConfig:
                 raise ValueError(
                     f"config {f.name} must be {expected.__name__}, got {value!r}"
                 )
-        # The builders check their own fields; the rest are checked here.
-        self.window_spec(), self.threshold_policy(), self.hyperparams()
+        # The builders check their own fields, in messages that begin with
+        # their own parameter name; the rest are checked here.
+        try:
+            self.window_spec(), self.threshold_policy(), self.hyperparams()
+        except ValueError as exc:
+            param, _, rule = str(exc).partition(" ")
+            name = _BUILT_FROM.get(param, param)
+            named = name if name == param else f"{name} ({param})"
+            raise ValueError(f"config {named} {rule}") from exc
         for name, ok, rule in [
             ("seed", self.seed >= 0, ">= 0"),
             ("burn_in", self.burn_in >= 0, ">= 0"),

@@ -25,12 +25,21 @@ Randomness is consumed exclusively as uniform variates from a counted,
 seeded stream (one draw per categorical sample), which makes runs
 replayable from ``(seed, draw count)`` alone.  A sweep over N data makes
 exactly N draws and takes their uniforms from the stream N at a time.
+
+Window counts are mostly background and take few distinct values, so a
+sweep reuses what it has already computed, bit for bit: a log weight is a
+pure function of a cluster's ``(n, s)`` and the count ``x``, and a datum
+that returns to the cluster it left leaves the state as it found it, so
+the next datum with the same count leaving that cluster meets the same
+weights and needs only its own uniform (see ``gibbs_sweep``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -280,55 +289,91 @@ def gibbs_sweep(
     ``diagnostics``, records ``joint_log_weight`` (the sum of the
     chosen entries' unnormalised log weights) and ``flips`` (number of
     assignments that changed).
+
+    Two sweep-local tables skip work whose result is already known, and
+    both are exact.  ``rows`` maps a cluster statistic ``(n, s)`` to its
+    ``_terms`` tuple and a ``{x: log weight}`` memo (NEW has its own memo):
+    a log weight is a pure function of ``(n, s, x)``.  ``steps`` maps
+    ``(slot left, x)`` to that step's log weights, cumulative weights,
+    total, probabilities and detached row: a datum that returns to the
+    cluster it left (a stay) leaves the state as it found it, so until the
+    next flip clears the table the same key meets the same weights.  The
+    draw ``bisect_right(cumulative, u * total)``, clamped to the last slot,
+    is ``_scan``'s, and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
     """
     data, assignments, clusters = state.data, state.assignments, state.clusters
     base = state.hyper.base
-    lgamma, log, exp = math.lgamma, math.log, math.exp
+    exp, log = math.exp, math.log
+    lgamma_x1 = {x: math.lgamma(x + 1) for x in set(data)}
+    rows = {(c.n_members, c.sum_x): (c.terms, {}) for c in clusters.values()}
     ids: list[int | None] = [*clusters, None]
     stats = list(clusters.values())
-    terms = [c.terms for c in stats] + [state._new_terms]
+    slots = [rows[c.n_members, c.sum_x] for c in stats] + [(state._new_terms, {})]
+    steps: dict = {}
+
+    def row(n: int, s: int) -> tuple:
+        key = (n, s)
+        return rows[key] if key in rows else rows.setdefault(
+            key, (_terms(log(n), n, s, base), {})
+        )
+
     uniforms = state.rng.take(len(data))
     joint, flips = 0.0, 0
     for i, x in enumerate(data):
         left = assignments[i]
         j = ids.index(left)
-        cluster = stats[j]
-        n, s = cluster.n_members - 1, cluster.sum_x - x
-        cluster.n_members, cluster.sum_x = n, s
-        saved = terms[j]
-        if n:
-            terms[j] = _terms(log(n), n, s, base)
-        else:
-            del clusters[left], ids[j], stats[j], terms[j]
-            j = -1
-        lgamma_x1 = lgamma(x + 1)
-        log_w = [
-            log_c + lgamma(x + r) - lgamma_r - lgamma_x1 + r_log_p - x * log1p_g
-            for log_c, r, lgamma_r, r_log_p, log1p_g in terms
-        ]
-        top = max(log_w)
-        raw = [exp(w - top) for w in log_w]
-        total = sum(raw)
-        idx = _scan(raw, uniforms[i] * total)
+        step = steps.get((j, x))
+        if step is None:
+            cluster = stats[j]
+            n, s = cluster.n_members - 1, cluster.sum_x - x
+            if n:
+                detached = row(n, s)
+                saved, slots[j] = slots[j], detached
+            else:
+                # An emptied cluster is deleted, so this step flips and its
+                # entry in ``steps`` is cleared at once.
+                del clusters[left], ids[j], stats[j], slots[j]
+                j, detached = -1, None
+            log_w = [
+                memo[x] if x in memo
+                else memo.setdefault(x, _log_weight(terms, x, lgamma_x1[x]))
+                for terms, memo in slots
+            ]
+            if n:
+                slots[j] = saved
+            top = max(log_w)
+            raw = [exp(w - top) for w in log_w]
+            total = sum(raw)
+            probs = None if accumulate is None else [w / total for w in raw]
+            cum = list(itertools.accumulate(raw))
+            step = steps[j, x] = (log_w, cum, total, probs, detached)
+        log_w, cum, total, probs, detached = step
+        idx = min(bisect_right(cum, uniforms[i] * total), len(cum) - 1)
         if accumulate is not None:
-            row = accumulate[i]
-            for k, w in zip(ids, raw):
-                row[k] = row.get(k, 0.0) + w / total
+            acc = accumulate[i]
+            for k, p in zip(ids, probs):
+                acc[k] = acc.get(k, 0.0) + p
         joint += log_w[idx]
+        if idx == j:
+            continue
+        flips += 1
+        steps.clear()
+        if detached is not None:
+            cluster = stats[j]
+            cluster.n_members, cluster.sum_x = cluster.n_members - 1, cluster.sum_x - x
+            slots[j] = detached
         if idx == len(stats):
             cluster = state.mint_cluster()
             ids.insert(idx, cluster.id)
             stats.append(cluster)
-            terms.insert(idx, ())
+            slots.insert(idx, ())
         cluster = stats[idx]
         n, s = cluster.n_members + 1, cluster.sum_x + x
         cluster.n_members, cluster.sum_x = n, s
-        # ``_terms`` is a pure function of (n, s): a stay restores its tuple.
-        terms[idx] = saved if idx == j else _terms(log(n), n, s, base)
+        slots[idx] = row(n, s)
         assignments[i] = cluster.id
-        flips += idx != j
-    for cluster, cached in zip(stats, terms):
-        cluster.terms = cached
+    for cluster, (terms, _) in zip(stats, slots):
+        cluster.terms = terms
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips

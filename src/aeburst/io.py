@@ -68,7 +68,14 @@ _HIT_FORMAT = "ae-hits"
 
 
 class DataFormatError(ValueError):
-    """A file's contents do not match its declared format."""
+    """A file's contents do not match its declared format.
+
+    ``sample`` is the index of the sample at fault, when one sample is.
+    """
+
+    def __init__(self, message: str, sample: int | None = None) -> None:
+        super().__init__(message)
+        self.sample = sample
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -152,7 +159,7 @@ class RawRecording:
         values = np.frombuffer(raw, dtype=self.dtype)
         if self.dtype.kind == "f" and not np.isfinite(values).all():
             bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
-            raise DataFormatError(f"{self.path}: sample {bad} is not finite")
+            raise DataFormatError(f"{self.path}: sample {bad} is not finite", bad)
         return values.astype(np.float64)
 
 
@@ -257,8 +264,15 @@ class HitFile(Sequence[HitRecord]):
     def __getitem__(self, index: int) -> HitRecord:
         i = range(len(self))[index]
         start = i * self.record_length
+        try:
+            samples = self.payload.span(start, start + self.record_length)
+        except DataFormatError as exc:
+            where = f"record {i}"
+            if exc.sample is not None:
+                where += f", sample {exc.sample - start}"
+            raise DataFormatError(f"{exc} ({where})", exc.sample) from exc
         return HitRecord(
-            samples=self.payload.span(start, start + self.record_length),
+            samples=samples,
             sample_rate=self.payload.sample_rate,
             trigger_time=float(self.trigger_times[i]),
             pretrigger=self.pretrigger,

@@ -150,7 +150,10 @@ class WindowSpec:
                 f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}"
             )
         if self.step < 1:
-            raise ValueError("window step rounds to zero; reduce overlap_fraction")
+            raise ValueError(
+                f"overlap_fraction {self.overlap_fraction} rounds the step of "
+                f"{self.length_n}-sample windows to zero"
+            )
 
     @property
     def step(self) -> int:

@@ -800,6 +800,31 @@ class TestParserSnapshot:
             assert field in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--window", "0", "window_length (length_n) must be a positive integer, got 0"),
+            ("--overlap", "1.0", "overlap (overlap_fraction) must lie in [0, 1), got 1.0"),
+            ("--prior-rate", "-1", "prior_rate (rate) must be a positive finite real, got -1.0"),
+            (
+                "--threshold-value", "150",
+                "threshold_value (percentile) must lie in (0, 100), got 150.0",
+            ),
+        ],
+    )
+    def test_builder_checks_name_the_config_field(
+        self, lead_break_files, tmp_path, capsys, flag, value, message
+    ):
+        wave, _ = lead_break_files
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = [
+            "detect", "--input", str(wave), "--sample-rate", "1e6", flag, value,
+            "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json"),
+        ]
+        assert cli(argv) == 1
+        assert capsys.readouterr().err == f"usage error: config {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 # Each file names a known field with a value of the wrong type or range.
 MALFORMED_CONFIGS = [
@@ -846,6 +871,21 @@ class TestMalformedConfig:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_builder_check_names_the_config_field(self, lead_break_files, tmp_path, capsys):
+        wave, _ = lead_break_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window_length": 8, "overlap": 0.95}))
+        argv = [
+            "detect", "--input", str(wave), "--sample-rate", "1e6", "--config", str(config),
+            "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json"),
+        ]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: config overlap (overlap_fraction) 0.95 rounds the step of "
+            "8-sample windows to zero\n"
+        )
+        assert not (tmp_path / "n.csv").exists() and not (tmp_path / "e.json").exists()
 
     def test_int_stands_for_float(self):
         assert PipelineConfig.from_dict({"alpha": 2}).alpha == 2

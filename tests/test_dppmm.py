@@ -6,11 +6,16 @@ step-by-step sampler in ``sampler_oracle``, and the sampler itself against
 exact partition-posterior enumeration on a tiny dataset.
 """
 
+import copy
 import json
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from aeburst import dppmm
@@ -19,6 +24,7 @@ from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
     UniformStream,
+    _scan,
     _terms,
     assignment_log_weights,
     audit,
@@ -295,6 +301,43 @@ def mixed_counts(seed, sizes=(12, 8, 4)):
     return [int(v) for rate, size in zip(rates, sizes) for v in rng.poisson(rate, size)]
 
 
+def zero_runs(seed):
+    """Runs of hundreds of zero counts around a few bursts, as quiet recordings give."""
+    rng = np.random.default_rng(seed)
+    bursts = [[int(v) for v in rng.poisson(rate, size)] for rate, size in ((30, 6), (80, 3))]
+    return [0] * 250 + bursts[0] + [0] * 200 + bursts[1] + [0] * 150
+
+
+def sweep_against_reference(fused, ref, sweeps, burn_in):
+    """Sweep twin states with ``gibbs_sweep`` and ``reference_sweep``, comparing with ``==``.
+
+    Probabilities accumulate from sweep ``burn_in`` on.  Returns how many
+    clusters were born and how many died over the run.
+    """
+    fused_acc = [{} for _ in fused.data]
+    ref_acc = [{} for _ in ref.data]
+    births = deaths = 0
+    for sweep in range(sweeps):
+        ids_before, next_before = set(ref.clusters), ref.next_cluster_id
+        averaging = sweep >= burn_in
+        diag = {}
+        gibbs_sweep(fused, diagnostics=diag, accumulate=fused_acc if averaging else None)
+        joint, flips = reference_sweep(ref, ref_acc if averaging else None)
+        births += ref.next_cluster_id - next_before
+        deaths += len(ids_before - set(ref.clusters))
+        assert fused.assignments == ref.assignments
+        assert cluster_table(fused) == cluster_table(ref)
+        assert fused.next_cluster_id == ref.next_cluster_id
+        assert fused.rng.draws == ref.rng.draws
+        assert (diag["joint_log_weight"], diag["flips"]) == (joint, flips)
+        assert [list(a.items()) for a in fused_acc] == [list(a.items()) for a in ref_acc]
+        for cluster in fused.clusters.values():
+            n, s = cluster.n_members, cluster.sum_x
+            assert cluster.terms == _terms(math.log(n), n, s, UNIT.base)
+    assert any(fused_acc)
+    return births, deaths
+
+
 class TestFusedSweep:
     """``gibbs_sweep`` against the step-by-step reference, compared with ``==``."""
 
@@ -367,6 +410,101 @@ class TestFusedSweep:
         gibbs_sweep(state, diagnostics=diag)
         assert calls <= len(data) + diag["flips"]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_runs_match_reference(self, seed):
+        data = zero_runs(seed)
+        fused = MixtureState.init_single_cluster(data, UNIT, seed)
+        ref = MixtureState.init_single_cluster(data, UNIT, seed)
+        births, deaths = sweep_against_reference(fused, ref, sweeps=12, burn_in=6)
+        assert births > 0 and deaths > 0
+
+    def test_zeros_split_over_two_clusters(self):
+        # Single-site Gibbs cannot merge two large clusters of zeros, so the
+        # zeros stay split and their steps alternate between two stay keys.
+        data = [[0] * 200, [0] * 150 + [3] * 8, [40, 44, 37]]
+        fused, ref = state_with_clusters(data, seed=5), state_with_clusters(data, seed=5)
+        sweep_against_reference(fused, ref, sweeps=10, burn_in=4)
+        zero_clusters = {k for x, k in zip(ref.data, ref.assignments) if x == 0}
+        assert len(zero_clusters) >= 2
+
+    def test_singleton_deaths_and_new_births(self):
+        # A lone large count among zeros sits in a cluster of its own: each
+        # sweep detaches it, so the cluster dies, and it opens a new one.
+        data = [0] * 200 + [30] + [0] * 200 + [400] + [0] * 100
+        fused = MixtureState.init_single_cluster(data, UNIT, 2)
+        ref = MixtureState.init_single_cluster(data, UNIT, 2)
+        sweeps = 8
+        births, deaths = sweep_against_reference(fused, ref, sweeps=sweeps, burn_in=3)
+        assert births >= 2 * sweeps and deaths >= 2 * (sweeps - 1)
+        singletons = [c for c in ref.clusters.values() if c.n_members == 1]
+        assert {30, 400} <= {c.sum_x for c in singletons}
+
+    def test_fit_matches_reference(self):
+        data = zero_runs(4)
+        sweeps, burn_in = 14, 6
+        result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=4)
+        ref = MixtureState.init_single_cluster(data, UNIT, 4)
+        accumulated = [{} for _ in data]
+        joints = [
+            reference_sweep(ref, accumulated if sweep >= burn_in else None)[0]
+            for sweep in range(sweeps)
+        ]
+        expected = [
+            [(key, total / (sweeps - burn_in)) for key, total in acc.items()]
+            for acc in accumulated
+        ]
+        assert [list(p.items()) for p in result.mean_probabilities] == expected
+        assert result.joint_log_weights == joints
+        assert result.state.assignments == ref.assignments
+        assert cluster_table(result.state) == cluster_table(ref)
+        assert result.state.rng.draws == ref.rng.draws
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e6, allow_subnormal=True),
+            min_size=1,
+            max_size=12,
+        ),
+        pick=st.data(),
+    )
+    def test_bisect_draw_is_scan(self, raw, pick):
+        cum = list(accumulate(raw))
+        total = sum(raw)
+        target = pick.draw(
+            st.sampled_from([0.0, total, cum[-1], math.nextafter(total, math.inf)])
+            | st.floats(0.0, 1.25 * total + 1.0)
+        )
+        assert min(bisect_right(cum, target), len(raw) - 1) == _scan(raw, target)
+
+    def test_repeated_counts_reuse_log_weights(self, monkeypatch):
+        # Between flips the state repeats, and each log weight is computed
+        # once per (n, s, x), so lgamma runs at most once per distinct count
+        # per slot per stretch between flips.
+        data = [0] * 300 + [5] * 30 + [0] * 100
+        state = MixtureState.init_single_cluster(data, UNIT, 3)
+        for _ in range(5):
+            gibbs_sweep(state)
+        twin = copy.deepcopy(state)
+        most = twin.n_clusters
+        for i in range(len(data)):
+            resample_step(twin, i)
+            most = max(most, twin.n_clusters)
+        calls = 0
+        real = math.lgamma
+
+        def counting(value):
+            nonlocal calls
+            calls += 1
+            return real(value)
+
+        monkeypatch.setattr(math, "lgamma", counting)
+        diag = {}
+        gibbs_sweep(state, diagnostics=diag)
+        monkeypatch.undo()
+        assert state.assignments == twin.assignments
+        assert diag["flips"] > 0
+        assert calls <= (diag["flips"] + 1) * (most + 1) * len(set(data))
 
 class TestUniformStream:
     def test_take_equals_successive_random(self):

@@ -228,6 +228,17 @@ class TestHitContainer:
         with pytest.raises(DataFormatError, match=f"sample {2 * 64 + 5} is not finite"):
             hits[2]
 
+    def test_non_finite_sample_names_its_record(self, tmp_path):
+        path = tmp_path / "hits.bin"
+        write_hits(path, make_hits(4, record_length=64, pretrigger=8))
+        raw = bytearray(path.read_bytes())
+        at = raw.find(b"\n") + 1 + 4 * (2 * 64 + 5)
+        raw[at : at + 4] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=r"\(record 2, sample 5\)$") as caught:
+            read_hits(path)[2]
+        assert caught.value.sample == 2 * 64 + 5
+
     def test_empty_container_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_hits(tmp_path / "hits.bin", iter([]))
