@@ -4,12 +4,8 @@ online damage monitoring."""
 from .distributions import (
     GammaParams,
     NBParams,
-    gamma_posterior,
     nb_log_pmf,
-    nb_pmf,
     nll,
-    poisson_log_pmf,
-    poisson_pmf,
     predictive_update,
 )
 from .windowing import (
@@ -61,7 +57,6 @@ from .monitor import (
     entropy,
     information_efficiency,
     observe,
-    top_clusters_by_rate,
     update_tracks,
 )
 from .io import HitRecord, read_hits, read_waveform, write_hits, write_waveform

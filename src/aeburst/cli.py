@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, fields, replace
@@ -58,11 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_line(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n"
+    return json.dumps(obj, sort_keys=True, allow_nan=False).encode("utf-8") + b"\n"
 
 
 def _write_json(path: str, doc: dict) -> None:
-    write_atomic(path, [json.dumps(doc, sort_keys=True, indent=2).encode("utf-8") + b"\n"])
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    write_atomic(path, [text.encode("utf-8") + b"\n"])
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -99,7 +101,7 @@ def _add_waveform_input(parser: argparse.ArgumentParser) -> None:
         help="waveform file format (declared, never sniffed)",
     )
     parser.add_argument(
-        "--sample-rate", dest="sample_rate", type=float, default=None,
+        "--sample-rate", dest="sample_rate", type=_positive_float, default=None,
         help="sample rate in Hz (required for raw and single-column CSV)",
     )
 
@@ -114,6 +116,31 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {text}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expects a positive number, got {text}")
+    return value
+
+
+def _window_range(text: str) -> range:
+    """START:STOP with 0 <= START < STOP; whether STOP fits the input is a data check."""
+    try:
+        start, stop = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects START:STOP, got {text!r}") from None
+    if not 0 <= start < stop:
+        raise argparse.ArgumentTypeError(f"expects 0 <= START < STOP, got {text}")
+    return range(start, stop)
 
 
 def _parse_burst(text: str) -> BurstSpec:
@@ -160,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "prior_shape", "prior_rate",
     )
     p_detect.add_argument(
-        "--train-windows", default=None,
+        "--train-windows", type=_window_range, default=None,
         help="explicit noise window index range START:STOP (e.g. 0:20)",
     )
     p_detect.add_argument(
@@ -185,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument("--hits", required=True, help="hit container file")
     _add_config_flags(p_monitor, "keep_ratio", "alpha", "prior_shape", "prior_rate")
     p_monitor.add_argument(
-        "--threshold-volts", type=float, default=None,
+        "--threshold-volts", type=_finite_float, default=None,
         help="fixed crossing threshold applied to every hit",
     )
     p_monitor.add_argument("--alarms-out", required=True, help="alarms JSONL")
@@ -201,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_waveform_input(p_features)
     p_features.add_argument("--events", required=True, help="events/annotations JSON")
     p_features.add_argument(
-        "--threshold-volts", type=float, required=True,
+        "--threshold-volts", type=_finite_float, required=True,
         help="fixed crossing threshold in volts",
     )
     p_features.add_argument("--out", required=True, help="features JSONL")
@@ -245,16 +272,6 @@ def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str, upper: int) -> list[int]:
-    try:
-        lo, hi = (int(part) for part in text.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"--train-windows expects START:STOP, got {text!r}") from exc
-    if not 0 <= lo < hi <= upper:
-        raise DataFormatError(f"training range {text} outside the {upper} windows")
-    return list(range(lo, hi))
-
-
 def _nll_csv(trace: NllTrace, block: int = 4096) -> Iterator[bytes]:
     """The per-window NLL CSV, ``block`` lines at a time."""
     yield b"start_index,count,nll\n"
@@ -271,8 +288,11 @@ def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
     waveform = read_waveform(args.input, args.format, args.sample_rate)
     windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
     counts = windowed.counts.tolist()
-    if args.train_windows:
-        train_idx = _parse_range(args.train_windows, len(counts))
+    if args.train_windows is not None:
+        stop = args.train_windows.stop
+        if stop > len(counts):
+            raise DataFormatError(f"training range stop {stop} exceeds {len(counts)} windows")
+        train_idx = list(args.train_windows)
     else:
         train_idx = pick_noise_training(counts, min(args.train_count, len(counts)))
     model = train_background(config.prior(), [counts[i] for i in train_idx])

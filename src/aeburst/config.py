@@ -1,9 +1,10 @@
-"""Pipeline configuration with a stable JSON round-trip."""
+"""Pipeline configuration, read from a flat JSON object and checked on construction."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .detector import DEFAULT_FLAG_MARGIN
@@ -28,12 +29,12 @@ _BUILT_FROM = {
 class PipelineConfig:
     """Every knob of the detection/clustering/monitoring pipeline.
 
-    Serialises to a flat JSON object; ``from_dict`` accepts any subset of
-    keys on top of the defaults, so config files may be partial.  Each value
-    must have its default's type (an ``int`` may stand for a ``float``, a
-    ``bool`` for nothing else) and lie in its field's range, as the window
-    spec, threshold policy and hyperparameters built from it check; anything
-    else raises ``ValueError``.
+    A config file is a flat JSON object of these fields; ``from_dict``
+    accepts any subset of keys on top of the defaults, so files may be
+    partial.  Each value must have its default's type (an ``int`` may stand
+    for a ``float``, a ``bool`` for nothing else) and lie in its field's
+    range, as the window spec, threshold policy and hyperparameters built
+    from it check; anything else raises ``ValueError``.
     """
 
     threshold_kind: str = "percentile"
@@ -81,6 +82,12 @@ class PipelineConfig:
             ("keep_ratio", 0 < self.keep_ratio <= 1, "in (0, 1]"),
             ("min_probability", 0 < self.min_probability <= 1, "in (0, 1]"),
             ("min_event_length", self.min_event_length >= 1, ">= 1"),
+            ("flag_margin", math.isfinite(self.flag_margin), "finite"),
+            ("step_factor", 0 < self.step_factor < math.inf, "finite and > 0"),
+            ("alarm_min_history", self.alarm_min_history >= 1, ">= 1"),
+            ("alarm_lag", self.alarm_lag >= self.alarm_min_history,
+             f">= alarm_min_history {self.alarm_min_history}"),
+            ("threshold_value", math.isfinite(self.threshold_value), "finite"),
         ]:
             if not ok:
                 raise ValueError(f"config {name} must be {rule}, got {getattr(self, name)}")
@@ -110,6 +117,3 @@ class PipelineConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

@@ -37,8 +37,7 @@ class BackgroundModel:
     """Gamma-Poisson background model with a cached posterior predictive.
 
     ``train_nll_max`` anchors the default flagging threshold: it is the
-    largest NLL any training count receives under the final predictive
-    (the NLL of a zero count for a prior-only model).
+    largest NLL any training count receives under the final predictive.
     """
 
     prior: GammaParams
@@ -46,18 +45,6 @@ class BackgroundModel:
     sum_train: int
     predictive: NBParams
     train_nll_max: float
-
-    @classmethod
-    def from_prior(cls, prior: GammaParams) -> "BackgroundModel":
-        """Prior-only model: score against the prior predictive without data."""
-        predictive = predictive_update(prior, 0, 0)
-        return cls(
-            prior=prior,
-            n_train=0,
-            sum_train=0,
-            predictive=predictive,
-            train_nll_max=nll(0, predictive),
-        )
 
 
 @dataclass(frozen=True)
@@ -75,15 +62,12 @@ def train_background(prior: GammaParams, noise_counts: Sequence[int]) -> Backgro
     """Fit the background model on counts from noise-only windows.
 
     Raises:
-        ValueError: on an empty training set.  Prior-only scoring must be
-            requested explicitly through ``BackgroundModel.from_prior``.
+        ValueError: on an empty training set, which would leave the flag
+            threshold without a training window to anchor it.
     """
     counts = [int(c) for c in noise_counts]
     if not counts:
-        raise ValueError(
-            "noise_counts is empty; use BackgroundModel.from_prior for "
-            "prior-only scoring"
-        )
+        raise ValueError("noise_counts is empty; training needs at least one window")
     if any(c < 0 for c in counts):
         raise ValueError("noise counts must be non-negative")
     n = len(counts)

@@ -1,4 +1,4 @@
-"""Count-model primitives: Poisson likelihood, Gamma prior, and the
+"""Count-model primitives: the Gamma prior over a Poisson rate and the
 negative-binomial posterior predictive.
 
 The Gamma family is conjugate to the Poisson likelihood, so Bayesian
@@ -16,26 +16,21 @@ The ``p`` parameter attaches to the ``r`` exponent, i.e. ``p`` is the
 "success" probability of the rate staying small; the ``(1 - p)**x``
 factor makes the mass function normalise over x = 0, 1, 2, ...
 
-Every mass function is evaluated in log space through ``math.lgamma``
-and exponentiated only at the public boundary, so counts up to 10**6
-and beyond stay finite and accurate.
+The mass function is evaluated in log space through ``math.lgamma`` and
+never exponentiated here, so counts up to 10**6 and beyond stay finite
+and accurate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "GammaParams",
     "NBParams",
-    "poisson_log_pmf",
-    "poisson_pmf",
-    "gamma_posterior",
     "predictive_update",
     "nb_log_pmf",
-    "nb_pmf",
     "nll",
 ]
 
@@ -52,10 +47,6 @@ class GammaParams:
             raise ValueError(f"shape must be a positive finite real, got {self.shape}")
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError(f"rate must be a positive finite real, got {self.rate}")
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
 
 
 @dataclass(frozen=True)
@@ -84,40 +75,6 @@ def _check_count(x: int) -> int:
     if x != int(x) or x < 0:
         raise ValueError(f"count must be a non-negative integer, got {x!r}")
     return int(x)
-
-
-def poisson_log_pmf(x: int, lam: float) -> float:
-    """Log Poisson mass ``x * log(lam) - lam - log(x!)``.
-
-    Raises:
-        ValueError: if ``lam`` is not strictly positive or ``x`` is not a
-            non-negative integer.
-    """
-    x = _check_count(x)
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"rate must be a positive finite real, got {lam}")
-    return x * math.log(lam) - lam - math.lgamma(x + 1)
-
-
-def poisson_pmf(x: int, lam: float) -> float:
-    """Poisson probability of observing ``x`` events at rate ``lam``."""
-    return math.exp(poisson_log_pmf(x, lam))
-
-
-def gamma_posterior(prior: GammaParams, data: Iterable[int]) -> GammaParams:
-    """Conjugate update of a Gamma prior with observed counts.
-
-    Returns Gamma(a + sum(data), b + len(data)).  An empty sequence is the
-    identity.  Sufficient statistics are accumulated as exact integers, so
-    sequential updates compose exactly:
-    ``gamma_posterior(gamma_posterior(g, A), B) == gamma_posterior(g, A + B)``.
-    """
-    n = 0
-    total = 0
-    for x in data:
-        total += _check_count(x)
-        n += 1
-    return GammaParams(prior.shape + total, prior.rate + n)
 
 
 def predictive_update(prior: GammaParams, n_obs: int, sum_x: int) -> NBParams:
@@ -150,11 +107,6 @@ def nb_log_pmf(x: int, params: NBParams) -> float:
         + r * math.log(p)
         + x * math.log1p(-p)
     )
-
-
-def nb_pmf(x: int, params: NBParams) -> float:
-    """Negative-binomial probability of count ``x``."""
-    return math.exp(nb_log_pmf(x, params))
 
 
 def nll(x: int, params: NBParams) -> float:

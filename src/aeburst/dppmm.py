@@ -57,7 +57,6 @@ __all__ = [
     "gibbs_sweep",
     "fit",
     "audit",
-    "greedy_pick",
     "posterior_mean_rate",
     "state_to_json_dict",
     "state_from_json_dict",
@@ -136,21 +135,16 @@ def _log_weight(terms: tuple, x: int, lgamma_x1: float) -> float:
 
 
 class ClusterStats:
-    """Sufficient statistics of one non-empty component.
+    """Sufficient statistics of one non-empty component: its member count
+    ``n_members`` and count sum ``sum_x``, all its assignment weight needs."""
 
-    ``terms`` caches the count-independent pieces of the component's log
-    weight (see ``_terms``); the owning ``MixtureState`` refreshes it
-    whenever its statistics change.
-    """
-
-    __slots__ = ("id", "n_members", "sum_x", "created_at", "terms")
+    __slots__ = ("id", "n_members", "sum_x", "created_at")
 
     def __init__(self, cluster_id: int, created_at: int) -> None:
         self.id = int(cluster_id)
         self.n_members = 0
         self.sum_x = 0
         self.created_at = int(created_at)
-        self.terms: tuple = ()
 
 
 @dataclass
@@ -158,10 +152,11 @@ class MixtureState:
     """Assignments, per-cluster statistics, and hyperparameters of the mixture.
 
     A state is mutated by exactly one writer at a time, via ``append_datum``
-    and ``gibbs_sweep``, which keep each cluster's cached weight terms
-    current.  Cluster ids are minted from ``next_cluster_id`` and never
-    reused within a run.  All of the sampler's randomness comes from
-    ``rng``, so the state document always records the stream position.
+    and ``gibbs_sweep``.  It holds each cluster's ``(n, s)`` and nothing
+    derived from them: weights are computed where they are taken.  Cluster
+    ids are minted from ``next_cluster_id`` and never reused within a run.
+    All of the sampler's randomness comes from ``rng``, so the state
+    document always records the stream position.
     """
 
     hyper: Hyperparams
@@ -170,10 +165,6 @@ class MixtureState:
     clusters: dict[int, ClusterStats] = field(default_factory=dict)
     rng: UniformStream = field(default_factory=lambda: UniformStream(0))
     next_cluster_id: int = 0
-
-    def __post_init__(self) -> None:
-        # The empty-component route: log(alpha) + log NB(x; a, b/(b+1)).
-        self._new_terms = _terms(math.log(self.hyper.alpha), 0, 0, self.hyper.base)
 
     @classmethod
     def empty(cls, hyper: Hyperparams, rng_seed: int = 0) -> "MixtureState":
@@ -200,13 +191,6 @@ class MixtureState:
         self.next_cluster_id += 1
         return cluster
 
-    def _set_stats(self, cluster: ClusterStats, n_members: int, sum_x: int) -> None:
-        """Set a cluster's statistics and refresh its cached weight terms."""
-        cluster.n_members = n_members
-        cluster.sum_x = sum_x
-        if n_members > 0:
-            cluster.terms = _terms(math.log(n_members), n_members, sum_x, self.hyper.base)
-
     def append_datum(self, x: int, cluster_id: int | None) -> int:
         """Append a datum assigned to ``cluster_id`` (None mints a cluster).
 
@@ -217,7 +201,8 @@ class MixtureState:
         target = self.mint_cluster() if cluster_id is None else self.clusters[cluster_id]
         self.data.append(int(x))
         self.assignments.append(target.id)
-        self._set_stats(target, target.n_members + 1, target.sum_x + int(x))
+        target.n_members += 1
+        target.sum_x += int(x)
         return target.id
 
 
@@ -230,8 +215,14 @@ def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None
     """
     x = int(x)
     lgamma_x1 = math.lgamma(x + 1)
-    out = [(k, _log_weight(c.terms, x, lgamma_x1)) for k, c in state.clusters.items()]
-    out.append((None, _log_weight(state._new_terms, x, lgamma_x1)))
+    base = state.hyper.base
+    out = []
+    for k, c in state.clusters.items():
+        terms = _terms(math.log(c.n_members), c.n_members, c.sum_x, base)
+        out.append((k, _log_weight(terms, x, lgamma_x1)))
+    # The empty-component route: log(alpha) + log NB(x; a, b/(b+1)).
+    terms = _terms(math.log(state.hyper.alpha), 0, 0, base)
+    out.append((None, _log_weight(terms, x, lgamma_x1)))
     return out
 
 
@@ -250,23 +241,6 @@ def _scan(raw: Sequence[float], target: float) -> int:
         if target < acc:
             return i
     return len(raw) - 1
-
-
-def greedy_pick(weights: Sequence[tuple[int | None, float]]) -> int | None:
-    """Highest-weight key; ties resolved toward the lowest cluster id.
-
-    The NEW route (key ``None``) loses ties against any retained cluster.
-    """
-    best_key: int | None = None
-    best_w = -math.inf
-    for key, w in weights:
-        if w > best_w:
-            best_key, best_w = key, w
-        elif w == best_w and best_key is None and key is not None:
-            best_key = key
-        elif w == best_w and key is not None and best_key is not None and key < best_key:
-            best_key = key
-    return best_key
 
 
 def gibbs_sweep(
@@ -293,8 +267,9 @@ def gibbs_sweep(
     Two sweep-local tables skip work whose result is already known, and
     both are exact.  ``rows`` maps a cluster statistic ``(n, s)`` to its
     ``_terms`` tuple and a ``{x: log weight}`` memo (NEW has its own memo):
-    a log weight is a pure function of ``(n, s, x)``.  ``steps`` maps
-    ``(slot left, x)`` to that step's log weights, cumulative weights,
+    a log weight is a pure function of ``(n, s, x)``, so the table starts
+    from the live clusters' statistics and ends with the sweep.  ``steps``
+    maps ``(slot left, x)`` to that step's log weights, cumulative weights,
     total, probabilities and detached row: a datum that returns to the
     cluster it left (a stay) leaves the state as it found it, so until the
     next flip clears the table the same key meets the same weights.  The
@@ -305,10 +280,7 @@ def gibbs_sweep(
     base = state.hyper.base
     exp, log = math.exp, math.log
     lgamma_x1 = {x: math.lgamma(x + 1) for x in set(data)}
-    rows = {(c.n_members, c.sum_x): (c.terms, {}) for c in clusters.values()}
-    ids: list[int | None] = [*clusters, None]
-    stats = list(clusters.values())
-    slots = [rows[c.n_members, c.sum_x] for c in stats] + [(state._new_terms, {})]
+    rows: dict = {}
     steps: dict = {}
 
     def row(n: int, s: int) -> tuple:
@@ -316,6 +288,11 @@ def gibbs_sweep(
         return rows[key] if key in rows else rows.setdefault(
             key, (_terms(log(n), n, s, base), {})
         )
+
+    ids: list[int | None] = [*clusters, None]
+    stats = list(clusters.values())
+    new_route = (_terms(log(state.hyper.alpha), 0, 0, base), {})
+    slots = [row(c.n_members, c.sum_x) for c in stats] + [new_route]
 
     uniforms = state.rng.take(len(data))
     joint, flips = 0.0, 0
@@ -372,8 +349,6 @@ def gibbs_sweep(
         cluster.n_members, cluster.sum_x = n, s
         slots[idx] = row(n, s)
         assignments[i] = cluster.id
-    for cluster, (terms, _) in zip(stats, slots):
-        cluster.terms = terms
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips
@@ -527,7 +502,7 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
     )
     for row in sorted(doc["clusters"], key=lambda r: r["id"]):
         cluster = ClusterStats(row["id"], row["created_at"])
-        state._set_stats(cluster, int(row["n_members"]), int(row["sum_x"]))
+        cluster.n_members, cluster.sum_x = int(row["n_members"]), int(row["sum_x"])
         state.clusters[cluster.id] = cluster
     if not audit(state):
         raise ValueError("state document is inconsistent with the supplied data")

@@ -28,8 +28,6 @@ from .dppmm import (
     _scan,
     assignment_log_weights,
     gibbs_sweep,
-    greedy_pick,
-    posterior_mean_rate,
 )
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "ClusterTrack",
     "AlarmEvent",
     "update_tracks",
-    "top_clusters_by_rate",
     "StreamMonitor",
 ]
 
@@ -159,7 +156,9 @@ def observe(
             gibbs_sweep(state)
             assigned = state.assignments[-1]
         else:
-            assigned = state.append_datum(int(x), greedy_pick(weights))
+            # Clusters come in ascending id order and NEW last, so the first
+            # maximum is the oldest of tied clusters, and NEW wins no tie.
+            assigned = state.append_datum(int(x), max(weights, key=lambda kw: kw[1])[0])
 
     alarms = [
         AlarmEvent(
@@ -268,22 +267,6 @@ def update_tracks(
     while len(history) > lag:
         history.popleft()
     return alarms
-
-
-def top_clusters_by_rate(state: MixtureState, m: int) -> list[int]:
-    """Ids of the ``m`` clusters with the highest posterior-mean count rate.
-
-    Fewer ids are returned when fewer clusters exist; ties break toward
-    the lower id.
-    """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    base = state.hyper.base
-    ranked = sorted(
-        state.clusters.values(),
-        key=lambda c: (-posterior_mean_rate(c, base), c.id),
-    )
-    return [c.id for c in ranked[:m]]
 
 
 class StreamMonitor:

@@ -89,11 +89,6 @@ class Waveform:
     def span(self, start: int, end: int) -> np.ndarray:
         return self.samples[start:end]
 
-    @property
-    def duration(self) -> float:
-        """Signal length in seconds."""
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:

@@ -4,8 +4,11 @@ Each step is written out once, from the public weights of ``aeburst.dppmm``:
 detach a datum from its cluster, draw its assignment from the
 leave-one-out weights with one uniform, and attach it again.  The fused
 kernel must reproduce these steps exactly, so the tests compare the two
-with ``==``.
+with ``==``.  ``greedy_pick`` is the reference for ``observe``'s greedy
+path: an argmax whose tie rules do not depend on the order of its input.
 """
+
+import math
 
 from aeburst.dppmm import (
     MixtureState,
@@ -24,7 +27,8 @@ def detach_datum(state: MixtureState, index: int) -> int:
     """
     k = state.assignments[index]
     cluster = state.clusters[k]
-    state._set_stats(cluster, cluster.n_members - 1, cluster.sum_x - state.data[index])
+    cluster.n_members -= 1
+    cluster.sum_x -= state.data[index]
     if cluster.n_members == 0:
         del state.clusters[k]
     return k
@@ -33,9 +37,27 @@ def detach_datum(state: MixtureState, index: int) -> int:
 def attach_datum(state: MixtureState, index: int, cluster_id: int | None) -> int:
     """Re-attach datum ``index`` to a cluster (None mints a fresh one)."""
     target = state.mint_cluster() if cluster_id is None else state.clusters[cluster_id]
-    state._set_stats(target, target.n_members + 1, target.sum_x + state.data[index])
+    target.n_members += 1
+    target.sum_x += state.data[index]
     state.assignments[index] = target.id
     return target.id
+
+
+def greedy_pick(weights):
+    """Highest-weight key; ties resolved toward the lowest cluster id.
+
+    The NEW route (key ``None``) loses ties against any retained cluster.
+    """
+    best_key = None
+    best_w = -math.inf
+    for key, w in weights:
+        if w > best_w:
+            best_key, best_w = key, w
+        elif w == best_w and best_key is None and key is not None:
+            best_key = key
+        elif w == best_w and key is not None and best_key is not None and key < best_key:
+            best_key = key
+    return best_key
 
 
 def normalize_log_weights(weights):

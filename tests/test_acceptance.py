@@ -19,6 +19,7 @@ from aeburst.distributions import GammaParams, nb_log_pmf, predictive_update
 from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
+    _terms,
     assignment_log_weights,
     fit,
     gibbs_sweep,
@@ -415,7 +416,8 @@ def test_ac6_crp_normalisation():
     """crp_prior and the normalised assignment weights sum to one within
     1e-12 on 1e3 randomised states, and every crp_prior entry equals the
     prior mass ``exp(terms[0]) / (alpha + N - 1)`` that the sampler's own
-    weight terms carry once the datum is held out."""
+    weight terms, computed from each route's (n, s), carry once the datum
+    is held out."""
     rng = np.random.default_rng(99)
     worst_prior = 0.0
     worst_weights = 0.0
@@ -439,7 +441,11 @@ def test_ac6_crp_normalisation():
         detach_datum(state, excluding)
         denom = state.hyper.alpha + len(state.data) - 1
         for key, p in prior:
-            terms = state._new_terms if key is None else state.clusters[key].terms
+            if key is None:
+                terms = _terms(math.log(state.hyper.alpha), 0, 0, state.hyper.base)
+            else:
+                n, s = state.clusters[key].n_members, state.clusters[key].sum_x
+                terms = _terms(math.log(n), n, s, state.hyper.base)
             worst_terms = max(worst_terms, abs(p - math.exp(terms[0]) / denom))
     assert worst_prior <= 1e-12
     assert worst_weights <= 1e-12

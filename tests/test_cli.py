@@ -2,12 +2,12 @@
 
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from aeburst.cli import _nll_csv, build_parser, cli
+from aeburst.cli import _nll_csv, _write_json, build_parser, cli
 from aeburst.config import PipelineConfig
 from aeburst.detector import score, train_background
 import aeburst.io as aeio
@@ -595,14 +595,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_config_file_round_trip(self, tmp_path):
-        from aeburst.config import PipelineConfig
-
         config = PipelineConfig(alpha=3.5, sweeps=12, burn_in=3, seed=11)
         path = tmp_path / "config.json"
-        path.write_text(config.to_json())
-        loaded = PipelineConfig.from_json_file(path)
-        assert loaded == config
-        assert loaded.to_json() == config.to_json()
+        path.write_text(json.dumps(asdict(config)))
+        assert PipelineConfig.from_json_file(path) == config
+
+    def test_json_outputs_refuse_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(str(tmp_path / "e.json"), {"flag_threshold": float("nan")})
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("text", ["5", "null", "[]"])
     def test_config_that_is_not_an_object_is_data_error(self, tmp_path, capsys, text):
@@ -652,14 +653,14 @@ PARSER_SNAPSHOT = {
         (("--seed",), "int", None, None, False),
         (("--input",), None, None, None, True),
         (("--format",), None, ("csv", "raw_f32_le", "raw_i16_le"), "raw_f32_le", False),
-        (("--sample-rate",), "float", None, None, False),
+        (("--sample-rate",), "_positive_float", None, None, False),
         (("--window",), "int", None, None, False),
         (("--overlap",), "float", None, None, False),
         (("--threshold-kind",), None, ("percentile", "fixed"), None, False),
         (("--threshold-value",), "float", None, None, False),
         (("--prior-shape",), "float", None, None, False),
         (("--prior-rate",), "float", None, None, False),
-        (("--train-windows",), None, None, None, False),
+        (("--train-windows",), "_window_range", None, None, False),
         (("--train-count",), "_positive_int", None, 20, False),
         (("--nll-out",), None, None, None, True),
         (("--events-out",), None, None, None, True),
@@ -669,7 +670,7 @@ PARSER_SNAPSHOT = {
         (("--seed",), "int", None, None, False),
         (("--input",), None, None, None, True),
         (("--format",), None, ("csv", "raw_f32_le", "raw_i16_le"), "raw_f32_le", False),
-        (("--sample-rate",), "float", None, None, False),
+        (("--sample-rate",), "_positive_float", None, None, False),
         (("--window",), "int", None, None, False),
         (("--overlap",), "float", None, None, False),
         (("--threshold-kind",), None, ("percentile", "fixed"), None, False),
@@ -691,7 +692,7 @@ PARSER_SNAPSHOT = {
         (("--alpha",), "float", None, None, False),
         (("--prior-shape",), "float", None, None, False),
         (("--prior-rate",), "float", None, None, False),
-        (("--threshold-volts",), "float", None, None, False),
+        (("--threshold-volts",), "_finite_float", None, None, False),
         (("--alarms-out",), None, None, None, True),
         (("--tracks-out",), None, None, None, True),
         (("--state-out",), None, None, None, False),
@@ -702,9 +703,9 @@ PARSER_SNAPSHOT = {
         (("--seed",), "int", None, None, False),
         (("--input",), None, None, None, True),
         (("--format",), None, ("csv", "raw_f32_le", "raw_i16_le"), "raw_f32_le", False),
-        (("--sample-rate",), "float", None, None, False),
+        (("--sample-rate",), "_positive_float", None, None, False),
         (("--events",), None, None, None, True),
-        (("--threshold-volts",), "float", None, None, True),
+        (("--threshold-volts",), "_finite_float", None, None, True),
         (("--out",), None, None, None, True),
     ],
 }
@@ -769,6 +770,44 @@ class TestParserSnapshot:
             err = capsys.readouterr().err
             assert err.startswith("usage error: ")
             assert "seed" in err or "positive integer" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["detect", "--train-windows", "5:3"],
+            ["detect", "--train-windows=-1:3"],
+            ["detect", "--sample-rate", "0"],
+            ["detect", "--sample-rate", "-1"],
+            ["detect", "--sample-rate", "nan"],
+            ["detect", "--threshold-kind", "fixed", "--threshold-value", "nan"],
+            ["monitor", "--threshold-volts", "nan"],
+            ["features", "--threshold-volts", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_at_fault_is_usage_error(self, lead_break_files, tmp_path, capsys, flags):
+        wave, ann = lead_break_files
+        hits_path = tmp_path / "hits.bin"
+        write_hits(
+            hits_path,
+            synthesize_hit_stream(HitStreamSpec(n_hits=5, record_length=128, pretrigger=10)),
+        )
+        before = sorted(p.name for p in tmp_path.iterdir())
+        command, *rest = flags
+        argv = {
+            "detect": ["--input", str(wave), "--sample-rate", "1e6",
+                       "--nll-out", str(tmp_path / "n.csv"),
+                       "--events-out", str(tmp_path / "e.json")],
+            "monitor": ["--hits", str(hits_path), "--threshold-volts", "0.05",
+                        "--alarms-out", str(tmp_path / "a.jsonl"),
+                        "--tracks-out", str(tmp_path / "t.csv")],
+            "features": ["--input", str(wave), "--sample-rate", "1e6", "--events", str(ann),
+                         "--threshold-volts", "0.03", "--out", str(tmp_path / "f.jsonl")],
+        }[command]
+        # The flag under test comes last, so it overrides the default above.
+        assert cli([command, *argv, *rest]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_out_of_range_config_flags_are_usage_errors(
@@ -837,6 +876,12 @@ MALFORMED_CONFIGS = [
     ("monitor", {"keep_ratio": "0.5"}),
     ("monitor", {"seed": -1}),
     ("cluster", {"sweeps": -3}),
+    ("monitor", {"alarm_min_history": 0}),
+    ("monitor", {"alarm_lag": 5}),
+    ("monitor", {"step_factor": 0.0}),
+    ("monitor", {"step_factor": float("inf")}),
+    ("cluster", {"flag_margin": float("nan")}),
+    ("monitor", {"threshold_kind": "fixed", "threshold_value": float("nan")}),
 ]
 
 

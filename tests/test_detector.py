@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from aeburst.detector import (
-    BackgroundModel,
     flag_events,
     pick_noise_training,
     score,
     train_background,
 )
-from aeburst.distributions import GammaParams, NBParams, nb_pmf, nll
+from aeburst.distributions import GammaParams, NBParams, nb_log_pmf, nll
 from aeburst.synth import BurstSpec, SynthSpec, synthesize
 from aeburst.windowing import ThresholdPolicy, WindowSpec, extract_counts
 
@@ -57,12 +56,6 @@ class TestTrainBackground:
         assert model.n_train == 3
         assert model.sum_train == 6
 
-    def test_prior_only_constructor(self):
-        model = BackgroundModel.from_prior(GammaParams(2, 5))
-        assert model.predictive.r == 2
-        assert model.predictive.p == pytest.approx(5 / 6)
-        assert model.n_train == 0
-
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             train_background(UNIT_PRIOR, [])
@@ -95,7 +88,7 @@ class TestScore:
 
     def test_mode_minimises_nll(self):
         model = train_background(UNIT_PRIOR, [4, 5, 4, 6, 5, 5])
-        mode = max(range(0, 50), key=lambda x: nb_pmf(x, model.predictive))
+        mode = max(range(0, 50), key=lambda x: nb_log_pmf(x, model.predictive))
         trace = self._trace(list(range(0, 50)), model)
         assert int(np.argmin(trace.nlls)) == mode
 

@@ -15,20 +15,15 @@ from scipy import stats
 from aeburst.distributions import (
     GammaParams,
     NBParams,
-    gamma_posterior,
     nb_log_pmf,
-    nb_pmf,
     nll,
-    poisson_pmf,
     predictive_update,
 )
 
 
-def mp_poisson_pmf(x: int, lam: float) -> float:
-    """Arbitrary-precision Poisson mass."""
-    with mpmath.workdps(60):
-        lam = mpmath.mpf(lam)
-        return float(mpmath.exp(-lam) * lam**x / mpmath.factorial(x))
+def nb_pmf(x: int, params: NBParams) -> float:
+    """Negative-binomial mass, exponentiated from the library's log mass."""
+    return math.exp(nb_log_pmf(x, params))
 
 
 def mp_nb_pmf(x: int, r: float, p: float) -> float:
@@ -49,79 +44,6 @@ def quadrature_predictive(x: int, prior: GammaParams, n_obs: int, sum_x: int) ->
     log_pois = x * np.log(lam) - lam - math.lgamma(x + 1)
     integrand = np.exp(log_pois) * posterior.pdf(lam)
     return float(np.trapezoid(integrand, lam))
-
-
-class TestPoissonPmf:
-    def test_zero_count_reduces_to_exp(self):
-        assert poisson_pmf(0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_unit_rate_count_one(self):
-        assert poisson_pmf(1, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_frozen_oracle_value(self):
-        # mpmath: 4.5 * exp(-3)
-        assert poisson_pmf(2, 3.0) == pytest.approx(0.22404180765538775, rel=1e-12)
-
-    def test_matches_high_precision_on_grid(self):
-        for lam in (0.1, 1.0, 7.3, 80.0):
-            for x in (0, 1, 5, 40, 200):
-                assert poisson_pmf(x, lam) == pytest.approx(
-                    mp_poisson_pmf(x, lam), rel=1e-10
-                )
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(1, 0.0)
-        with pytest.raises(ValueError):
-            poisson_pmf(1, -2.0)
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(-1, 1.0)
-
-    def test_normalises_over_truncated_support(self):
-        for lam in (0.5, 2.0, 10.0, 60.0):
-            x_max = int(lam + 40 * math.sqrt(lam) + 40)
-            total = sum(poisson_pmf(x, lam) for x in range(x_max + 1))
-            assert mp_poisson_pmf(x_max, lam) < 1e-12  # tail is negligible
-            assert total == pytest.approx(1.0, abs=1e-9)
-
-
-class TestGammaPosterior:
-    def test_empty_data_is_identity(self):
-        prior = GammaParams(1.0, 1.0)
-        assert gamma_posterior(prior, []) == prior
-
-    def test_hand_applied_update(self):
-        assert gamma_posterior(GammaParams(1, 1), [3, 5]) == GammaParams(9, 3)
-
-    def test_zero_counts_update_rate_only(self):
-        assert gamma_posterior(GammaParams(2, 3), [0, 0, 0]) == GammaParams(2, 6)
-
-    def test_update_composes_exactly(self):
-        prior = GammaParams(0.7, 2.5)
-        a, b = [4, 0, 9], [1, 1, 7, 2]
-        combined = gamma_posterior(prior, a + b)
-        stepwise = gamma_posterior(gamma_posterior(prior, a), b)
-        assert combined == stepwise
-
-    def test_gridded_bayes_rule_oracle(self):
-        # Posterior density on a grid must match the closed-form update.
-        prior = GammaParams(1.0, 1.0)
-        data = [3, 5]
-        post = gamma_posterior(prior, data)
-        lam = np.linspace(1e-6, 40.0, 200_001)
-        log_like = sum(x * np.log(lam) - lam - math.lgamma(x + 1) for x in data)
-        unnorm = np.exp(log_like) * stats.gamma(a=1, scale=1).pdf(lam)
-        unnorm /= np.trapezoid(unnorm, lam)
-        expected = stats.gamma(a=post.shape, scale=1.0 / post.rate).pdf(lam)
-        assert np.max(np.abs(unnorm - expected)) < 1e-6
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            GammaParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            GammaParams(1.0, -1.0)
 
 
 class TestPredictiveUpdate:
@@ -148,6 +70,12 @@ class TestPredictiveUpdate:
     def test_sum_x_requires_observations(self):
         with pytest.raises(ValueError):
             predictive_update(GammaParams(1, 1), 0, 3)
+
+    def test_prior_invariants_enforced(self):
+        with pytest.raises(ValueError):
+            GammaParams(0.0, 1.0)
+        with pytest.raises(ValueError):
+            GammaParams(1.0, -1.0)
 
 
 class TestNbPmf:

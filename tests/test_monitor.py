@@ -16,7 +16,6 @@ from aeburst.monitor import (
     entropy,
     information_efficiency,
     observe,
-    top_clusters_by_rate,
     update_tracks,
 )
 
@@ -250,39 +249,6 @@ class TestUpdateTracks:
         tracks = {}
         alarms = update_tracks(tracks, 5, 0, count=1, energy=100.0)
         assert alarms == []  # no baseline yet
-
-
-class TestTopClustersByRate:
-    def test_single_cluster(self):
-        state = homogeneous_state(size=10)
-        only = next(iter(state.clusters))
-        assert top_clusters_by_rate(state, 4) == [only]
-
-    def test_rate_ordering(self):
-        state = MixtureState.empty(UNIT, 0)
-        slow = None
-        for x in (2, 2, 2):
-            slow = state.append_datum(x, slow)
-        fast = None
-        for x in (40, 40):
-            fast = state.append_datum(x, fast)
-        assert top_clusters_by_rate(state, 2) == [fast, slow]
-
-    def test_four_of_many_selection(self):
-        state = MixtureState.empty(UNIT, 0)
-        rates = [1, 3, 5, 8, 13, 21, 34, 55]
-        ids = []
-        for rate in rates:
-            cluster = None
-            for _ in range(10):
-                cluster = state.append_datum(rate, cluster)
-            ids.append(cluster)
-        top = top_clusters_by_rate(state, 4)
-        assert top == [ids[7], ids[6], ids[5], ids[4]]
-
-    def test_m_validated(self):
-        with pytest.raises(ValueError):
-            top_clusters_by_rate(homogeneous_state(size=3), 0)
 
 
 class TestStreamMonitor:
