@@ -35,6 +35,7 @@ from .io import (
 from .monitor import StreamMonitor, decimate
 from .segmentation import (
     average_probabilities,
+    block_features,
     build_event_records,
     extract_features,
     noise_cluster_id,
@@ -163,8 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_synth)
     p_synth.add_argument("--mode", choices=("waveform", "hits"), default="waveform")
     p_synth.add_argument("--out", required=True, help="output file")
-    p_synth.add_argument("--duration", type=float, default=0.1, help="seconds")
-    p_synth.add_argument("--sample-rate", dest="sample_rate", type=float, default=1e6)
+    p_synth.add_argument("--duration", type=_positive_float, default=0.1, help="seconds")
+    p_synth.add_argument(
+        "--sample-rate", dest="sample_rate", type=_positive_float, default=1e6
+    )
     p_synth.add_argument("--noise-sigma", type=float, default=0.01)
     p_synth.add_argument(
         "--burst", action="append", default=[], type=_parse_burst,
@@ -383,22 +386,21 @@ def _cmd_monitor(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     alarm_lines = []
     track_rows = ["time,cluster,cumulative_events,cumulative_counts,cumulative_energy"]
-    for hit in decimate(hits, config.keep_ratio):
-        features = extract_features(hit, (0, len(hit)), threshold, rectify=config.rectify)
-        alarms = monitor.process(features.count, features.energy)
-        for alarm in alarms:
-            alarm_lines.append(
-                _json_line(
-                    {
-                        "time": alarm.time,
-                        "kind": alarm.kind,
-                        "cluster": alarm.cluster_id,
-                        "magnitude": alarm.magnitude,
-                    }
+    for block in hits.blocks(decimate(range(len(hits)), config.keep_ratio)):
+        for features in block_features(block, hits.sample_rate, threshold, config.rectify):
+            for alarm in monitor.process(features.count, features.energy):
+                alarm_lines.append(
+                    _json_line(
+                        {
+                            "time": alarm.time,
+                            "kind": alarm.kind,
+                            "cluster": alarm.cluster_id,
+                            "magnitude": alarm.magnitude,
+                        }
+                    )
                 )
-            )
-        if args.snapshot_every and monitor.n_observed % args.snapshot_every == 0:
-            write_state()
+            if args.snapshot_every and monitor.n_observed % args.snapshot_every == 0:
+                write_state()
     for cluster_id in sorted(monitor.tracks):
         track = monitor.tracks[cluster_id]
         for t, ev, ct, en in zip(

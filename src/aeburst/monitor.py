@@ -224,12 +224,14 @@ def update_tracks(
 
     A ``growth_step`` alarm fires when the energy increment exceeds
     ``step_factor`` times the cluster's trailing median increment over the
-    last ``lag`` hits; at least ``min_history`` prior increments are
-    required before the test arms, so young clusters cannot alarm off an
-    empty baseline.
+    last ``lag`` hits; at least ``min_history`` prior increments, and never
+    fewer than one, are required before the test arms, so young clusters
+    cannot alarm off an empty baseline.
     """
     if energy < 0:
         raise ValueError(f"energy must be non-negative, got {energy}")
+    if min_history < 1:
+        raise ValueError(f"min_history must be at least 1, got {min_history}")
     track = tracks.get(cluster_id)
     if track is None:
         track = ClusterTrack(cluster_id=cluster_id)
@@ -296,6 +298,8 @@ class StreamMonitor:
         min_survivors: int = 2,
         warmup: int = 50,
     ) -> None:
+        if min_history < 1:
+            raise ValueError(f"min_history must be at least 1, got {min_history}")
         self.state = state
         self.tracks: dict[int, ClusterTrack] = {}
         self.step_factor = step_factor

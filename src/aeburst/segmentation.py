@@ -7,7 +7,8 @@ share their windows, so the average is held once per cell and memory
 follows the window count, not the recording length.  Maximal runs where
 the non-noise probability clears a minimum become events, and each event
 slice yields the classic AE features: ringdown count, peak amplitude,
-rise time, duration, and energy.
+rise time, duration, and energy.  Features are computed for a block of
+equal-length rows at once, along axis 1; one event is the one-row block.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dppmm import MixtureState, posterior_mean_rate
-from .windowing import Recording, WindowSpec, count_crossings, runs
+from .windowing import Recording, WindowSpec, runs
 
 __all__ = [
     "SampleProbabilityField",
@@ -25,6 +26,7 @@ __all__ = [
     "EventRecord",
     "average_probabilities",
     "segment_events",
+    "block_features",
     "extract_features",
     "noise_cluster_id",
     "build_event_records",
@@ -187,48 +189,57 @@ def segment_events(
     return events
 
 
+def block_features(
+    rows: np.ndarray, sample_rate: float, threshold: float, rectify: bool = True
+) -> list[WaveformFeatures]:
+    """AE features of every row of a 2-D block, computed along axis 1.
+
+    Count is the number of upward threshold crossings, a row that opens
+    above threshold counting one; duration spans the first to the last
+    above-threshold sample; rise time runs from the first above-threshold
+    sample to the absolute peak (the first, if tied); energy is the sum of
+    squared voltages divided by the sample rate.  A row that never crosses
+    the threshold reports count 0 with zero rise time and duration, but
+    energy is still computed.
+    """
+    magnitude = np.abs(rows)
+    above = (magnitude if rectify else rows) > threshold
+    counts = np.count_nonzero(above[:, 1:] & ~above[:, :-1], axis=1) + above[:, 0]
+    crossed = counts > 0
+    first = above.argmax(axis=1)
+    last = rows.shape[1] - 1 - above[:, ::-1].argmax(axis=1)
+    rise = np.where(crossed, magnitude.argmax(axis=1) - first, 0) / sample_rate
+    duration = np.where(crossed, last - first, 0) / sample_rate
+    energy = np.sum(rows * rows, axis=1) / sample_rate
+    return [
+        WaveformFeatures(*row)
+        for row in zip(
+            counts.tolist(),
+            magnitude.max(axis=1).tolist(),
+            rise.tolist(),
+            duration.tolist(),
+            energy.tolist(),
+        )
+    ]
+
+
 def extract_features(
     waveform: Recording,
     event: tuple[int, int],
     threshold: float,
     rectify: bool = True,
 ) -> WaveformFeatures:
-    """AE features of one event slice.
+    """AE features of one event slice: ``block_features`` of one row.
 
-    Count is the number of upward threshold crossings; duration spans the
-    first to the last above-threshold sample; rise time runs from the
-    first above-threshold sample to the absolute peak; energy is the sum
-    of squared voltages divided by the sample rate.  A slice that never
-    crosses the threshold reports count 0 with zero rise time and
-    duration, but energy is still computed.  Only the event's samples are
-    read from the recording.
+    Only the event's samples are read from the recording.
     """
     start, end = event
     if not 0 <= start < end <= len(waveform):
         raise ValueError(f"event ({start}, {end}) outside waveform of {len(waveform)}")
-    v = waveform.span(start, end)
-    magnitude = np.abs(v)
-    observed = magnitude if rectify else v
-    count = count_crossings(v, threshold, rectify)
-    energy = float(np.sum(v * v)) / waveform.sample_rate
-    peak = float(magnitude.max())
-    above = np.flatnonzero(observed > threshold)
-    if above.size == 0:
-        return WaveformFeatures(
-            count=0, peak_amplitude=peak, rise_time=0.0, duration=0.0, energy=energy
-        )
-    first = int(above[0])
-    last = int(above[-1])
-    peak_index = int(np.argmax(magnitude))
-    rise_time = (peak_index - first) / waveform.sample_rate
-    duration = (last - first) / waveform.sample_rate
-    return WaveformFeatures(
-        count=count,
-        peak_amplitude=peak,
-        rise_time=rise_time,
-        duration=duration,
-        energy=energy,
+    (features,) = block_features(
+        waveform.span(start, end)[None, :], waveform.sample_rate, threshold, rectify
     )
+    return features
 
 
 def noise_cluster_id(state: MixtureState) -> int:

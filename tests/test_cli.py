@@ -75,6 +75,28 @@ class TestSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sample-rate", "0"],
+            ["--sample-rate", "-1e6"],
+            ["--sample-rate", "inf"],
+            ["--duration", "nan"],
+            ["--duration", "0"],
+            ["--mode", "hits", "--n-hits", "5", "--sample-rate", "0"],
+            ["--mode", "hits", "--n-hits", "5", "--sample-rate", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_rate_or_duration_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.bin"
+        code = cli(["synth", "--out", str(out), *flags])
+        assert code == 1
+        flag = flags[-2]
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDetect:
     def test_emits_trace_and_intervals(self, lead_break_files, tmp_path):
         wave, ann = lead_break_files
@@ -637,8 +659,8 @@ PARSER_SNAPSHOT = {
         (("--seed",), "int", None, None, False),
         (("--mode",), None, ("waveform", "hits"), "waveform", False),
         (("--out",), None, None, None, True),
-        (("--duration",), "float", None, 0.1, False),
-        (("--sample-rate",), "float", None, 1000000.0, False),
+        (("--duration",), "_positive_float", None, 0.1, False),
+        (("--sample-rate",), "_positive_float", None, 1000000.0, False),
         (("--noise-sigma",), "float", None, 0.01, False),
         (("--burst",), "_parse_burst", None, [], False),
         (("--annotations-out",), None, None, None, False),

@@ -250,6 +250,15 @@ class TestUpdateTracks:
         alarms = update_tracks(tracks, 5, 0, count=1, energy=100.0)
         assert alarms == []  # no baseline yet
 
+    @pytest.mark.parametrize("min_history", [0, -1])
+    def test_min_history_below_one_rejected(self, min_history):
+        tracks = {}
+        with pytest.raises(ValueError, match="min_history"):
+            update_tracks(tracks, 0, 0, 3, 1.0, min_history=min_history)
+        assert tracks == {}
+        with pytest.raises(ValueError, match="min_history"):
+            StreamMonitor(MixtureState.empty(UNIT, 0), min_history=min_history)
+
 
 class TestStreamMonitor:
     def test_transient_cluster_never_confirms(self):
