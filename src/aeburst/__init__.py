@@ -13,7 +13,6 @@ from .windowing import (
     Waveform,
     WindowSpec,
     WindowedCounts,
-    count_crossings,
     extract_counts,
     resolve_threshold,
 )

@@ -324,7 +324,7 @@ def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = []
     if result.state.clusters:
         field = average_probabilities(
-            result.mean_probabilities, windowed.spec, len(waveform)
+            result.mean_probabilities, windowed.spec, len(waveform), result.columns
         )
         noise = noise_cluster_id(result.state)
         records = build_event_records(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -53,6 +54,7 @@ __all__ = [
     "MixtureState",
     "UniformStream",
     "FitResult",
+    "ProbabilitySums",
     "assignment_log_weights",
     "gibbs_sweep",
     "fit",
@@ -243,11 +245,100 @@ def _scan(raw: Sequence[float], target: float) -> int:
     return len(raw) - 1
 
 
+class ProbabilitySums:
+    """Per-datum sums of normalised assignment probabilities over sweeps.
+
+    ``by_key`` holds one float64 array of length N per key (stable cluster
+    id, or ``None`` for NEW), made the first time the key is live at some
+    datum's step; at a step where the key is not live it receives exact
+    ``0.0``, so every sum is the one a dict per datum would hold.
+    ``first_seen`` records, per key, the first datum whose step had it live
+    and the first added sweep in which that datum did, which is all
+    ``columns`` needs to order the keys.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.sweeps = 0
+        self.by_key: dict[int | None, np.ndarray] = {}
+        self.first_seen: dict[int | None, tuple[int, int]] = {}
+
+    def add_sweep(
+        self,
+        keys: list,
+        groups: list[tuple[int, list[int]]],
+        raw: array,
+        totals: array,
+        used: list[int],
+    ) -> None:
+        """Add one sweep's probabilities, held as ``gibbs_sweep`` leaves them.
+
+        The sweep's entries are numbered in the order they were made; entry
+        ``e`` has total ``totals[e]`` and its raw weights are the next
+        ``len(cols)`` values of ``raw``, one per column of ``cols``, a row of
+        ``keys``.  ``groups`` lists ``(first entry, cols)`` each time the
+        columns changed, and ``used[i]`` is the entry datum ``i`` drew from.
+        """
+        drawn = np.array(used, dtype=np.intp)
+        values, totals = np.frombuffer(raw), np.frombuffer(totals)
+        probs = np.zeros((totals.size, len(keys)))
+        starts = [start for start, _ in groups]
+        # An entry is made by the first datum that draws from it, after every
+        # entry numbered below it, so a group's first datum is a search.
+        makers = np.searchsorted(np.maximum.accumulate(drawn), starts).tolist()
+        stops = starts[1:] + [totals.size]
+        first_datum: dict[int, int] = {}
+        offset = 0
+        for (start, cols), stop, maker in zip(groups, stops, makers):
+            if stop == start:
+                continue
+            end = offset + (stop - start) * len(cols)
+            block = values[offset:end].reshape(stop - start, len(cols))
+            probs[start:stop, cols] = block / totals[start:stop, None]
+            offset = end
+            for c in cols:
+                first_datum.setdefault(c, maker)
+        for c, datum in first_datum.items():
+            key, row = keys[c], probs[drawn, c]
+            if key in self.by_key:
+                self.by_key[key] += row
+                if datum < self.first_seen[key][0]:
+                    self.first_seen[key] = (datum, self.sweeps)
+            else:
+                self.by_key[key] = row  # 0.0 + p is p
+                self.first_seen[key] = (datum, self.sweeps)
+        self.sweeps += 1
+
+    def columns(self) -> list[int | None]:
+        """Keys in the order a scan of per-datum dicts would first meet them.
+
+        Datum by datum, then in insertion order within a datum: by the sweep
+        that first had the key live there, then in the step's own key order,
+        which is ascending id with ``None`` last.
+        """
+        return sorted(
+            self.by_key,
+            key=lambda k: (*self.first_seen[k], math.inf if k is None else k),
+        )
+
+    def mean(self) -> tuple[np.ndarray, list[int | None]]:
+        """The ``(N, C)`` mean over the added sweeps and its ``columns``.
+
+        Each key's sum is released as its column is written, so the peak is
+        one ``N x C`` float64 array plus one column; the sums are consumed.
+        """
+        columns = self.columns()
+        out = np.empty((self.n, len(columns)))
+        for column, key in zip(out.T, columns):
+            np.divide(self.by_key.pop(key), self.sweeps, out=column)
+        return out, columns
+
+
 def gibbs_sweep(
     state: MixtureState,
     *,
     diagnostics: dict | None = None,
-    accumulate: list[dict[int | None, float]] | None = None,
+    accumulate: ProbabilitySums | None = None,
 ) -> MixtureState:
     """One full sweep: every datum resampled once, in data order.
 
@@ -257,9 +348,9 @@ def gibbs_sweep(
     over slot lists of the live clusters plus NEW, in creation order, with
     the N uniforms taken from ``state.rng`` in one batch; the step-by-step
     reference it must match exactly is ``tests/sampler_oracle.py``.
-    Returns the updated state.  Given ``accumulate`` (one dict per datum),
-    each datum's normalised assignment probabilities are added into its
-    dict, keyed by stable cluster id (``None`` for NEW).  Given
+    Returns the updated state.  Given ``accumulate``, each datum's
+    normalised assignment probabilities, keyed by stable cluster id
+    (``None`` for NEW), are added into it after the sweep.  Given
     ``diagnostics``, records ``joint_log_weight`` (the sum of the
     chosen entries' unnormalised log weights) and ``flips`` (number of
     assignments that changed).
@@ -270,11 +361,18 @@ def gibbs_sweep(
     a log weight is a pure function of ``(n, s, x)``, so the table starts
     from the live clusters' statistics and ends with the sweep.  ``steps``
     maps ``(slot left, x)`` to that step's log weights, cumulative weights,
-    total, probabilities and detached row: a datum that returns to the
+    total, detached row and entry number: a datum that returns to the
     cluster it left (a stay) leaves the state as it found it, so until the
     next flip clears the table the same key meets the same weights.  The
     draw ``bisect_right(cumulative, u * total)``, clamped to the last slot,
     is ``_scan``'s, and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
+
+    Accumulating, the sweep appends each entry's raw weights and total to
+    two float64 arrays.  ``cols`` holds the sweep-local column of each live
+    id; it is rebuilt only when an id is minted or deleted, and ``groups``
+    notes from which entry on each rebuild holds.  Each datum records one
+    int, the entry it drew from, and ``ProbabilitySums`` turns the entries
+    into ``raw / total`` rows and gathers them per datum.
     """
     data, assignments, clusters = state.data, state.assignments, state.clusters
     base = state.hyper.base
@@ -293,6 +391,9 @@ def gibbs_sweep(
     stats = list(clusters.values())
     new_route = (_terms(log(state.hyper.alpha), 0, 0, base), {})
     slots = [row(c.n_members, c.sum_x) for c in stats] + [new_route]
+    keys, cols = [*ids], list(range(len(ids)))
+    groups = [(0, cols)]
+    raws, totals, used = array("d"), array("d"), []
 
     uniforms = state.rng.take(len(data))
     joint, flips = 0.0, 0
@@ -310,6 +411,8 @@ def gibbs_sweep(
                 # An emptied cluster is deleted, so this step flips and its
                 # entry in ``steps`` is cleared at once.
                 del clusters[left], ids[j], stats[j], slots[j]
+                cols = cols[:j] + cols[j + 1 :]
+                groups.append((len(totals), cols))
                 j, detached = -1, None
             log_w = [
                 memo[x] if x in memo
@@ -321,15 +424,15 @@ def gibbs_sweep(
             top = max(log_w)
             raw = [exp(w - top) for w in log_w]
             total = sum(raw)
-            probs = None if accumulate is None else [w / total for w in raw]
             cum = list(itertools.accumulate(raw))
-            step = steps[j, x] = (log_w, cum, total, probs, detached)
-        log_w, cum, total, probs, detached = step
+            step = steps[j, x] = (log_w, cum, total, detached, len(totals))
+            if accumulate is not None:
+                raws.fromlist(raw)
+                totals.append(total)
+        log_w, cum, total, detached, entry = step
         idx = min(bisect_right(cum, uniforms[i] * total), len(cum) - 1)
         if accumulate is not None:
-            acc = accumulate[i]
-            for k, p in zip(ids, probs):
-                acc[k] = acc.get(k, 0.0) + p
+            used.append(entry)
         joint += log_w[idx]
         if idx == j:
             continue
@@ -344,11 +447,16 @@ def gibbs_sweep(
             ids.insert(idx, cluster.id)
             stats.append(cluster)
             slots.insert(idx, ())
+            cols = [*cols[:-1], len(keys), cols[-1]]
+            groups.append((len(totals), cols))
+            keys.append(cluster.id)
         cluster = stats[idx]
         n, s = cluster.n_members + 1, cluster.sum_x + x
         cluster.n_members, cluster.sum_x = n, s
         slots[idx] = row(n, s)
         assignments[i] = cluster.id
+    if accumulate is not None:
+        accumulate.add_sweep(keys, groups, raws, totals, used)
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips
@@ -359,13 +467,17 @@ def gibbs_sweep(
 class FitResult:
     """Final sampler state plus per-sweep diagnostics.
 
-    ``mean_probabilities`` averages each datum's normalised assignment
-    probabilities over post-burn-in sweeps, matched by stable cluster id;
+    ``mean_probabilities`` is an ``(N, C)`` float64 array: each datum's
+    normalised assignment probabilities averaged over post-burn-in sweeps,
+    matched by stable cluster id, with ``0.0`` where a key was not live;
     clusters that die and re-form contribute under distinct ids.
+    ``columns`` names its columns (``None`` for NEW) in the order a scan of
+    the data first meets each key, which ``average_probabilities`` sums in.
     """
 
     state: MixtureState
-    mean_probabilities: list[dict[int | None, float]]
+    mean_probabilities: np.ndarray
+    columns: list[int | None]
     cluster_counts: list[int]
     joint_log_weights: list[float]
     sweeps_run: int
@@ -394,29 +506,27 @@ def fit(
     if not data:
         return FitResult(
             state=MixtureState.empty(hyper, rng_seed),
-            mean_probabilities=[],
+            mean_probabilities=np.zeros((0, 0)),
+            columns=[],
             cluster_counts=[],
             joint_log_weights=[],
             sweeps_run=0,
         )
     state = MixtureState.init_single_cluster(data, hyper, rng_seed)
-    accumulated: list[dict[int | None, float]] = [dict() for _ in state.data]
+    sums = ProbabilitySums(len(state.data))
     cluster_counts: list[int] = []
     joint_log_weights: list[float] = []
     for sweep_idx in range(sweeps):
         diag: dict = {}
         averaging = sweep_idx >= burn_in
-        gibbs_sweep(state, diagnostics=diag, accumulate=accumulated if averaging else None)
+        gibbs_sweep(state, diagnostics=diag, accumulate=sums if averaging else None)
         cluster_counts.append(state.n_clusters)
         joint_log_weights.append(diag["joint_log_weight"])
-    averaged_sweeps = sweeps - burn_in
-    mean_probabilities = [
-        {key: total / averaged_sweeps for key, total in acc.items()}
-        for acc in accumulated
-    ]
+    mean_probabilities, columns = sums.mean()
     return FitResult(
         state=state,
         mean_probabilities=mean_probabilities,
+        columns=columns,
         cluster_counts=cluster_counts,
         joint_log_weights=joint_log_weights,
         sweeps_run=sweeps,

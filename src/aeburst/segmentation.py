@@ -14,6 +14,7 @@ equal-length rows at once, along axis 1; one event is the one-row block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -84,55 +85,51 @@ class EventRecord:
 
 
 def average_probabilities(
-    window_probs: list[dict[int | None, float]],
+    window_probs: np.ndarray,
     spec: WindowSpec,
     signal_len: int,
+    columns: Sequence[int | None],
 ) -> SampleProbabilityField:
     """Arithmetic mean of window probability vectors at every sample.
 
+    ``window_probs`` is ``(n_windows, C)``, one row per window and one
+    column per key of ``columns`` (``FitResult.mean_probabilities``).
     Window ``i`` covers samples ``[i*step, i*step + n)``.  Each covered
     sample averages the vectors of all windows containing it and is
-    renormalised against accumulated rounding; coverage is recorded.
-    Sums run over windows in index order and over keys in the order they
-    are first seen, so each cell holds exactly the value a per-sample
-    accumulation would give its samples.
+    renormalised against accumulated rounding; coverage is recorded.  The
+    windows covering a cell are consecutive, so pass ``k`` of a loop over
+    coverage depth adds each cell's ``k``-th covering window: sums run over
+    windows in index order, and the total over keys in ``columns`` order,
+    so each cell holds exactly the value a per-sample accumulation would
+    give its samples.
 
     Raises:
-        ValueError: if the number of vectors does not match the window
-            count the spec produces over ``signal_len``.
+        ValueError: if the array's shape does not match the window count the
+            spec produces over ``signal_len`` and the number of columns.
     """
     expected = spec.n_windows(signal_len)
-    if len(window_probs) != expected:
+    if window_probs.shape != (expected, len(columns)):
         raise ValueError(
-            f"got {len(window_probs)} window vectors but spec places {expected} "
-            f"windows over {signal_len} samples"
+            f"got {window_probs.shape} window probabilities for {len(columns)} keys, "
+            f"but spec places {expected} windows over {signal_len} samples"
         )
     starts = spec.window_starts(signal_len)
     ends = starts + spec.length_n
     edges = np.unique(np.concatenate(([0, signal_len], starts, ends)))
-    first_cells = np.searchsorted(edges, starts).tolist()
-    end_cells = np.searchsorted(edges, ends).tolist()
-    # One column per key, in the order keys are first seen; a key absent
-    # from a window adds 0.0 there, which leaves every sum exact.
-    columns: dict[int | None, int] = {}
-    keys = [columns.setdefault(key, len(columns)) for probs in window_probs for key in probs]
-    rows = np.zeros((expected, len(columns)))
-    rows[np.repeat(np.arange(expected), [len(probs) for probs in window_probs]), keys] = [
-        p for probs in window_probs for p in probs.values()
-    ]
-    n_cells = edges.size - 1
-    coverage = np.zeros(n_cells, dtype=np.int64)
-    sums = np.zeros((len(columns), n_cells))
-    for row, first, end in zip(rows, first_cells, end_cells):
-        coverage[first:end] += 1
-        sums[:, first:end] += row[:, None]
+    # Window w covers cell j iff starts[w] <= edges[j] < ends[w]; both ascend.
+    first = np.searchsorted(ends, edges[:-1], side="right")
+    coverage = np.searchsorted(starts, edges[:-1], side="right") - first
+    sums = np.zeros((edges.size - 1, len(columns)))
+    for depth in range(coverage.max(initial=0)):
+        cells = np.flatnonzero(coverage > depth)
+        sums[cells] += window_probs[first[cells] + depth]
     covered = coverage > 0
-    total = np.zeros(n_cells)
-    for acc in sums:
+    total = np.zeros(edges.size - 1)
+    for acc in sums.T:
         total += acc
     # Dividing by the per-cell vector sum both averages and renormalises.
-    safe_total = np.where(covered & (total > 0), total, 1.0)
-    averaged = np.where(covered, sums / safe_total, 0.0)
+    averaged = sums.T / np.where(covered & (total > 0), total, 1.0)
+    averaged[:, ~covered] = 0.0
     return SampleProbabilityField(
         edges=edges, coverage=coverage, probabilities=dict(zip(columns, averaged))
     )

@@ -32,7 +32,6 @@ __all__ = [
     "WindowSpec",
     "WindowedCounts",
     "resolve_threshold",
-    "count_crossings",
     "extract_counts",
     "runs",
 ]
@@ -285,23 +284,6 @@ def resolve_threshold(recording: Recording, policy: ThresholdPolicy) -> float:
     t = index - below
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-
-
-def count_crossings(segment: np.ndarray, threshold: float, rectify: bool = True) -> int:
-    """Number of upward threshold crossings in a segment.
-
-    A crossing is an index ``i > 0`` with ``v[i] > threshold`` and
-    ``v[i-1] <= threshold``; a segment that starts above threshold
-    contributes one crossing at index 0.
-    """
-    v = np.asarray(segment, dtype=np.float64)
-    if v.size == 0:
-        return 0
-    if rectify:
-        v = np.abs(v)
-    above = v > threshold
-    edges = int(np.count_nonzero(above[1:] & ~above[:-1]))
-    return edges + int(above[0])
 
 
 def extract_counts(

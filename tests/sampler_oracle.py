@@ -6,9 +6,14 @@ leave-one-out weights with one uniform, and attach it again.  The fused
 kernel must reproduce these steps exactly, so the tests compare the two
 with ``==``.  ``greedy_pick`` is the reference for ``observe``'s greedy
 path: an argmax whose tie rules do not depend on the order of its input.
+``reference_fit`` accumulates probabilities the way the library once did,
+one dict per datum; ``dense`` lays such dicts out as the library's
+``(N, C)`` array, in the order a scan of the dicts first meets each key.
 """
 
 import math
+
+import numpy as np
 
 from aeburst.dppmm import (
     MixtureState,
@@ -124,3 +129,30 @@ def reference_sweep(state: MixtureState, accumulate=None):
             for key, p in probs.items():
                 accumulate[i][key] = accumulate[i].get(key, 0.0) + p
     return joint, flips
+
+
+def reference_fit(data, hyper, sweeps, burn_in, seed):
+    """``fit`` by ``reference_sweep``: the final state, each sweep's joint
+    log weight, and one dict of mean probabilities per datum."""
+    state = MixtureState.init_single_cluster(data, hyper, seed)
+    accumulated = [{} for _ in data]
+    joints = [
+        reference_sweep(state, accumulated if sweep >= burn_in else None)[0]
+        for sweep in range(sweeps)
+    ]
+    means = [
+        {key: total / (sweeps - burn_in) for key, total in acc.items()}
+        for acc in accumulated
+    ]
+    return state, joints, means
+
+
+def dense(dicts):
+    """``(array, columns)``: one row per dict, ``0.0`` where a key is absent.
+
+    Columns are keys in the order a scan of the dicts, one after another and
+    each in insertion order, first meets them.
+    """
+    columns = list(dict.fromkeys(key for d in dicts for key in d))
+    rows = [[d.get(key, 0.0) for key in columns] for d in dicts]
+    return np.array(rows, dtype=float).reshape(len(dicts), len(columns)), columns

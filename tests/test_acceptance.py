@@ -312,8 +312,8 @@ def test_ac4_mixture_recovery():
         ]
         big_counts.append(len(big))
         point_labels = [
-            max(probs.items(), key=lambda kv: (kv[1], kv[0] is not None))[0]
-            for probs in result.mean_probabilities
+            max(zip(result.columns, probs), key=lambda kv: (kv[1], kv[0] is not None))[0]
+            for probs in result.mean_probabilities.tolist()
         ]
         aris.append(adjusted_rand_index(truth, point_labels))
         rates = [posterior_mean_rate(c, UNIT_PRIOR) for c in big]
@@ -509,7 +509,9 @@ def test_ac7_overlap_robustness():
     )
     event_disjoint = event_cluster_id(fit_disjoint.state)
     onset_window = offset_onset // n
-    p_onset = fit_disjoint.mean_probabilities[onset_window].get(event_disjoint, 0.0)
+    p_onset = dict(
+        zip(fit_disjoint.columns, fit_disjoint.mean_probabilities[onset_window].tolist())
+    ).get(event_disjoint, 0.0)
 
     overlapped = extract_counts(waveform, policy, WindowSpec(n, 0.875))
     fit_overlap = fit(
@@ -517,7 +519,7 @@ def test_ac7_overlap_robustness():
     )
     event_overlap = event_cluster_id(fit_overlap.state)
     field = average_probabilities(
-        fit_overlap.mean_probabilities, overlapped.spec, signal_len
+        fit_overlap.mean_probabilities, overlapped.spec, signal_len, fit_overlap.columns
     )
     core_probability = field.probability_of(event_overlap)[
         offset_core : offset_core + span

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
 import argparse
+import inspect
 import json
 from dataclasses import asdict, replace
 
@@ -235,6 +236,44 @@ class TestCluster:
             assert set(record["features"]) == {
                 "count", "peak_amplitude", "rise_time", "duration", "energy",
             }
+
+    def test_boundaries_the_benchmark_trace_reads(self, lead_break_files, tmp_path, monkeypatch):
+        # perfbench/tracing.py replaces the layer functions that aeburst.cli
+        # imports, by attribute, and reads fit's .sweeps_run and .state,
+        # average_probabilities' third positional argument as the signal
+        # length, and the field's keys as the ids seen.
+        import aeburst.cli as cli_module
+
+        calls = {}
+
+        def spy(name):
+            real = getattr(cli_module, name)
+            assert inspect.isfunction(real)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = (args, real(*args, **kwargs))
+                return calls[name][1]
+
+            return wrapper
+
+        for name in ("read_waveform", "fit", "average_probabilities"):
+            monkeypatch.setattr(cli_module, name, spy(name))
+        wave, _ = lead_break_files
+        argv = [
+            "cluster", "--input", str(wave), "--format", "raw_f32_le",
+            "--sample-rate", "1e6", "--window", "1024", "--overlap", "0.875",
+            "--sweeps", "20", "--burn-in", "10", "--seed", "0",
+            "--events-out", str(tmp_path / "events.jsonl"),
+            "--state-out", str(tmp_path / "state.json"),
+        ]
+        assert cli(argv) == 0
+        result = calls["fit"][1]
+        assert result.sweeps_run == 20
+        assert result.state.rng.draws == result.sweeps_run * len(result.state.data)
+        args, field = calls["average_probabilities"]
+        assert args[2] == len(calls["read_waveform"][1]) == len(field)
+        assert list(field.probabilities) == result.columns
+        assert len(set(result.columns)) == len(result.columns) > result.state.n_clusters
 
 
 class TestMonitor:

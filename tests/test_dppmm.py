@@ -9,6 +9,7 @@ exact partition-posterior enumeration on a tiny dataset.
 import copy
 import json
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -23,6 +24,7 @@ from aeburst.distributions import GammaParams
 from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
+    ProbabilitySums,
     UniformStream,
     _scan,
     assignment_log_weights,
@@ -37,9 +39,11 @@ from aeburst.dppmm import (
 from aeburst.monitor import observe
 from sampler_oracle import (
     crp_prior,
+    dense,
     detach_datum,
     greedy_pick,
     normalize_log_weights,
+    reference_fit,
     reference_sweep,
     resample_step,
 )
@@ -282,11 +286,12 @@ class TestGibbsSweep:
 
     def test_sweep_returns_probabilities_per_datum(self):
         state = MixtureState.init_single_cluster([0, 0, 9], UNIT, 0)
-        probs = [{} for _ in range(3)]
-        assert gibbs_sweep(state, accumulate=probs) is state
+        sums = ProbabilitySums(3)
+        assert gibbs_sweep(state, accumulate=sums) is state
+        probs, _ = sums.mean()
         assert len(probs) == 3
-        for vector in probs:
-            assert abs(sum(vector.values()) - 1.0) <= 1e-12
+        for vector in probs.tolist():
+            assert abs(sum(vector) - 1.0) <= 1e-12
 
     def test_zero_variance_data_collapses_to_one_cluster(self):
         # Identical counts should almost always end a sweep in one cluster;
@@ -334,13 +339,22 @@ def zero_runs(seed):
     return [0] * 250 + bursts[0] + [0] * 200 + bursts[1] + [0] * 150
 
 
+def assert_sums_match(sums, dicts):
+    """``sums`` holds, with ``==``, what one dict per datum would: a column
+    per key in the dicts' first-seen order, ``0.0`` where a dict has none."""
+    expected, columns = dense(dicts)
+    assert sums.columns() == columns
+    got = [sums.by_key[key] for key in columns]
+    assert np.array_equal(np.reshape(got, (len(columns), len(dicts))).T, expected)
+
+
 def sweep_against_reference(fused, ref, sweeps, burn_in):
     """Sweep twin states with ``gibbs_sweep`` and ``reference_sweep``, comparing with ``==``.
 
     Probabilities accumulate from sweep ``burn_in`` on.  Returns how many
     clusters were born and how many died over the run.
     """
-    fused_acc = [{} for _ in fused.data]
+    fused_acc = ProbabilitySums(len(fused.data))
     ref_acc = [{} for _ in ref.data]
     births = deaths = 0
     for sweep in range(sweeps):
@@ -356,9 +370,27 @@ def sweep_against_reference(fused, ref, sweeps, burn_in):
         assert fused.next_cluster_id == ref.next_cluster_id
         assert fused.rng.draws == ref.rng.draws
         assert (diag["joint_log_weight"], diag["flips"]) == (joint, flips)
-        assert [list(a.items()) for a in fused_acc] == [list(a.items()) for a in ref_acc]
-    assert any(fused_acc)
+        assert_sums_match(fused_acc, ref_acc)
+    assert fused_acc.by_key
     return births, deaths
+
+
+def assert_fit_matches_reference(data, sweeps, burn_in, seed):
+    """``fit`` equals ``reference_fit`` with ``==``: mean probabilities entry
+    by entry (``0.0`` for a key a datum's dict lacks), columns in first-seen
+    order, joints, and the final state."""
+    result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=seed)
+    ref, joints, means = reference_fit(data, UNIT, sweeps, burn_in, seed)
+    expected, columns = dense(means)
+    assert result.columns == columns
+    assert np.array_equal(result.mean_probabilities, expected)
+    for i, probs in enumerate(means):
+        for col, key in enumerate(columns):
+            assert result.mean_probabilities[i, col] == probs.get(key, 0.0)
+    assert result.joint_log_weights == joints
+    assert result.state.assignments == ref.assignments
+    assert cluster_table(result.state) == cluster_table(ref)
+    assert result.state.rng.draws == ref.rng.draws
 
 
 class TestFusedSweep:
@@ -369,7 +401,7 @@ class TestFusedSweep:
         data = mixed_counts(seed)
         fused = MixtureState.init_single_cluster(data, UNIT, seed)
         ref = MixtureState.init_single_cluster(data, UNIT, seed)
-        fused_acc = [{} for _ in data]
+        fused_acc = ProbabilitySums(len(data))
         ref_acc = [{} for _ in data]
         births = deaths = 0
         for _ in range(30):
@@ -384,30 +416,30 @@ class TestFusedSweep:
             assert fused.next_cluster_id == ref.next_cluster_id
             assert fused.rng.draws == ref.rng.draws
             assert (diag["joint_log_weight"], diag["flips"]) == (joint, flips)
-            assert [list(a.items()) for a in fused_acc] == [
-                list(a.items()) for a in ref_acc
-            ]
+            assert_sums_match(fused_acc, ref_acc)
         # The run exercises singleton deaths and new-cluster births.
         assert births > 0 and deaths > 0
 
     def test_fit_mean_probabilities_match_reference(self):
-        data = mixed_counts(7)
-        sweeps, burn_in = 25, 10
-        result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=7)
-        ref = MixtureState.init_single_cluster(data, UNIT, 7)
-        accumulated = [{} for _ in data]
-        joints = [
-            reference_sweep(ref, accumulated if sweep >= burn_in else None)[0]
-            for sweep in range(sweeps)
-        ]
-        expected = [
-            [(key, total / (sweeps - burn_in)) for key, total in acc.items()]
-            for acc in accumulated
-        ]
-        assert [list(p.items()) for p in result.mean_probabilities] == expected
-        assert result.joint_log_weights == joints
-        assert result.state.assignments == ref.assignments
-        assert cluster_table(result.state) == cluster_table(ref)
+        assert_fit_matches_reference(mixed_counts(7), sweeps=25, burn_in=10, seed=7)
+
+    @pytest.mark.parametrize(
+        "counts, seed, sweeps, burn_in",
+        [(zero_runs, 5, 14, 6), (zero_runs, 6, 14, 6), (mixed_counts, 5, 9, 8), (mixed_counts, 6, 9, 0)],
+    )
+    def test_fit_matches_reference_at_more_seeds(self, counts, seed, sweeps, burn_in):
+        # The last two cases average one sweep and every sweep.
+        assert_fit_matches_reference(counts(seed), sweeps, burn_in, seed)
+
+    def test_older_id_first_seen_after_newer(self):
+        # Id 10 is first live at a later datum than id 11, so the columns are
+        # not in id order; presence decides the order, not the id.
+        data = mixed_counts(3)
+        result = fit(data, UNIT, sweeps=14, burn_in=6, rng_seed=3)
+        expected, columns = dense(reference_fit(data, UNIT, 14, 6, 3)[2])
+        assert result.columns == columns
+        assert columns.index(11) < columns.index(10)
+        assert np.array_equal(result.mean_probabilities, expected)
 
     def test_stay_restores_cached_terms(self, monkeypatch):
         # A datum that returns to the cluster it left reuses the terms saved
@@ -460,24 +492,7 @@ class TestFusedSweep:
         assert {30, 400} <= {c.sum_x for c in singletons}
 
     def test_fit_matches_reference(self):
-        data = zero_runs(4)
-        sweeps, burn_in = 14, 6
-        result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=4)
-        ref = MixtureState.init_single_cluster(data, UNIT, 4)
-        accumulated = [{} for _ in data]
-        joints = [
-            reference_sweep(ref, accumulated if sweep >= burn_in else None)[0]
-            for sweep in range(sweeps)
-        ]
-        expected = [
-            [(key, total / (sweeps - burn_in)) for key, total in acc.items()]
-            for acc in accumulated
-        ]
-        assert [list(p.items()) for p in result.mean_probabilities] == expected
-        assert result.joint_log_weights == joints
-        assert result.state.assignments == ref.assignments
-        assert cluster_table(result.state) == cluster_table(ref)
-        assert result.state.rng.draws == ref.rng.draws
+        assert_fit_matches_reference(zero_runs(4), sweeps=14, burn_in=6, seed=4)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -569,7 +584,8 @@ class TestFit:
         result = fit([], UNIT, sweeps=10, burn_in=2, rng_seed=0)
         assert len(result.state.data) == 0
         assert result.state.n_clusters == 0
-        assert result.mean_probabilities == []
+        assert result.mean_probabilities.shape == (0, 0)
+        assert result.columns == []
 
     def test_invalid_sweep_configuration(self):
         with pytest.raises(ValueError):
@@ -581,8 +597,35 @@ class TestFit:
         rng = np.random.default_rng(2)
         data = list(rng.poisson(3, 40)) + list(rng.poisson(25, 10))
         result = fit(data, UNIT, sweeps=40, burn_in=20, rng_seed=3)
-        for vector in result.mean_probabilities:
-            assert abs(sum(vector.values()) - 1.0) <= 1e-9
+        for vector in result.mean_probabilities.tolist():
+            assert abs(sum(vector) - 1.0) <= 1e-9
+
+    def test_averaging_holds_dense_arrays(self):
+        # On 20,000 windows, averaging adds to the peak of the same sweeps
+        # without it less than two float64 arrays of N x columns; one dict
+        # per datum, a Python object per key, adds over ten times that.
+        rng = np.random.default_rng(0)
+        data = []
+        while len(data) < 20_000:
+            data += rng.poisson(1.0, 400).tolist()
+            data += rng.poisson(rng.choice([20, 60]), 20).tolist()
+        data = data[:20_000]
+        tracemalloc.start()
+        try:
+            state = MixtureState.init_single_cluster(data, UNIT, 0)
+            for _ in range(4):
+                gibbs_sweep(state)
+            plain = tracemalloc.get_traced_memory()[1]
+            del state
+            tracemalloc.stop()
+            tracemalloc.start()
+            result = fit(data, UNIT, sweeps=4, burn_in=2, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, columns = result.mean_probabilities.shape
+        assert n == len(data) and columns > 5
+        assert peak - plain < 2 * n * columns * 8
 
     def test_diagnostics_lengths(self):
         data = [0, 1, 2, 3]

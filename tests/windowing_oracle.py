@@ -3,7 +3,9 @@
 ``resolve_threshold`` is ``np.percentile`` over every sample at once and
 ``extract_counts`` takes one cumulative sum of edges over the whole signal.
 The chunked implementations in ``aeburst.windowing`` must reproduce both
-exactly, so the tests compare them with ``==``.
+exactly, so the tests compare them with ``==``.  ``count_crossings`` counts
+one segment's crossings on its own, the reference for each window's count
+and for an event's ringdown count.
 """
 
 import numpy as np
@@ -35,3 +37,20 @@ def extract_counts(
     return WindowedCounts(
         starts=starts, counts=counts.astype(np.int64), spec=spec, threshold=threshold
     )
+
+
+def count_crossings(segment: np.ndarray, threshold: float, rectify: bool = True) -> int:
+    """Number of upward threshold crossings in a segment.
+
+    A crossing is an index ``i > 0`` with ``v[i] > threshold`` and
+    ``v[i-1] <= threshold``; a segment that starts above threshold
+    contributes one crossing at index 0.
+    """
+    v = np.asarray(segment, dtype=np.float64)
+    if v.size == 0:
+        return 0
+    if rectify:
+        v = np.abs(v)
+    above = v > threshold
+    edges = int(np.count_nonzero(above[1:] & ~above[:-1]))
+    return edges + int(above[0])
