@@ -1,13 +1,7 @@
 """Probabilistic AE burst detection, nonparametric count clustering, and
 online damage monitoring."""
 
-from .distributions import (
-    GammaParams,
-    NBParams,
-    nb_log_pmf,
-    nll,
-    predictive_update,
-)
+from .distributions import GammaParams, log_predictive, predictive_terms
 from .windowing import (
     ThresholdPolicy,
     Waveform,

@@ -87,6 +87,9 @@ class PipelineConfig:
             ("alarm_min_history", self.alarm_min_history >= 1, ">= 1"),
             ("alarm_lag", self.alarm_lag >= self.alarm_min_history,
              f">= alarm_min_history {self.alarm_min_history}"),
+            ("survival_horizon", self.survival_horizon >= 0, ">= 0"),
+            ("min_survivors", self.min_survivors >= 1, ">= 1"),
+            ("alarm_warmup", self.alarm_warmup >= 0, ">= 0"),
             ("threshold_value", math.isfinite(self.threshold_value), "finite"),
         ]:
             if not ok:

@@ -3,8 +3,10 @@
 The background noise of an AE recording is modelled by one Poisson rate
 with a Gamma prior.  Training folds noise-only window counts into the
 conjugate posterior; scoring evaluates the negative log-likelihood of
-every window count under the posterior predictive.  Windows whose NLL
-exceeds a calibrated threshold are flagged as event-bearing.
+every window count under the posterior predictive, the negated
+``distributions.log_predictive`` with no prior mass (``log_c = 0``).
+Windows whose NLL exceeds a calibrated threshold are flagged as
+event-bearing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import GammaParams, NBParams, nll, predictive_update
+from .distributions import GammaParams, log_predictive, predictive_terms
 from .windowing import WindowedCounts, WindowSpec, runs
 
 __all__ = [
@@ -34,8 +36,9 @@ DEFAULT_FLAG_MARGIN = math.log(10.0)
 
 @dataclass(frozen=True)
 class BackgroundModel:
-    """Gamma-Poisson background model with a cached posterior predictive.
+    """Gamma-Poisson background model with the terms of its posterior predictive.
 
+    ``predictive`` is ``predictive_terms(prior, n_train, sum_train, 0.0)``.
     ``train_nll_max`` anchors the default flagging threshold: it is the
     largest NLL any training count receives under the final predictive.
     """
@@ -43,7 +46,7 @@ class BackgroundModel:
     prior: GammaParams
     n_train: int
     sum_train: int
-    predictive: NBParams
+    predictive: tuple
     train_nll_max: float
 
 
@@ -72,8 +75,8 @@ def train_background(prior: GammaParams, noise_counts: Sequence[int]) -> Backgro
         raise ValueError("noise counts must be non-negative")
     n = len(counts)
     total = sum(counts)
-    predictive = predictive_update(prior, n, total)
-    worst = max(nll(c, predictive) for c in counts)
+    predictive = predictive_terms(prior, n, total, 0.0)
+    worst = max(-log_predictive(predictive, c, math.lgamma(c + 1)) for c in counts)
     return BackgroundModel(
         prior=prior,
         n_train=n,
@@ -96,9 +99,11 @@ def score(
     counts the model was trained on, plus ``margin``; pass
     ``flag_threshold`` to override the calibration entirely.
     """
-    # Windows share few distinct counts: one nll call per distinct value.
+    # Windows share few distinct counts: one evaluation per distinct value.
     values, inverse = np.unique(windowed.counts, return_inverse=True)
-    nlls = np.array([nll(int(c), model.predictive) for c in values])[inverse]
+    nlls = np.array(
+        [-log_predictive(model.predictive, c, math.lgamma(c + 1)) for c in values.tolist()]
+    )[inverse]
     if flag_threshold is None:
         flag_threshold = model.train_nll_max + margin
     return NllTrace(

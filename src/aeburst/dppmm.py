@@ -4,16 +4,12 @@ Counts are partitioned into an unbounded set of Poisson components.  The
 mixing weights and per-component rates are integrated out analytically
 (Gamma/Poisson and Dirichlet/multinomial conjugacy), so the sampler
 resamples only the assignment of each datum.  A datum joins a retained
-component with weight proportional to
-
-    c_k * NB(x; a + sum_k, (c_k + b) / (c_k + b + 1))
-
-where ``c_k`` and ``sum_k`` are the component's member count and count sum
-with the datum itself removed, or opens a fresh component with weight
-
-    alpha * NB(x; a, b / (b + 1))
-
-i.e. the concentration times the prior predictive.  All weights are
+component with weight proportional to its member count ``c_k`` times the
+negative-binomial posterior predictive of the count given the members,
+both with the datum itself removed, or opens a fresh component with
+weight ``alpha`` times the prior predictive.  Each log weight is
+``distributions.log_predictive`` with ``log_c`` the log of that mass, the
+formula the background detector also scores with.  All weights are
 combined in log space with max-subtraction normalisation.
 
 Component identity is stable: every cluster carries an id minted at
@@ -46,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import GammaParams
+from .distributions import GammaParams, log_predictive, predictive_terms
 
 __all__ = [
     "Hyperparams",
@@ -109,31 +105,6 @@ class UniformStream:
         stream._gen.bit_generator.advance(int(draws))
         stream.draws = int(draws)
         return stream
-
-
-def _terms(log_c: float, n: int, s: int, base: GammaParams) -> tuple:
-    """Count-independent pieces of ``log_c + log NB(x; a + s, (b + n)/(b + n + 1))``.
-
-    ``n`` and ``s`` are the member count and count sum the weight conditions
-    on (zero for the empty-component route) and ``log_c`` its log prior mass.
-    """
-    r = base.shape + s
-    gamma_rate = base.rate + n
-    log1p_g = math.log1p(gamma_rate)
-    return (log_c, r, math.lgamma(r), r * (math.log(gamma_rate) - log1p_g), log1p_g)
-
-
-def _log_weight(terms: tuple, x: int, lgamma_x1: float) -> float:
-    """Unnormalised log weight of count ``x``; ``lgamma_x1`` is ``lgamma(x + 1)``."""
-    log_c, r, lgamma_r, r_log_p, log1p_g = terms
-    return (
-        log_c
-        + math.lgamma(x + r)
-        - lgamma_r
-        - lgamma_x1
-        + r_log_p
-        - x * log1p_g
-    )
 
 
 class ClusterStats:
@@ -220,11 +191,11 @@ def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None
     base = state.hyper.base
     out = []
     for k, c in state.clusters.items():
-        terms = _terms(math.log(c.n_members), c.n_members, c.sum_x, base)
-        out.append((k, _log_weight(terms, x, lgamma_x1)))
-    # The empty-component route: log(alpha) + log NB(x; a, b/(b+1)).
-    terms = _terms(math.log(state.hyper.alpha), 0, 0, base)
-    out.append((None, _log_weight(terms, x, lgamma_x1)))
+        terms = predictive_terms(base, c.n_members, c.sum_x, math.log(c.n_members))
+        out.append((k, log_predictive(terms, x, lgamma_x1)))
+    # The empty-component route: log(alpha) plus the prior predictive.
+    terms = predictive_terms(base, 0, 0, math.log(state.hyper.alpha))
+    out.append((None, log_predictive(terms, x, lgamma_x1)))
     return out
 
 
@@ -233,16 +204,6 @@ def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[floa
     top = max(w for _, w in weights)
     raw = [math.exp(w - top) for _, w in weights]
     return raw, sum(raw)
-
-
-def _scan(raw: Sequence[float], target: float) -> int:
-    """First index whose cumulative weight exceeds ``target`` (the last if none)."""
-    acc = 0.0
-    for i, w in enumerate(raw):
-        acc += w
-        if target < acc:
-            return i
-    return len(raw) - 1
 
 
 class ProbabilitySums:
@@ -357,15 +318,16 @@ def gibbs_sweep(
 
     Two sweep-local tables skip work whose result is already known, and
     both are exact.  ``rows`` maps a cluster statistic ``(n, s)`` to its
-    ``_terms`` tuple and a ``{x: log weight}`` memo (NEW has its own memo):
-    a log weight is a pure function of ``(n, s, x)``, so the table starts
-    from the live clusters' statistics and ends with the sweep.  ``steps``
+    ``predictive_terms`` tuple and a ``{x: log weight}`` memo (NEW has its
+    own memo): a log weight is a pure function of ``(n, s, x)``, so the
+    table starts from the live clusters' statistics and ends with the sweep.  ``steps``
     maps ``(slot left, x)`` to that step's log weights, cumulative weights,
     total, detached row and entry number: a datum that returns to the
     cluster it left (a stay) leaves the state as it found it, so until the
     next flip clears the table the same key meets the same weights.  The
     draw ``bisect_right(cumulative, u * total)``, clamped to the last slot,
-    is ``_scan``'s, and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
+    is the first slot whose cumulative weight exceeds ``u * total`` (the
+    oracle's ``scan``), and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
 
     Accumulating, the sweep appends each entry's raw weights and total to
     two float64 arrays.  ``cols`` holds the sweep-local column of each live
@@ -384,12 +346,12 @@ def gibbs_sweep(
     def row(n: int, s: int) -> tuple:
         key = (n, s)
         return rows[key] if key in rows else rows.setdefault(
-            key, (_terms(log(n), n, s, base), {})
+            key, (predictive_terms(base, n, s, log(n)), {})
         )
 
     ids: list[int | None] = [*clusters, None]
     stats = list(clusters.values())
-    new_route = (_terms(log(state.hyper.alpha), 0, 0, base), {})
+    new_route = (predictive_terms(base, 0, 0, log(state.hyper.alpha)), {})
     slots = [row(c.n_members, c.sum_x) for c in stats] + [new_route]
     keys, cols = [*ids], list(range(len(ids)))
     groups = [(0, cols)]
@@ -416,7 +378,7 @@ def gibbs_sweep(
                 j, detached = -1, None
             log_w = [
                 memo[x] if x in memo
-                else memo.setdefault(x, _log_weight(terms, x, lgamma_x1[x]))
+                else memo.setdefault(x, log_predictive(terms, x, lgamma_x1[x]))
                 for terms, memo in slots
             ]
             if n:

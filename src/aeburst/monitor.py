@@ -18,14 +18,15 @@ cluster's cumulative energy against its own trailing rate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .dppmm import (
     MixtureState,
     _exp_weights,
-    _scan,
     assignment_log_weights,
     gibbs_sweep,
 )
@@ -151,8 +152,10 @@ def observe(
         resampled = state.rng.random() < eta
         if resampled:
             # Full reassessment: add by a draw, then one sweep over everything.
-            choice = weights[_scan(raw, state.rng.random() * total)][0]
-            state.append_datum(int(x), choice)
+            # The draw is ``gibbs_sweep``'s, so the two share one rule.
+            cum = list(accumulate(raw))
+            idx = min(bisect_right(cum, state.rng.random() * total), len(cum) - 1)
+            state.append_datum(int(x), weights[idx][0])
             gibbs_sweep(state)
             assigned = state.assignments[-1]
         else:

@@ -42,8 +42,7 @@ class SampleProbabilityField:
     each cell, and ``probabilities`` maps each cluster key (stable id, or
     ``None`` for the fresh-component route) to a float array over cells.
     Where coverage is zero every entry is zero; elsewhere each cell's
-    vector sums to one.  ``expand`` and ``probability_of`` give the
-    per-sample values.
+    vector sums to one.
     """
 
     edges: np.ndarray
@@ -52,14 +51,6 @@ class SampleProbabilityField:
 
     def __len__(self) -> int:
         return int(self.edges[-1])
-
-    def expand(self, cell_values: np.ndarray) -> np.ndarray:
-        """Per-cell values repeated over the samples of each cell."""
-        return np.repeat(cell_values, np.diff(self.edges))
-
-    def probability_of(self, key: int | None) -> np.ndarray:
-        """Per-sample probability of ``key`` (zero for an absent key)."""
-        return self.expand(self.probabilities.get(key, np.zeros(self.edges.size - 1)))
 
 
 @dataclass(frozen=True)

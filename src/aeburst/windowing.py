@@ -179,10 +179,6 @@ class WindowedCounts:
     spec: WindowSpec
     threshold: float
 
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        return list(zip(self.starts.tolist(), self.counts.tolist()))
-
     def __len__(self) -> int:
         return self.starts.size
 

@@ -19,9 +19,23 @@ from aeburst.dppmm import (
     MixtureState,
     UniformStream,
     _exp_weights,
-    _scan,
     assignment_log_weights,
 )
+
+
+def scan(raw, target: float) -> int:
+    """First index whose cumulative weight exceeds ``target`` (the last if none).
+
+    The categorical draw rule, written as a running sum; the library draws
+    with ``bisect_right`` over the cumulative weights, clamped to the last
+    index, which ``test_bisect_draw_is_scan`` shows is the same index.
+    """
+    acc = 0.0
+    for i, w in enumerate(raw):
+        acc += w
+        if target < acc:
+            return i
+    return len(raw) - 1
 
 
 def detach_datum(state: MixtureState, index: int) -> int:
@@ -99,7 +113,7 @@ def draw_assignment(weights, rng: UniformStream):
     ``weights``, and the unnormalised log weight of the drawn entry.
     """
     raw, total = _exp_weights(weights)
-    idx = _scan(raw, rng.random() * total)
+    idx = scan(raw, rng.random() * total)
     probs = {k: w / total for (k, _), w in zip(weights, raw)}
     return weights[idx][0], probs, weights[idx][1]
 

@@ -943,6 +943,10 @@ MALFORMED_CONFIGS = [
     ("monitor", {"step_factor": float("inf")}),
     ("cluster", {"flag_margin": float("nan")}),
     ("monitor", {"threshold_kind": "fixed", "threshold_value": float("nan")}),
+    ("monitor", {"survival_horizon": -5}),
+    ("monitor", {"min_survivors": 0}),
+    ("monitor", {"min_survivors": -3}),
+    ("monitor", {"alarm_warmup": -7}),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeburst.distributions import GammaParams
-from aeburst.dppmm import Hyperparams, MixtureState, audit
+from aeburst.dppmm import Hyperparams, MixtureState, assignment_log_weights, audit
 from aeburst.monitor import (
     StreamMonitor,
     decimate,
@@ -18,6 +18,7 @@ from aeburst.monitor import (
     observe,
     update_tracks,
 )
+from sampler_oracle import draw_assignment, reference_sweep
 
 UNIT = Hyperparams(alpha=1.0, base=GammaParams(1.0, 1.0))
 
@@ -134,6 +135,24 @@ class TestObserve:
         observe(8, state_b, eta_override=1.0)
         # Gate + assignment draw + one sweep over 51 data.
         assert state_b.rng.draws == 1 + 1 + 51
+
+    def test_resample_path_matches_reference(self):
+        # The resampling path draws the new count's cluster as the oracle's
+        # running-sum scan would, then sweeps as the step-by-step reference.
+        counts = np.random.default_rng(12).poisson(6, 60).tolist() + [40, 3, 90, 41, 0]
+        state, twin = MixtureState.empty(UNIT, 12), MixtureState.empty(UNIT, 12)
+        for x in counts:
+            observe(x, state, eta_override=1.0)
+            if not twin.clusters:
+                twin.append_datum(x, None)
+                continue
+            twin.rng.random()  # the gate
+            choice = draw_assignment(assignment_log_weights(x, twin), twin.rng)[0]
+            twin.append_datum(x, choice)
+            reference_sweep(twin)
+        assert state.assignments == twin.assignments
+        assert state.next_cluster_id == twin.next_cluster_id > 1
+        assert state.rng.draws == twin.rng.draws
 
 
 class CountingSequence(Sequence):

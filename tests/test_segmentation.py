@@ -20,7 +20,7 @@ from aeburst.segmentation import (
 from aeburst.synth import BurstSpec, SynthSpec, synthesize
 from aeburst.windowing import Waveform, WindowSpec, extract_counts
 from sampler_oracle import dense, reference_fit
-from windowing_oracle import count_crossings
+from windowing_oracle import count_crossings, per_sample, probability_of
 
 
 def field_from_event_prob(event_prob, noise=0, event=1):
@@ -47,19 +47,19 @@ class TestAverageProbabilities:
         spec = WindowSpec(10, 0.0)
         vectors = [{0: 1.0}, {1: 1.0}, {0: 0.25, 1: 0.75}]
         field = field_of(vectors, spec, 30)
-        assert np.all(field.expand(field.coverage) == 1)
-        np.testing.assert_allclose(field.probability_of(0)[0:10], 1.0)
-        np.testing.assert_allclose(field.probability_of(1)[10:20], 1.0)
-        np.testing.assert_allclose(field.probability_of(1)[20:30], 0.75)
+        assert np.all(per_sample(field, field.coverage) == 1)
+        np.testing.assert_allclose(probability_of(field, 0)[0:10], 1.0)
+        np.testing.assert_allclose(probability_of(field, 1)[10:20], 1.0)
+        np.testing.assert_allclose(probability_of(field, 1)[20:30], 0.75)
 
     def test_two_window_mean(self):
         spec = WindowSpec(10, 0.5)
         vectors = [{0: 1.0, 1: 0.0}, {0: 0.0, 1: 1.0}]
         field = field_of(vectors, spec, 15)
         # Samples 5..9 are covered by both windows.
-        np.testing.assert_allclose(field.probability_of(0)[5:10], 0.5)
-        np.testing.assert_allclose(field.probability_of(1)[5:10], 0.5)
-        coverage = field.expand(field.coverage)
+        np.testing.assert_allclose(probability_of(field, 0)[5:10], 0.5)
+        np.testing.assert_allclose(probability_of(field, 1)[5:10], 0.5)
+        coverage = per_sample(field, field.coverage)
         assert list(coverage[:5]) == [1] * 5
         assert list(coverage[5:10]) == [2] * 5
 
@@ -74,16 +74,16 @@ class TestAverageProbabilities:
             raw /= raw.sum()
             vectors.append({0: raw[0], 1: raw[1], None: raw[2]})
         field = field_of(vectors, spec, signal_len)
-        total = sum(field.probability_of(key) for key in field.probabilities)
-        covered = field.expand(field.coverage) > 0
+        total = sum(probability_of(field, key) for key in field.probabilities)
+        covered = per_sample(field, field.coverage) > 0
         np.testing.assert_allclose(total[covered], 1.0, atol=1e-9)
         assert np.all(total[~covered] == 0.0)
 
     def test_uncovered_tail_has_empty_vectors(self):
         spec = WindowSpec(10, 0.0)
         field = field_of([{0: 1.0}], spec, 15)
-        assert list(field.expand(field.coverage)[10:]) == [0] * 5
-        assert np.all(field.probability_of(0)[10:] == 0.0)
+        assert list(per_sample(field, field.coverage)[10:]) == [0] * 5
+        assert np.all(probability_of(field, 0)[10:] == 0.0)
 
     def test_window_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -190,11 +190,11 @@ def assert_matches_reference(window_probs, spec, signal_len, min_lengths=(1, 7))
         assert field.probabilities[key].tobytes() == expected.tobytes()
     probabilities, coverage = reference_average(window_probs, spec, signal_len)
     assert len(field) == signal_len
-    assert np.array_equal(field.expand(field.coverage), coverage)
+    assert np.array_equal(per_sample(field, field.coverage), coverage)
     assert list(field.probabilities) == list(probabilities)
     for key, expected in probabilities.items():
-        assert field.probability_of(key).tobytes() == expected.tobytes()
-    assert not field.probability_of("absent").any()
+        assert probability_of(field, key).tobytes() == expected.tobytes()
+    assert not probability_of(field, "absent").any()
     labelled = [key for key in probabilities if key is not None]
     for noise in labelled:
         for min_probability in (0.5, 0.2, 1.0):
@@ -429,7 +429,7 @@ class TestOverlapAveragedPipeline:
             (c for c in result.state.clusters.values() if c.n_members >= 10),
             key=lambda c: posterior_mean_rate(c, base),
         ).id
-        event_prob = field.probability_of(event)
+        event_prob = probability_of(field, event)
         # Monotone ramp into the core and decay after (coarse-grained).
         assert event_prob[onset - n : onset].mean() < 0.5
         assert event_prob[onset + n : onset + span - n].min() >= 0.5

@@ -16,7 +16,7 @@ from aeburst.windowing import (
     resolve_threshold,
     runs,
 )
-from windowing_oracle import count_crossings
+from windowing_oracle import count_crossings, entries
 
 
 def brute_force_crossings(segment, threshold, rectify=True):
@@ -135,7 +135,7 @@ class TestExtractCounts:
         wc = extract_counts(
             waveform, ThresholdPolicy.percentile(99), WindowSpec(4096, 0.0)
         )
-        for start, count in wc.entries:
+        for start, count in entries(wc):
             intersects = start < burst.end_index and start + 4096 > burst.start_index
             if intersects:
                 assert count > 0
@@ -158,7 +158,7 @@ class TestExtractCounts:
         policy = ThresholdPolicy.percentile(95)
         spec = WindowSpec(512, 0.5)
         wc = extract_counts(w, policy, spec)
-        for start, count in wc.entries:
+        for start, count in entries(wc):
             assert count == count_crossings(
                 w.samples[start : start + 512], wc.threshold
             )
@@ -172,7 +172,7 @@ class TestExtractCounts:
         spec = WindowSpec(int(rng.integers(8, 300)), float(rng.choice([0.0, 0.5, 0.875])))
         wc = extract_counts(w, policy, spec)
         opens_above = 0
-        for start, count in wc.entries:
+        for start, count in entries(wc):
             segment = w.samples[start : start + spec.length_n]
             assert count == count_crossings(segment, wc.threshold, rectify)
             opens_above += (abs(segment[0]) if rectify else segment[0]) > wc.threshold
@@ -193,8 +193,8 @@ class TestExtractCounts:
         policy = ThresholdPolicy.fixed(1.5)
         disjoint = extract_counts(w, policy, WindowSpec(256, 0.0))
         overlapped = extract_counts(w, policy, WindowSpec(256, 0.875))
-        by_start = dict(overlapped.entries)
-        for start, count in disjoint.entries:
+        by_start = dict(entries(overlapped))
+        for start, count in entries(disjoint):
             assert by_start[start] == count
 
     @pytest.mark.parametrize("length", [float("inf"), float("-inf"), float("nan")])

@@ -5,7 +5,9 @@
 The chunked implementations in ``aeburst.windowing`` must reproduce both
 exactly, so the tests compare them with ``==``.  ``count_crossings`` counts
 one segment's crossings on its own, the reference for each window's count
-and for an event's ringdown count.
+and for an event's ringdown count.  ``entries`` pairs each window start
+with its count, and ``per_sample`` and ``probability_of`` read a
+probability field's per-cell values back onto the sample axis.
 """
 
 import numpy as np
@@ -37,6 +39,21 @@ def extract_counts(
     return WindowedCounts(
         starts=starts, counts=counts.astype(np.int64), spec=spec, threshold=threshold
     )
+
+
+def entries(windowed: WindowedCounts) -> list[tuple[int, int]]:
+    """``(start, count)`` of every window, in window order."""
+    return list(zip(windowed.starts.tolist(), windowed.counts.tolist()))
+
+
+def per_sample(field, cell_values: np.ndarray) -> np.ndarray:
+    """Per-cell values of a ``SampleProbabilityField`` repeated over each cell's samples."""
+    return np.repeat(cell_values, np.diff(field.edges))
+
+
+def probability_of(field, key) -> np.ndarray:
+    """Per-sample probability of ``key`` in the field (zero for an absent key)."""
+    return per_sample(field, field.probabilities.get(key, np.zeros(field.edges.size - 1)))
 
 
 def count_crossings(segment: np.ndarray, threshold: float, rectify: bool = True) -> int:
