@@ -133,6 +133,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expects a non-negative number, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = _finite_float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"expects a number in [0, 1], got {text}")
+    return value
+
+
 def _window_range(text: str) -> range:
     """START:STOP with 0 <= START < STOP; whether STOP fits the input is a data check."""
     try:
@@ -168,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--sample-rate", dest="sample_rate", type=_positive_float, default=1e6
     )
-    p_synth.add_argument("--noise-sigma", type=float, default=0.01)
+    p_synth.add_argument("--noise-sigma", type=_non_negative_float, default=0.01)
     p_synth.add_argument(
         "--burst", action="append", default=[], type=_parse_burst,
         help="onset,amplitude,tau,freq[,family]; repeatable",
@@ -177,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--out-format", default="raw_f32_le", choices=("csv", "raw_f32_le"),
     )
-    p_synth.add_argument("--n-hits", type=int, default=1000)
+    p_synth.add_argument("--n-hits", type=_positive_int, default=1000)
     p_synth.add_argument("--damage-start-hit", type=int, default=None)
-    p_synth.add_argument("--damage-energy-factor", type=float, default=50.0)
-    p_synth.add_argument("--damage-fraction", type=float, default=0.3)
+    p_synth.add_argument("--damage-energy-factor", type=_positive_float, default=50.0)
+    p_synth.add_argument("--damage-fraction", type=_fraction, default=0.3)
 
     p_detect = sub.add_parser("detect", help="score windows against a noise background")
     _add_common(p_detect)
@@ -403,13 +417,9 @@ def _cmd_monitor(args: argparse.Namespace, config: PipelineConfig) -> int:
                 write_state()
     for cluster_id in sorted(monitor.tracks):
         track = monitor.tracks[cluster_id]
-        for t, ev, ct, en in zip(
-            track.times,
-            track.cumulative_events,
-            track.cumulative_counts,
-            track.cumulative_energy,
-        ):
-            track_rows.append(f"{t},{cluster_id},{ev},{ct},{en!r}")
+        rows = zip(track.times, track.cumulative_counts, track.cumulative_energy)
+        for events, (t, ct, en) in enumerate(rows, 1):
+            track_rows.append(f"{t},{cluster_id},{events},{ct},{en!r}")
     write_atomic(args.alarms_out, alarm_lines)
     write_atomic(args.tracks_out, [("\n".join(track_rows) + "\n").encode("ascii")])
     if args.state_out:
@@ -423,11 +433,13 @@ def _load_event_spans(path: str) -> list[tuple[int, int]]:
     if not isinstance(rows, list):
         raise DataFormatError(f"{path}: no span list, bare or under 'bursts' or 'events'")
     try:
-        return [(int(row["start_index"]), int(row["end_index"])) for row in rows]
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(
-            f"{path}: every span needs integer 'start_index' and 'end_index'"
-        ) from exc
+        spans = [(row["start_index"], row["end_index"]) for row in rows]
+    except (KeyError, TypeError):
+        spans = [(None, None)]  # a row without both keys fails the check below
+    # JSON integers only: a float would be truncated or overflow, true read as 1.
+    if any(type(index) is not int for span in spans for index in span):
+        raise DataFormatError(f"{path}: every span needs integer 'start_index' and 'end_index'")
+    return spans
 
 
 def _cmd_features(args: argparse.Namespace, config: PipelineConfig) -> int:

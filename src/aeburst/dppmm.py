@@ -213,16 +213,12 @@ class ProbabilitySums:
     id, or ``None`` for NEW), made the first time the key is live at some
     datum's step; at a step where the key is not live it receives exact
     ``0.0``, so every sum is the one a dict per datum would hold.
-    ``first_seen`` records, per key, the first datum whose step had it live
-    and the first added sweep in which that datum did, which is all
-    ``columns`` needs to order the keys.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.sweeps = 0
         self.by_key: dict[int | None, np.ndarray] = {}
-        self.first_seen: dict[int | None, tuple[int, int]] = {}
 
     def add_sweep(
         self,
@@ -239,56 +235,39 @@ class ProbabilitySums:
         ``len(cols)`` values of ``raw``, one per column of ``cols``, a row of
         ``keys``.  ``groups`` lists ``(first entry, cols)`` each time the
         columns changed, and ``used[i]`` is the entry datum ``i`` drew from.
+        Every entry is drawn from, so a column of a group with entries is
+        live at some datum's step.
         """
         drawn = np.array(used, dtype=np.intp)
         values, totals = np.frombuffer(raw), np.frombuffer(totals)
         probs = np.zeros((totals.size, len(keys)))
-        starts = [start for start, _ in groups]
-        # An entry is made by the first datum that draws from it, after every
-        # entry numbered below it, so a group's first datum is a search.
-        makers = np.searchsorted(np.maximum.accumulate(drawn), starts).tolist()
-        stops = starts[1:] + [totals.size]
-        first_datum: dict[int, int] = {}
+        stops = [start for start, _ in groups[1:]] + [totals.size]
+        live: set[int] = set()
         offset = 0
-        for (start, cols), stop, maker in zip(groups, stops, makers):
+        for (start, cols), stop in zip(groups, stops):
             if stop == start:
                 continue
             end = offset + (stop - start) * len(cols)
             block = values[offset:end].reshape(stop - start, len(cols))
             probs[start:stop, cols] = block / totals[start:stop, None]
             offset = end
-            for c in cols:
-                first_datum.setdefault(c, maker)
-        for c, datum in first_datum.items():
+            live.update(cols)
+        for c in live:
             key, row = keys[c], probs[drawn, c]
             if key in self.by_key:
                 self.by_key[key] += row
-                if datum < self.first_seen[key][0]:
-                    self.first_seen[key] = (datum, self.sweeps)
             else:
                 self.by_key[key] = row  # 0.0 + p is p
-                self.first_seen[key] = (datum, self.sweeps)
         self.sweeps += 1
 
-    def columns(self) -> list[int | None]:
-        """Keys in the order a scan of per-datum dicts would first meet them.
-
-        Datum by datum, then in insertion order within a datum: by the sweep
-        that first had the key live there, then in the step's own key order,
-        which is ascending id with ``None`` last.
-        """
-        return sorted(
-            self.by_key,
-            key=lambda k: (*self.first_seen[k], math.inf if k is None else k),
-        )
-
     def mean(self) -> tuple[np.ndarray, list[int | None]]:
-        """The ``(N, C)`` mean over the added sweeps and its ``columns``.
+        """The ``(N, C)`` mean over the added sweeps and its columns, the
+        keys in ascending id with ``None`` (NEW) last.
 
         Each key's sum is released as its column is written, so the peak is
         one ``N x C`` float64 array plus one column; the sums are consumed.
         """
-        columns = self.columns()
+        columns = sorted(self.by_key, key=lambda k: (k is None, k))
         out = np.empty((self.n, len(columns)))
         for column, key in zip(out.T, columns):
             np.divide(self.by_key.pop(key), self.sweeps, out=column)
@@ -433,8 +412,9 @@ class FitResult:
     normalised assignment probabilities averaged over post-burn-in sweeps,
     matched by stable cluster id, with ``0.0`` where a key was not live;
     clusters that die and re-form contribute under distinct ids.
-    ``columns`` names its columns (``None`` for NEW) in the order a scan of
-    the data first meets each key, which ``average_probabilities`` sums in.
+    ``columns`` names its columns: ascending cluster id, then ``None`` for
+    NEW, the order of ``MixtureState.clusters`` and of the sweep's slots, in
+    which ``average_probabilities`` sums them.
     """
 
     state: MixtureState

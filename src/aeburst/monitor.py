@@ -134,10 +134,10 @@ def observe(
 
     ``eta_override`` forces the gate (0 never resamples, 1 always does).
 
-    Emits a ``new_cluster`` alarm when the number of clusters grew and the
-    newborn cluster still exists once the update settled.
+    Emits a ``new_cluster`` alarm for each cluster minted by the update that
+    still exists once it settled, in ascending id.
     """
-    before_ids = set(state.clusters)
+    first_new = state.next_cluster_id
     ordinal = len(state.data)
     if not state.clusters:
         assigned = state.append_datum(int(x), None)
@@ -170,7 +170,8 @@ def observe(
             cluster_id=new_id,
             magnitude=float(state.clusters[new_id].n_members),
         )
-        for new_id in set(state.clusters) - before_ids
+        for new_id in range(first_new, state.next_cluster_id)
+        if new_id in state.clusters
     ]
     return ObserveOutcome(
         cluster_id=assigned,
@@ -202,11 +203,11 @@ def decimate(stream: Iterable[T], keep_ratio: float) -> Iterator[T]:
 
 @dataclass
 class ClusterTrack:
-    """Cumulative growth series of one cluster, indexed by observation time."""
+    """Cumulative growth series of one cluster, indexed by observation time
+    (the cumulative event count at ``times[i]`` is ``i + 1``)."""
 
     cluster_id: int
     times: list[int] = field(default_factory=list)
-    cumulative_events: list[int] = field(default_factory=list)
     cumulative_counts: list[int] = field(default_factory=list)
     cumulative_energy: list[float] = field(default_factory=list)
     recent_energy_increments: deque = field(default_factory=deque)
@@ -259,9 +260,6 @@ def update_tracks(
                 )
             )
     track.times.append(time)
-    track.cumulative_events.append(
-        (track.cumulative_events[-1] if track.cumulative_events else 0) + 1
-    )
     track.cumulative_counts.append(
         (track.cumulative_counts[-1] if track.cumulative_counts else 0) + int(count)
     )

@@ -84,7 +84,8 @@ def average_probabilities(
     """Arithmetic mean of window probability vectors at every sample.
 
     ``window_probs`` is ``(n_windows, C)``, one row per window and one
-    column per key of ``columns`` (``FitResult.mean_probabilities``).
+    column per key of ``columns`` (``FitResult.mean_probabilities`` and
+    ``.columns``), whose order the field's keys keep.
     Window ``i`` covers samples ``[i*step, i*step + n)``.  Each covered
     sample averages the vectors of all windows containing it and is
     renormalised against accumulated rounding; coverage is recorded.  The
@@ -135,10 +136,12 @@ def segment_events(
     """Maximal runs where the non-noise probability clears ``min_probability``.
 
     Each run is labelled with the non-noise cluster holding the highest
-    mean probability over the run; runs shorter than ``min_length``
-    samples are discarded.  ``mean_probability`` is the mean non-noise
-    probability over the run, hence never below the minimum.  Runs are
-    found on cells; means are taken over a run's samples.
+    mean probability over the run, ties going to the first key of the field:
+    from ``FitResult.columns``, the lowest id, as in ``noise_cluster_id``.
+    Runs shorter than ``min_length`` samples are discarded.
+    ``mean_probability`` is the mean non-noise probability over the run,
+    hence never below the minimum.  Runs are found on cells; means are
+    taken over a run's samples.
     """
     if noise_cluster not in field.probabilities:
         raise ValueError(f"noise cluster {noise_cluster} not present in field")

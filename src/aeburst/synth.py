@@ -69,7 +69,7 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.duration <= 0 or self.sample_rate <= 0:
             raise ValueError("duration and sample_rate must be positive")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
         object.__setattr__(self, "bursts", tuple(self.bursts))
         for burst in self.bursts:
@@ -170,6 +170,10 @@ class HitStreamSpec:
     def __post_init__(self) -> None:
         if self.n_hits < 0:
             raise ValueError("n_hits must be non-negative")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma must be non-negative")
+        if not self.damage_energy_factor > 0:
+            raise ValueError("damage_energy_factor must be positive")
         if not 0 <= self.pretrigger < self.record_length:
             raise ValueError("pretrigger must fit inside the record")
         if not 0.0 <= self.damage_fraction <= 1.0:

@@ -116,12 +116,8 @@ def reference_monitor(
     track_rows = ["time,cluster,cumulative_events,cumulative_counts,cumulative_energy"]
     for cluster_id in sorted(monitor.tracks):
         track = monitor.tracks[cluster_id]
-        for t, ev, ct, en in zip(
-            track.times,
-            track.cumulative_events,
-            track.cumulative_counts,
-            track.cumulative_energy,
-        ):
-            track_rows.append(f"{t},{cluster_id},{ev},{ct},{en!r}")
+        rows = zip(track.times, track.cumulative_counts, track.cumulative_energy)
+        for events, (t, ct, en) in enumerate(rows, 1):
+            track_rows.append(f"{t},{cluster_id},{events},{ct},{en!r}")
     state_writes.append(_state_bytes(monitor.state))
     return b"".join(alarm_lines), ("\n".join(track_rows) + "\n").encode("ascii")

@@ -8,7 +8,7 @@ with ``==``.  ``greedy_pick`` is the reference for ``observe``'s greedy
 path: an argmax whose tie rules do not depend on the order of its input.
 ``reference_fit`` accumulates probabilities the way the library once did,
 one dict per datum; ``dense`` lays such dicts out as the library's
-``(N, C)`` array, in the order a scan of the dicts first meets each key.
+``(N, C)`` array, its columns in ``id_order``: ascending id, NEW last.
 """
 
 import math
@@ -161,12 +161,14 @@ def reference_fit(data, hyper, sweeps, burn_in, seed):
     return state, joints, means
 
 
-def dense(dicts):
-    """``(array, columns)``: one row per dict, ``0.0`` where a key is absent.
+def id_order(keys):
+    """The distinct keys, ascending cluster id with ``None`` (NEW) last."""
+    return sorted(set(keys), key=lambda k: (k is None, k))
 
-    Columns are keys in the order a scan of the dicts, one after another and
-    each in insertion order, first meets them.
-    """
-    columns = list(dict.fromkeys(key for d in dicts for key in d))
+
+def dense(dicts):
+    """``(array, columns)``: one row per dict, ``0.0`` where a key is absent,
+    one column per key of the dicts in ``id_order``."""
+    columns = id_order(key for d in dicts for key in d)
     rows = [[d.get(key, 0.0) for key in columns] for d in dicts]
     return np.array(rows, dtype=float).reshape(len(dicts), len(columns)), columns

@@ -86,6 +86,13 @@ class TestSynth:
             ["--duration", "0"],
             ["--mode", "hits", "--n-hits", "5", "--sample-rate", "0"],
             ["--mode", "hits", "--n-hits", "5", "--sample-rate", "nan"],
+            ["--noise-sigma", "nan"],
+            ["--noise-sigma", "-1"],
+            ["--mode", "hits", "--noise-sigma", "nan"],
+            ["--mode", "hits", "--n-hits", "-1"],
+            ["--mode", "hits", "--n-hits", "0"],
+            ["--mode", "hits", "--damage-start-hit", "0", "--damage-fraction", "1.5"],
+            ["--mode", "hits", "--damage-start-hit", "0", "--damage-energy-factor", "-1"],
         ],
         ids=" ".join,
     )
@@ -549,7 +556,12 @@ class TestFeatures:
 
     @pytest.mark.parametrize(
         "events",
-        ['{"bursts": [{"start": 1}]}', "5", '{"bursts": 5}', "[[1, 2]]", "{}"],
+        ['{"bursts": [{"start": 1}]}', "5", '{"bursts": 5}', "[[1, 2]]", "{}"]
+        # Span indices must be JSON integers.
+        + [
+            f'[{{"start_index": 0, "end_index": {v}}}]'
+            for v in ("1e400", "Infinity", "1.5", "true")
+        ],
     )
     def test_malformed_events_file_is_data_error(self, tmp_path, capsys, events):
         wave = tmp_path / "wave.f32"
@@ -700,14 +712,14 @@ PARSER_SNAPSHOT = {
         (("--out",), None, None, None, True),
         (("--duration",), "_positive_float", None, 0.1, False),
         (("--sample-rate",), "_positive_float", None, 1000000.0, False),
-        (("--noise-sigma",), "float", None, 0.01, False),
+        (("--noise-sigma",), "_non_negative_float", None, 0.01, False),
         (("--burst",), "_parse_burst", None, [], False),
         (("--annotations-out",), None, None, None, False),
         (("--out-format",), None, ("csv", "raw_f32_le"), "raw_f32_le", False),
-        (("--n-hits",), "int", None, 1000, False),
+        (("--n-hits",), "_positive_int", None, 1000, False),
         (("--damage-start-hit",), "int", None, None, False),
-        (("--damage-energy-factor",), "float", None, 50.0, False),
-        (("--damage-fraction",), "float", None, 0.3, False),
+        (("--damage-energy-factor",), "_positive_float", None, 50.0, False),
+        (("--damage-fraction",), "_fraction", None, 0.3, False),
     ],
     "detect": [
         (("--config",), None, None, None, False),

@@ -41,6 +41,7 @@ from sampler_oracle import (
     dense,
     detach_datum,
     greedy_pick,
+    id_order,
     normalize_log_weights,
     reference_fit,
     reference_sweep,
@@ -341,9 +342,9 @@ def zero_runs(seed):
 
 def assert_sums_match(sums, dicts):
     """``sums`` holds, with ``==``, what one dict per datum would: a column
-    per key in the dicts' first-seen order, ``0.0`` where a dict has none."""
+    per key in ``id_order``, ``0.0`` where a dict has none."""
     expected, columns = dense(dicts)
-    assert sums.columns() == columns
+    assert id_order(sums.by_key) == columns
     got = [sums.by_key[key] for key in columns]
     assert np.array_equal(np.reshape(got, (len(columns), len(dicts))).T, expected)
 
@@ -377,8 +378,8 @@ def sweep_against_reference(fused, ref, sweeps, burn_in):
 
 def assert_fit_matches_reference(data, sweeps, burn_in, seed):
     """``fit`` equals ``reference_fit`` with ``==``: mean probabilities entry
-    by entry (``0.0`` for a key a datum's dict lacks), columns in first-seen
-    order, joints, and the final state."""
+    by entry (``0.0`` for a key a datum's dict lacks), columns in ``id_order``,
+    joints, and the final state."""
     result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=seed)
     ref, joints, means = reference_fit(data, UNIT, sweeps, burn_in, seed)
     expected, columns = dense(means)
@@ -431,14 +432,20 @@ class TestFusedSweep:
         # The last two cases average one sweep and every sweep.
         assert_fit_matches_reference(counts(seed), sweeps, burn_in, seed)
 
-    def test_older_id_first_seen_after_newer(self):
-        # Id 10 is first live at a later datum than id 11, so the columns are
-        # not in id order; presence decides the order, not the id.
+    def test_columns_ascend_by_id(self):
+        # Id 11 is live at an earlier datum than id 10, yet the columns
+        # ascend by id with NEW last: where a key first appears plays no part.
         data = mixed_counts(3)
         result = fit(data, UNIT, sweeps=14, burn_in=6, rng_seed=3)
-        expected, columns = dense(reference_fit(data, UNIT, 14, 6, 3)[2])
+        means = reference_fit(data, UNIT, 14, 6, 3)[2]
+        first_datum = {}
+        for i, probs in enumerate(means):
+            for key in probs:
+                first_datum.setdefault(key, i)
+        assert first_datum[11] < first_datum[10]
+        assert result.columns == sorted(result.columns[:-1]) + [None]
+        expected, columns = dense(means)
         assert result.columns == columns
-        assert columns.index(11) < columns.index(10)
         assert np.array_equal(result.mean_probabilities, expected)
 
     def test_stay_restores_cached_terms(self, monkeypatch):

@@ -136,6 +136,17 @@ class TestObserve:
         # Gate + assignment draw + one sweep over 51 data.
         assert state_b.rng.draws == 1 + 1 + 51
 
+    def test_births_ascend_by_id(self):
+        # The sweep at the sixth count mints two clusters that both survive;
+        # their alarms come lowest id first, as do those of every call.
+        state = MixtureState.empty(UNIT, 0)
+        births = [
+            [alarm.cluster_id for alarm in observe(x, state, eta_override=1.0).alarms]
+            for x in (2, 49, 37, 1, 44, 53)
+        ]
+        assert births[5] == [7, 8]
+        assert all(ids == sorted(ids) for ids in births)
+
     def test_resample_path_matches_reference(self):
         # The resampling path draws the new count's cluster as the oracle's
         # running-sum scan would, then sweeps as the step-by-step reference.
@@ -230,7 +241,7 @@ class TestUpdateTracks:
             alarms += update_tracks(tracks, 0, t, count=8, energy=1.0)
         assert alarms == []
         track = tracks[0]
-        assert track.cumulative_events[-1] == 10_000
+        assert len(track.times) == 10_000
         assert track.cumulative_counts[-1] == 80_000
 
     def test_injected_energy_step_alarms_once(self):
@@ -256,11 +267,7 @@ class TestUpdateTracks:
                 energy=float(rng.random()),
             )
         for track in tracks.values():
-            for series in (
-                track.cumulative_events,
-                track.cumulative_counts,
-                track.cumulative_energy,
-            ):
+            for series in (track.cumulative_counts, track.cumulative_energy):
                 assert all(b >= a for a, b in zip(series, series[1:]))
                 assert len(series) == len(track.times)
 

@@ -19,7 +19,7 @@ from aeburst.segmentation import (
 )
 from aeburst.synth import BurstSpec, SynthSpec, synthesize
 from aeburst.windowing import Waveform, WindowSpec, extract_counts
-from sampler_oracle import dense, reference_fit
+from sampler_oracle import dense, id_order, reference_fit
 from windowing_oracle import count_crossings, per_sample, probability_of
 
 
@@ -95,17 +95,17 @@ class TestAverageProbabilities:
 
 
 def reference_average(window_probs, spec, signal_len):
-    """The per-sample field: one float array over the recording per key."""
+    """The per-sample field: one float array over the recording per key,
+    the keys in ``id_order``."""
     n = spec.length_n
     step = spec.step
     coverage = np.zeros(signal_len, dtype=np.int64)
-    sums = {}
+    keys = id_order(key for probs in window_probs for key in probs)
+    sums = {key: np.zeros(signal_len) for key in keys}
     for i, probs in enumerate(window_probs):
         start = i * step
         coverage[start : start + n] += 1
         for key, p in probs.items():
-            if key not in sums:
-                sums[key] = np.zeros(signal_len)
             sums[key][start : start + n] += p
     covered = coverage > 0
     total = np.zeros(signal_len)

@@ -76,6 +76,11 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             SynthSpec(0.01, 1e6, 0.01, (BurstSpec(0.02, 0.1, 1e-3, 1e5, 0),))
 
+    @pytest.mark.parametrize("sigma", [math.nan, -1.0])
+    def test_noise_sigma_nan_or_negative_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthSpec(0.01, 1e6, sigma)
+
     def test_zero_noise_renders_clean_burst(self):
         spec = SynthSpec(0.001, 1e6, 0.0, (BurstSpec(0.0, 1.0, 1e-4, 5e4, 0),))
         waveform, _ = synthesize(spec, rng_seed=0)
@@ -121,3 +126,17 @@ class TestHitStream:
             assert hit.pretrigger == 500
             # Pre-trigger region is noise only.
             assert float(np.max(np.abs(hit.samples[:500]))) < 6 * spec.noise_sigma
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_sigma", math.nan),
+            ("noise_sigma", -1.0),
+            ("damage_energy_factor", math.nan),
+            ("damage_energy_factor", -1.0),
+            ("damage_fraction", math.nan),
+        ],
+    )
+    def test_nan_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HitStreamSpec(n_hits=5, **{field: value})
