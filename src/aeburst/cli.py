@@ -21,6 +21,8 @@ from collections.abc import Iterator
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import PipelineConfig
 from .detector import NllTrace, flag_events, pick_noise_training, score, train_background
 from .dppmm import MixtureState, fit, state_to_json_dict
@@ -119,6 +121,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -192,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-format", default="raw_f32_le", choices=("csv", "raw_f32_le"),
     )
     p_synth.add_argument("--n-hits", type=_positive_int, default=1000)
-    p_synth.add_argument("--damage-start-hit", type=int, default=None)
+    p_synth.add_argument("--damage-start-hit", type=_non_negative_int, default=None)
     p_synth.add_argument("--damage-energy-factor", type=_positive_float, default=50.0)
     p_synth.add_argument("--damage-fraction", type=_fraction, default=0.3)
 
@@ -290,15 +299,21 @@ def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _nll_csv(trace: NllTrace, block: int = 4096) -> Iterator[bytes]:
-    """The per-window NLL CSV, ``block`` lines at a time."""
+    """The per-window NLL CSV, ``block`` rows ``{start},{count},{nll!r}`` at a time.
+
+    Each distinct (count, NLL bit pattern) pair's row tail is formatted once.
+    """
     yield b"start_index,count,nll\n"
-    for i in range(0, len(trace.nlls), block):
-        rows = zip(
-            trace.starts[i : i + block].tolist(),
-            trace.counts[i : i + block].tolist(),
-            trace.nlls[i : i + block].tolist(),
-        )
-        yield "".join(f"{s},{c},{v!r}\n" for s, c, v in rows).encode("ascii")
+    _, count_ids = np.unique(trace.counts, return_inverse=True)
+    nll_bits, nll_ids = np.unique(trace.nlls.view(np.uint64), return_inverse=True)
+    _, first, tail_ids = np.unique(
+        count_ids * nll_bits.size + nll_ids, return_index=True, return_inverse=True
+    )
+    pairs = zip(trace.counts[first].tolist(), trace.nlls[first].tolist())
+    tails = [f",{c},{v!r}\n" for c, v in pairs]
+    for i in range(0, tail_ids.size, block):
+        rows = zip(trace.starts[i : i + block].tolist(), tail_ids[i : i + block].tolist())
+        yield "".join([f"{s}{tails[t]}" for s, t in rows]).encode("ascii")
 
 
 def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -445,7 +460,7 @@ def _load_event_spans(path: str) -> list[tuple[int, int]]:
 def _cmd_features(args: argparse.Namespace, config: PipelineConfig) -> int:
     waveform = read_waveform(args.input, args.format, args.sample_rate)
     spans = _load_event_spans(args.events)
-    # Decoding every chunk checks every sample is finite, not only the spans'.
+    # Reading every chunk checks every sample is finite, not only the spans'.
     for _ in waveform.chunks():
         pass
 

@@ -5,9 +5,10 @@ with uniform spacing) or headerless little-endian raw arrays
 (``raw_f32_le``, ``raw_i16_le``); the sample rate always comes from
 metadata supplied by the caller, never from sniffing.  CSV is read whole
 into a ``Waveform``.  A raw file is opened as a ``RawRecording``: its
-length comes from the file size, and its samples are decoded to float64
-``CHUNK_SAMPLES`` at a time, or one requested span at a time, each checked
-finite as it is decoded, so reading it holds one chunk, not the recording.
+length comes from the file size, and its samples are read
+``CHUNK_SAMPLES`` at a time in their stored dtype (float32 or int16), or
+one requested span at a time decoded to float64, each checked finite as it
+is read, so reading it holds one chunk, not the recording.
 
 Hit files use a self-describing container: a single UTF-8 JSON header
 line
@@ -131,12 +132,12 @@ class HitRecord(Waveform):
 
 @dataclass(frozen=True)
 class RawRecording:
-    """A raw recording on disk, decoded to float64 when read.
+    """A raw recording on disk, read a chunk or a span at a time.
 
-    The samples start ``offset`` bytes into the file.  ``chunks`` decodes
-    ``CHUNK_SAMPLES`` samples per read and ``span`` one range; a read that
-    comes up short, or a sample that is not finite, raises
-    ``DataFormatError``.
+    The samples start ``offset`` bytes into the file.  ``chunks`` yields
+    ``CHUNK_SAMPLES`` samples per read in the stored ``dtype``; ``span``
+    decodes one range to float64.  A read that comes up short, or a sample
+    that is not finite, raises ``DataFormatError``.
     """
 
     path: Path
@@ -153,16 +154,16 @@ class RawRecording:
         with self.path.open("rb") as handle:
             handle.seek(self.offset)
             for start in range(0, self.n_samples, size):
-                yield self._decode(handle, start, min(size, self.n_samples - start))
+                yield self._read(handle, start, min(size, self.n_samples - start))
 
     def span(self, start: int, end: int) -> np.ndarray:
         if not 0 <= start <= end <= self.n_samples:
             raise ValueError(f"span ({start}, {end}) outside {self.n_samples} samples")
         with self.path.open("rb") as handle:
             handle.seek(self.offset + start * self.dtype.itemsize)
-            return self._decode(handle, start, end - start)
+            return self._read(handle, start, end - start).astype(np.float64)
 
-    def _decode(self, handle: BinaryIO, start: int, count: int) -> np.ndarray:
+    def _read(self, handle: BinaryIO, start: int, count: int) -> np.ndarray:
         raw = handle.read(count * self.dtype.itemsize)
         if len(raw) != count * self.dtype.itemsize:
             raise DataFormatError(
@@ -172,7 +173,7 @@ class RawRecording:
         if self.dtype.kind == "f" and not np.isfinite(values).all():
             bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
             raise DataFormatError(f"{self.path}: sample {bad} is not finite", bad)
-        return values.astype(np.float64)
+        return values
 
 
 def read_waveform(

@@ -178,6 +178,8 @@ class HitStreamSpec:
             raise ValueError("pretrigger must fit inside the record")
         if not 0.0 <= self.damage_fraction <= 1.0:
             raise ValueError("damage_fraction must lie in [0, 1]")
+        if self.damage_start_hit is not None and self.damage_start_hit < 0:
+            raise ValueError("damage_start_hit must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ threshold is either a fixed voltage or a percentile of the (optionally
 rectified) signal, and windows may overlap; the window slides in steps of
 ``round(length * (1 - overlap))`` samples.
 
-Both steps read a ``Recording`` one chunk at a time: an in-memory
-``Waveform`` is a single chunk, and a raw file (``aeburst.io``) is decoded
-in fixed-size chunks.  The percentile is exact, equal to ``np.percentile``'s
-linear method: a radix select over the float64 bit patterns finds the two
+Both steps read a ``Recording`` one chunk at a time, at its stored width:
+an in-memory ``Waveform`` is one float64 chunk, and a raw file
+(``aeburst.io``) yields fixed-size float32 or int16 chunks.  The percentile
+is exact, equal to ``np.percentile``'s linear method on the samples as
+float64: a radix select over keys as wide as the samples finds the two
 order statistics it interpolates, holding a histogram and at most one
-chunk's worth of candidate values.  Window counts carry only a running edge
+chunk's worth of candidate keys.  Window counts compare each sample with
+the threshold rounded down into its dtype and carry only a running edge
 count and one sample's state across a chunk boundary, so memory is set by
 the chunk size and the window count, not by the recording length.
 """
@@ -38,10 +40,11 @@ __all__ = [
 
 
 class Recording(Protocol):
-    """A uniformly sampled signal read in consecutive float64 chunks.
+    """A uniformly sampled signal read in consecutive chunks.
 
     ``chunks`` yields non-empty arrays that together cover samples
-    ``[0, len)`` in order; ``span`` returns samples ``[start, end)``.
+    ``[0, len)`` in order, in the dtype the recording stores: float64,
+    float32 or int16.  ``span`` returns samples ``[start, end)`` as float64.
     Every sample either returns is finite: a recording that is not checked
     when it is made raises ``ValueError`` when it reads a non-finite one.
     """
@@ -82,7 +85,7 @@ class Waveform:
         return self.samples.size
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The samples, as one chunk."""
+        """The float64 samples, as one chunk."""
         yield self.samples
 
     def span(self, start: int, end: int) -> np.ndarray:
@@ -183,28 +186,40 @@ class WindowedCounts:
         return self.starts.size
 
 
-_SIGN = 1 << 63
 _RADIX_BITS = 16
 
 
+def _widened(values: np.ndarray) -> np.ndarray:
+    """Float samples as they are; integer samples as int32, where ``|-32768|`` fits."""
+    return values.astype(np.int32) if values.dtype.kind == "i" else values
+
+
 def _sort_keys(values: np.ndarray, rectify: bool) -> np.ndarray:
-    """uint64 keys that order like ``|values|`` (or ``values``) as floats.
+    """Unsigned keys that order like ``|values|`` (or ``values``) as numbers.
 
-    Non-negative floats already order like their bit patterns.  Signed
-    values flip every bit of a negative value and only the sign bit of the
-    rest, so negatives come first, in reverse magnitude.
+    Keys are as wide as ``_widened(values)``.  Non-negative numbers already
+    order like their bit patterns.  Signed floats flip every bit of a
+    negative value and only the sign bit of the rest, so negatives come
+    first, in reverse magnitude; two's-complement integers flip the sign bit.
     """
+    values = _widened(values)
     if rectify:
-        return np.abs(values).view(np.uint64)
-    bits = values.view(np.uint64)
-    return bits ^ ((bits.view(np.int64) >> 63).view(np.uint64) | np.uint64(_SIGN))
+        return np.abs(values).view(f"u{values.itemsize}")
+    width = 8 * values.itemsize
+    bits = values.view(f"u{values.itemsize}")
+    sign = bits.dtype.type(1 << (width - 1))
+    if values.dtype.kind == "i":
+        return bits ^ sign
+    negative = (values.view(f"i{values.itemsize}") >> (width - 1)).view(bits.dtype)
+    return bits ^ (negative | sign)
 
 
-def _key_value(key: int, rectify: bool) -> float:
-    """The float a key of ``_sort_keys`` stands for."""
+def _key_value(key: int, rectify: bool, dtype: np.dtype) -> float:
+    """The number a key of ``_sort_keys`` stands for; ``dtype`` is the widened samples'."""
+    sign = 1 << (8 * dtype.itemsize - 1)
     if not rectify:
-        key = key ^ _SIGN if key & _SIGN else key ^ (2 * _SIGN - 1)
-    return float(np.array([key], dtype=np.uint64).view(np.float64)[0])
+        key ^= sign if dtype.kind == "i" or key & sign else 2 * sign - 1
+    return float(np.array([key], dtype=f"u{dtype.itemsize}").view(dtype)[0])
 
 
 def _order_statistics(
@@ -212,25 +227,28 @@ def _order_statistics(
 ) -> tuple[float, float]:
     """The values of ranks ``low`` and ``high = low`` or ``low + 1``, ascending.
 
-    A radix select over the keys of ``_sort_keys``: each pass reads every
-    chunk and histograms the next 16 bits of the keys inside the bucket
-    that holds the ranks, whose base is ``base`` and whose width is
-    ``2 ** (shift + 16)``.  The select stops when the bucket holds one
-    distinct key, or no more keys than the largest chunk, which are then
-    collected and partitioned.
+    A radix select over the keys of ``_sort_keys``, whose width the first
+    chunk sets: each pass reads every chunk and histograms the next 16 bits
+    of the keys inside the bucket that holds the ranks, whose base is
+    ``base`` and whose width is ``2 ** (shift + 16)``.  The select stops
+    when the bucket holds one distinct key, or no more keys than the largest
+    chunk, which are then collected and partitioned: 32-bit keys take at
+    most two reads, unless the ranks straddle two buckets.
     """
-    base, below, shift = 0, 0, 64 - _RADIX_BITS
+    base, below, shift, top, dtype = 0, 0, 0, 0, None  # the first chunk sets shift, dtype
     while True:
-        top = base + (1 << (shift + _RADIX_BITS)) - 1
         hist = np.zeros(1 << _RADIX_BITS, dtype=np.int64)
         limit = 0
         for chunk in recording.chunks():
             limit = max(limit, chunk.size)
             keys = _sort_keys(chunk, rectify)
-            if shift + _RADIX_BITS < 64:
-                keys = keys[(keys >= base) & (keys <= top)] - np.uint64(base)
-            # Digits fit in 16 bits, so the int64 view is the same numbers.
-            digits = (keys >> np.uint64(shift)).view(np.int64).astype(np.intp, copy=False)
+            if dtype is None:
+                dtype = np.dtype(f"{chunk.dtype.kind}{keys.itemsize}")
+                shift = 8 * keys.itemsize - _RADIX_BITS
+            if shift + _RADIX_BITS < 8 * keys.itemsize:
+                keys = keys[(keys >= base) & (keys <= top)] - keys.dtype.type(base)
+            # Digits fit in 16 bits, so the signed view is the same numbers.
+            digits = (keys >> keys.dtype.type(shift)).view(f"i{keys.itemsize}")
             hist += np.bincount(digits, minlength=hist.size)
         cum = np.cumsum(hist)
         b_low, b_high = np.searchsorted(cum, [low - below, high - below], side="right")
@@ -242,11 +260,11 @@ def _order_statistics(
             )
         below += int(cum[b_low - 1]) if b_low else 0
         base += int(b_low) << shift
+        top = base + (1 << shift) - 1
         if shift == 0:
-            value = _key_value(base, rectify)
+            value = _key_value(base, rectify, dtype)
             return value, value
         if hist[b_low] <= limit:
-            top = base + (1 << shift) - 1
             found = []
             for chunk in recording.chunks():
                 keys = _sort_keys(chunk, rectify)
@@ -254,9 +272,7 @@ def _order_statistics(
             found = np.concatenate(found)
             ranks = (low - below, high - below)
             found.partition(ranks)
-            return _key_value(int(found[ranks[0]]), rectify), _key_value(
-                int(found[ranks[1]]), rectify
-            )
+            return tuple(_key_value(int(found[r]), rectify, dtype) for r in ranks)
         shift -= _RADIX_BITS
 
 
@@ -264,9 +280,9 @@ def resolve_threshold(recording: Recording, policy: ThresholdPolicy) -> float:
     """Resolve a threshold policy against a recording, in volts.
 
     Percentile thresholds use linear interpolation between closest order
-    statistics of ``|v|`` (or of ``v`` when ``rectify`` is off), bit for bit
-    as ``np.percentile`` computes it; fixed thresholds pass through
-    unchanged.
+    statistics of ``|v|`` (or of ``v`` when ``rectify`` is off), equal to
+    ``np.percentile`` on the samples as float64 (which may pick the other
+    zero of a -0.0/0.0 tie); fixed thresholds pass through unchanged.
     """
     if policy.kind == "fixed":
         return float(policy.value)
@@ -280,6 +296,24 @@ def resolve_threshold(recording: Recording, policy: ThresholdPolicy) -> float:
     t = index - below
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _stored_bound(threshold: float, dtype: np.dtype) -> float | int:
+    """A bound such that ``v > bound`` exactly when ``float(v) > threshold``.
+
+    ``v`` is a sample of ``dtype``.  For floats the bound is the largest
+    value of the dtype not above the threshold, so none lies between them.
+    For integers it is the floor (the threshold itself past ``2 ** 16`` or
+    for NaN, where every int16 falls on one side of both).
+    """
+    if dtype.kind == "i":
+        return math.floor(threshold) if abs(threshold) < 1 << 16 else threshold
+    with np.errstate(over="ignore"):  # past float32's range the bound may be +-inf
+        bound = dtype.type(threshold)  # the nearest value; one step down if above
+        # Compared as Python floats: against a numpy float32, the threshold is rounded.
+        if float(bound) > threshold:
+            bound = np.nextafter(bound, dtype.type(-np.inf))
+    return bound
 
 
 def extract_counts(
@@ -300,7 +334,9 @@ def extract_counts(
     closes = np.empty(starts.size, dtype=np.int64)
     offset, edges_before, was_above = 0, 0, False
     for chunk in recording.chunks():
-        above = (np.abs(chunk) if policy.rectify else chunk) > threshold
+        chunk = _widened(chunk)
+        bound = _stored_bound(threshold, chunk.dtype)  # exact at the stored width
+        above = (np.abs(chunk) if policy.rectify else chunk) > bound
         edges = np.empty(above.size, dtype=bool)
         edges[0] = above[0] and not was_above
         np.greater(above[1:], above[:-1], out=edges[1:])

@@ -3,14 +3,17 @@
 import argparse
 import inspect
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeburst.cli import _nll_csv, _write_json, build_parser, cli
 from aeburst.config import PipelineConfig
-from aeburst.detector import score, train_background
+from aeburst.detector import NllTrace, score, train_background
 import aeburst.io as aeio
 from aeburst.io import read_hits, read_waveform, write_hits
 from aeburst.synth import HitStreamSpec, synthesize_hit_stream
@@ -93,6 +96,7 @@ class TestSynth:
             ["--mode", "hits", "--n-hits", "0"],
             ["--mode", "hits", "--damage-start-hit", "0", "--damage-fraction", "1.5"],
             ["--mode", "hits", "--damage-start-hit", "0", "--damage-energy-factor", "-1"],
+            ["--mode", "hits", "--n-hits", "5", "--damage-start-hit", "-3"],
         ],
         ids=" ".join,
     )
@@ -164,6 +168,41 @@ class TestDetect:
         whole = ("\n".join(lines) + "\n").encode("ascii")
         for block in (1, 5, 23, 4096):
             assert b"".join(_nll_csv(trace, block)) == whole
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 11, 4096])
+    def test_nll_csv_rows_follow_the_row_rule(self, block):
+        # Count 3 with two NLLs, NLL 1.5 on counts 3 and 5, both zeros, inf:
+        # each row's tail must come from its own (count, NLL) pair.
+        counts = np.array([3, 3, 0, 5, 0, 0, 7, 7, 3, 5, 12])
+        nlls = np.array(
+            [1.5, 2.25, 0.0, 1.5, -0.0, 0.0, math.inf, math.inf, 1.5, 0.1 + 0.2, -0.0]
+        )
+        starts = np.arange(counts.size) * 256 + 17
+        trace = NllTrace(starts, counts, nlls, flag_threshold=1.0, spec=WindowSpec(256))
+        rows = zip(starts.tolist(), counts.tolist(), nlls.tolist())
+        want = "start_index,count,nll\n" + "".join(f"{s},{c},{v!r}\n" for s, c, v in rows)
+        assert b"".join(_nll_csv(trace, block)) == want.encode("ascii")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from([0.0, -0.0, 1.5, 2.0, 1e-300, math.inf, 7.25]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 8),
+    )
+    def test_nll_csv_equals_row_by_row_for_any_pairs(self, pairs, block):
+        counts = np.array([c for c, _ in pairs])
+        nlls = np.array([v for _, v in pairs])
+        starts = np.arange(len(pairs)) * 3
+        trace = NllTrace(starts, counts, nlls, flag_threshold=0.0, spec=WindowSpec(3))
+        rows = zip(starts.tolist(), counts.tolist(), nlls.tolist())
+        want = "start_index,count,nll\n" + "".join(f"{s},{c},{v!r}\n" for s, c, v in rows)
+        assert b"".join(_nll_csv(trace, block)) == want.encode("ascii")
 
     def test_explicit_training_range(self, lead_break_files, tmp_path):
         wave, _ = lead_break_files
@@ -717,7 +756,7 @@ PARSER_SNAPSHOT = {
         (("--annotations-out",), None, None, None, False),
         (("--out-format",), None, ("csv", "raw_f32_le"), "raw_f32_le", False),
         (("--n-hits",), "_positive_int", None, 1000, False),
-        (("--damage-start-hit",), "int", None, None, False),
+        (("--damage-start-hit",), "_non_negative_int", None, None, False),
         (("--damage-energy-factor",), "_positive_float", None, 50.0, False),
         (("--damage-fraction",), "_fraction", None, 0.3, False),
     ],

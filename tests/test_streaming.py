@@ -3,9 +3,12 @@ event features equal to the whole-array code, in memory set by the chunk."""
 
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeburst.io as aeio
 from aeburst.io import read_waveform
@@ -158,3 +161,110 @@ def test_count_memory_is_set_by_the_chunk(tmp_path, monkeypatch, kind):
             tracemalloc.stop()
     # Holding the longer recording whole would add at least 4 MiB of float64.
     assert peaks[1] < 1.1 * peaks[0]
+
+
+# Stored-width reading: float32 and int16 chunks are thresholded and counted
+# as stored, and must give what the float64 code gives on the same samples,
+# bit for bit.
+F32 = np.float32
+F32_SPECIAL = [
+    0.0, -0.0, 1.0, -1.0, 0.1, -0.1,
+    float(np.finfo(F32).smallest_subnormal), -float(np.finfo(F32).smallest_subnormal),
+    float(np.finfo(F32).smallest_normal), float(np.finfo(F32).max), float(np.finfo(F32).min),
+]
+I16_SPECIAL = [-32768, 32767, -32767, 0, 1, -1]
+
+
+def _samples(fmt):
+    if fmt == "raw_f32_le":
+        element = st.one_of(
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            st.sampled_from(F32_SPECIAL),
+        )
+    else:
+        element = st.one_of(st.integers(-32768, 32767), st.sampled_from(I16_SPECIAL))
+    return st.lists(element, min_size=1, max_size=200)
+
+
+def _fixed_thresholds(values):
+    """Thresholds at, just off and between neighbours of a sample, and beyond any."""
+    v = float(values[0])
+    with np.errstate(over="ignore"):
+        up = float(np.nextafter(F32(v), F32(np.inf)))
+    return [
+        v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf), (v + up) / 2,
+        v + 0.5, v - 0.5, 1e300, -1e300, 3.5e38, -3.5e38, 32767.5, -32768.5,
+    ]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["raw_f32_le", "raw_i16_le"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stored_width_equals_float64(tmp_path_factory, fmt, data):
+    values = data.draw(_samples(fmt), label="values")
+    chunk = data.draw(st.integers(1, 64), label="chunk")
+    rectify = data.draw(st.booleans(), label="rectify")
+    q = data.draw(
+        st.one_of(
+            st.sampled_from([1e-9, 0.001, 0.5, 50.0, 99.5, 99.999, 100 - 1e-9]),
+            st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+        ),
+        label="percentile",
+    )
+    length = data.draw(st.integers(1, len(values)), label="window")
+    overlap = data.draw(st.sampled_from([0.0, 0.5, 0.75]), label="overlap")
+    spec = WindowSpec(length, overlap if length >= 4 else 0.0)
+
+    path = tmp_path_factory.getbasetemp() / f"stored.{fmt}"
+    stored = np.array(values, dtype="<f4" if fmt == "raw_f32_le" else "<i2")
+    stored.tofile(path)
+    samples = stored.astype(np.float64)
+    eager = Waveform(samples, 1e6)
+    policies = [ThresholdPolicy.percentile(q, rectify)] + [
+        ThresholdPolicy.fixed(t, rectify) for t in _fixed_thresholds(values)
+    ]
+    with mock.patch.object(aeio, "CHUNK_SAMPLES", chunk):
+        recording = read_waveform(path, fmt, 1e6)
+        for policy in policies:
+            threshold = resolve_threshold(recording, policy)
+            assert _bits(threshold) == _bits(resolve_threshold(eager, policy))
+            # np.percentile's partition may pick either zero of a -0.0/0.0
+            # tie, so against it the sign of a zero is not compared.
+            assert threshold == oracle.resolve_threshold(samples, policy)
+            got = extract_counts(recording, policy, spec)
+            want = oracle.extract_counts(samples, policy, spec)
+            assert got.counts.tolist() == want.counts.tolist()
+            assert got.counts.tolist() == extract_counts(eager, policy, spec).counts.tolist()
+            assert got.starts.tolist() == want.starts.tolist()
+
+
+def test_raw_chunks_keep_the_stored_dtype_and_the_select_reads_twice(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 256)
+    rng = np.random.default_rng(10)
+    f32, i16 = tmp_path / "wave.f32", tmp_path / "wave.i16"
+    rng.normal(size=50_000).astype("<f4").tofile(f32)
+    rng.integers(-32768, 32768, size=50_000).astype("<i2").tofile(i16)
+    recording = read_waveform(f32, "raw_f32_le", 1e6)
+    assert {c.dtype for c in recording.chunks()} == {np.dtype(np.float32)}
+    assert {c.dtype for c in read_waveform(i16, "raw_i16_le", 1e6).chunks()} == {
+        np.dtype(np.int16)
+    }
+    assert recording.span(0, 10).dtype == np.float64
+
+    reads = []
+    chunks = aeio.RawRecording.chunks
+    monkeypatch.setattr(
+        aeio.RawRecording, "chunks", lambda self: reads.append(self) or chunks(self)
+    )
+    # Near these ranks a top-16-bit bucket of float64 keys holds more than one
+    # 256-sample chunk, so 64-bit keys would need a third read; 32-bit need two.
+    for q in (50.0, 99.0):
+        reads.clear()
+        resolve_threshold(recording, ThresholdPolicy.percentile(q))
+        assert len(reads) == 2

@@ -135,6 +135,7 @@ class TestHitStream:
             ("damage_energy_factor", math.nan),
             ("damage_energy_factor", -1.0),
             ("damage_fraction", math.nan),
+            ("damage_start_hit", -3),
         ],
     )
     def test_nan_or_out_of_range_rejected(self, field, value):
