@@ -353,7 +353,7 @@ def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = []
     if result.state.clusters:
         field = average_probabilities(
-            result.mean_probabilities, windowed.spec, len(waveform), result.columns
+            result.table[result.index], windowed.spec, len(waveform), result.columns
         )
         noise = noise_cluster_id(result.state)
         records = build_event_records(

@@ -13,8 +13,8 @@ formula the background detector also scores with.  All weights are
 combined in log space with max-subtraction normalisation.
 
 Component identity is stable: every cluster carries an id minted at
-creation and never reused within a run, so per-datum assignment
-probabilities can be averaged across sweeps without label-switching
+creation and never reused within a run, so the assignment probabilities
+of a new datum can be averaged across sweeps without label-switching
 heuristics; a cluster that dies and re-forms is a distinct cluster.
 
 Randomness is consumed exclusively as uniform variates from a counted,
@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -50,8 +49,8 @@ __all__ = [
     "MixtureState",
     "UniformStream",
     "FitResult",
-    "ProbabilitySums",
     "assignment_log_weights",
+    "predictive_rows",
     "gibbs_sweep",
     "fit",
     "audit",
@@ -179,6 +178,25 @@ class MixtureState:
         return target.id
 
 
+def _routes(state: MixtureState) -> list[tuple[int | None, tuple]]:
+    """``predictive_terms`` of each live cluster in ascending id, then NEW's."""
+    base = state.hyper.base
+    routes: list[tuple[int | None, tuple]] = [
+        (k, predictive_terms(base, c.n_members, c.sum_x, math.log(c.n_members)))
+        for k, c in state.clusters.items()
+    ]
+    # The empty-component route: log(alpha) plus the prior predictive.
+    routes.append((None, predictive_terms(base, 0, 0, math.log(state.hyper.alpha))))
+    return routes
+
+
+def _log_weights(
+    x: int, routes: list[tuple[int | None, tuple]]
+) -> list[tuple[int | None, float]]:
+    lgamma_x1 = math.lgamma(x + 1)
+    return [(k, log_predictive(terms, x, lgamma_x1)) for k, terms in routes]
+
+
 def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None, float]]:
     """Unnormalised log assignment weights of a count over clusters plus NEW.
 
@@ -186,17 +204,7 @@ def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None
     ascending creation order, followed by ``(None, log_weight)`` for the
     empty-component route.
     """
-    x = int(x)
-    lgamma_x1 = math.lgamma(x + 1)
-    base = state.hyper.base
-    out = []
-    for k, c in state.clusters.items():
-        terms = predictive_terms(base, c.n_members, c.sum_x, math.log(c.n_members))
-        out.append((k, log_predictive(terms, x, lgamma_x1)))
-    # The empty-component route: log(alpha) plus the prior predictive.
-    terms = predictive_terms(base, 0, 0, math.log(state.hyper.alpha))
-    out.append((None, log_predictive(terms, x, lgamma_x1)))
-    return out
+    return _log_weights(int(x), _routes(state))
 
 
 def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[float], float]:
@@ -206,80 +214,22 @@ def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[floa
     return raw, sum(raw)
 
 
-class ProbabilitySums:
-    """Per-datum sums of normalised assignment probabilities over sweeps.
+def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
+    """New-datum assignment probabilities of each count in ``values``.
 
-    ``by_key`` holds one float64 array of length N per key (stable cluster
-    id, or ``None`` for NEW), made the first time the key is live at some
-    datum's step; at a step where the key is not live it receives exact
-    ``0.0``, so every sum is the one a dict per datum would hold.
+    Row ``i`` is ``assignment_log_weights(values[i], state)`` normalised, bit
+    for bit: one column per live cluster in ascending id, then NEW.  The
+    count-independent terms are computed once for all rows.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.sweeps = 0
-        self.by_key: dict[int | None, np.ndarray] = {}
-
-    def add_sweep(
-        self,
-        keys: list,
-        groups: list[tuple[int, list[int]]],
-        raw: array,
-        totals: array,
-        used: list[int],
-    ) -> None:
-        """Add one sweep's probabilities, held as ``gibbs_sweep`` leaves them.
-
-        The sweep's entries are numbered in the order they were made; entry
-        ``e`` has total ``totals[e]`` and its raw weights are the next
-        ``len(cols)`` values of ``raw``, one per column of ``cols``, a row of
-        ``keys``.  ``groups`` lists ``(first entry, cols)`` each time the
-        columns changed, and ``used[i]`` is the entry datum ``i`` drew from.
-        Every entry is drawn from, so a column of a group with entries is
-        live at some datum's step.
-        """
-        drawn = np.array(used, dtype=np.intp)
-        values, totals = np.frombuffer(raw), np.frombuffer(totals)
-        probs = np.zeros((totals.size, len(keys)))
-        stops = [start for start, _ in groups[1:]] + [totals.size]
-        live: set[int] = set()
-        offset = 0
-        for (start, cols), stop in zip(groups, stops):
-            if stop == start:
-                continue
-            end = offset + (stop - start) * len(cols)
-            block = values[offset:end].reshape(stop - start, len(cols))
-            probs[start:stop, cols] = block / totals[start:stop, None]
-            offset = end
-            live.update(cols)
-        for c in live:
-            key, row = keys[c], probs[drawn, c]
-            if key in self.by_key:
-                self.by_key[key] += row
-            else:
-                self.by_key[key] = row  # 0.0 + p is p
-        self.sweeps += 1
-
-    def mean(self) -> tuple[np.ndarray, list[int | None]]:
-        """The ``(N, C)`` mean over the added sweeps and its columns, the
-        keys in ascending id with ``None`` (NEW) last.
-
-        Each key's sum is released as its column is written, so the peak is
-        one ``N x C`` float64 array plus one column; the sums are consumed.
-        """
-        columns = sorted(self.by_key, key=lambda k: (k is None, k))
-        out = np.empty((self.n, len(columns)))
-        for column, key in zip(out.T, columns):
-            np.divide(self.by_key.pop(key), self.sweeps, out=column)
-        return out, columns
+    routes = _routes(state)
+    rows = []
+    for x in values:
+        raw, total = _exp_weights(_log_weights(int(x), routes))
+        rows.append([w / total for w in raw])
+    return np.array(rows).reshape(len(values), len(routes))
 
 
-def gibbs_sweep(
-    state: MixtureState,
-    *,
-    diagnostics: dict | None = None,
-    accumulate: ProbabilitySums | None = None,
-) -> MixtureState:
+def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> MixtureState:
     """One full sweep: every datum resampled once, in data order.
 
     Each step removes the datum from its cluster (deleting the cluster if
@@ -288,12 +238,9 @@ def gibbs_sweep(
     over slot lists of the live clusters plus NEW, in creation order, with
     the N uniforms taken from ``state.rng`` in one batch; the step-by-step
     reference it must match exactly is ``tests/sampler_oracle.py``.
-    Returns the updated state.  Given ``accumulate``, each datum's
-    normalised assignment probabilities, keyed by stable cluster id
-    (``None`` for NEW), are added into it after the sweep.  Given
-    ``diagnostics``, records ``joint_log_weight`` (the sum of the
-    chosen entries' unnormalised log weights) and ``flips`` (number of
-    assignments that changed).
+    Returns the updated state.  Given ``diagnostics``, records
+    ``joint_log_weight`` (the sum of the chosen entries' unnormalised log
+    weights) and ``flips`` (number of assignments that changed).
 
     Two sweep-local tables skip work whose result is already known, and
     both are exact.  ``rows`` maps a cluster statistic ``(n, s)`` to its
@@ -301,19 +248,12 @@ def gibbs_sweep(
     own memo): a log weight is a pure function of ``(n, s, x)``, so the
     table starts from the live clusters' statistics and ends with the sweep.  ``steps``
     maps ``(slot left, x)`` to that step's log weights, cumulative weights,
-    total, detached row and entry number: a datum that returns to the
-    cluster it left (a stay) leaves the state as it found it, so until the
-    next flip clears the table the same key meets the same weights.  The
-    draw ``bisect_right(cumulative, u * total)``, clamped to the last slot,
-    is the first slot whose cumulative weight exceeds ``u * total`` (the
-    oracle's ``scan``), and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
-
-    Accumulating, the sweep appends each entry's raw weights and total to
-    two float64 arrays.  ``cols`` holds the sweep-local column of each live
-    id; it is rebuilt only when an id is minted or deleted, and ``groups``
-    notes from which entry on each rebuild holds.  Each datum records one
-    int, the entry it drew from, and ``ProbabilitySums`` turns the entries
-    into ``raw / total`` rows and gathers them per datum.
+    total and detached row: a datum that returns to the cluster it left (a
+    stay) leaves the state as it found it, so until the next flip clears
+    the table the same key meets the same weights.  The draw
+    ``bisect_right(cumulative, u * total)``, clamped to the last slot, is the
+    first slot whose cumulative weight exceeds ``u * total`` (the oracle's
+    ``scan``), and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
     """
     data, assignments, clusters = state.data, state.assignments, state.clusters
     base = state.hyper.base
@@ -332,9 +272,6 @@ def gibbs_sweep(
     stats = list(clusters.values())
     new_route = (predictive_terms(base, 0, 0, log(state.hyper.alpha)), {})
     slots = [row(c.n_members, c.sum_x) for c in stats] + [new_route]
-    keys, cols = [*ids], list(range(len(ids)))
-    groups = [(0, cols)]
-    raws, totals, used = array("d"), array("d"), []
 
     uniforms = state.rng.take(len(data))
     joint, flips = 0.0, 0
@@ -352,8 +289,6 @@ def gibbs_sweep(
                 # An emptied cluster is deleted, so this step flips and its
                 # entry in ``steps`` is cleared at once.
                 del clusters[left], ids[j], stats[j], slots[j]
-                cols = cols[:j] + cols[j + 1 :]
-                groups.append((len(totals), cols))
                 j, detached = -1, None
             log_w = [
                 memo[x] if x in memo
@@ -366,14 +301,9 @@ def gibbs_sweep(
             raw = [exp(w - top) for w in log_w]
             total = sum(raw)
             cum = list(itertools.accumulate(raw))
-            step = steps[j, x] = (log_w, cum, total, detached, len(totals))
-            if accumulate is not None:
-                raws.fromlist(raw)
-                totals.append(total)
-        log_w, cum, total, detached, entry = step
+            step = steps[j, x] = (log_w, cum, total, detached)
+        log_w, cum, total, detached = step
         idx = min(bisect_right(cum, uniforms[i] * total), len(cum) - 1)
-        if accumulate is not None:
-            used.append(entry)
         joint += log_w[idx]
         if idx == j:
             continue
@@ -388,16 +318,11 @@ def gibbs_sweep(
             ids.insert(idx, cluster.id)
             stats.append(cluster)
             slots.insert(idx, ())
-            cols = [*cols[:-1], len(keys), cols[-1]]
-            groups.append((len(totals), cols))
-            keys.append(cluster.id)
         cluster = stats[idx]
         n, s = cluster.n_members + 1, cluster.sum_x + x
         cluster.n_members, cluster.sum_x = n, s
         slots[idx] = row(n, s)
         assignments[i] = cluster.id
-    if accumulate is not None:
-        accumulate.add_sweep(keys, groups, raws, totals, used)
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips
@@ -406,19 +331,22 @@ def gibbs_sweep(
 
 @dataclass
 class FitResult:
-    """Final sampler state plus per-sweep diagnostics.
+    """Final sampler state, the predictive table and per-sweep diagnostics.
 
-    ``mean_probabilities`` is an ``(N, C)`` float64 array: each datum's
-    normalised assignment probabilities averaged over post-burn-in sweeps,
-    matched by stable cluster id, with ``0.0`` where a key was not live;
-    clusters that die and re-form contribute under distinct ids.
-    ``columns`` names its columns: ascending cluster id, then ``None`` for
-    NEW, the order of ``MixtureState.clusters`` and of the sweep's slots, in
-    which ``average_probabilities`` sums them.
+    ``table`` is a float64 array with one row per distinct count of the
+    data, in ascending count, and ``index[i]`` is the row of datum ``i``'s
+    count, so ``table[index]`` is one row per datum.  A row is the
+    new-datum assignment probabilities of its count (``predictive_rows``)
+    after each post-burn-in sweep, averaged over those sweeps and matched
+    by stable cluster id, with ``0.0`` where a key was not live; clusters
+    that die and re-form contribute under distinct ids.  ``columns`` names
+    its columns: ascending cluster id, then ``None`` for NEW, the order of
+    ``MixtureState.clusters``, in which ``average_probabilities`` sums them.
     """
 
     state: MixtureState
-    mean_probabilities: np.ndarray
+    table: np.ndarray
+    index: np.ndarray
     columns: list[int | None]
     cluster_counts: list[int]
     joint_log_weights: list[float]
@@ -435,8 +363,10 @@ def fit(
     """Run the collapsed Gibbs sampler for a fixed sweep budget.
 
     All data start in a single component.  Reported labels are those of
-    the final sweep; only the sweeps after ``burn_in`` accumulate
-    ``mean_probabilities``.  Every sweep in the budget runs.
+    the final sweep; after each sweep from ``burn_in`` on, every distinct
+    count's ``predictive_rows`` row is added into ``table``, which takes no
+    uniforms, so the stream makes exactly ``sweeps * len(data)`` draws.
+    Every sweep in the budget runs.
 
     An empty dataset returns an empty state rather than raising; it means
     "no events" downstream.
@@ -445,33 +375,34 @@ def fit(
         raise ValueError(
             f"need sweeps > burn_in >= 0, got sweeps={sweeps}, burn_in={burn_in}"
         )
-    if not data:
-        return FitResult(
-            state=MixtureState.empty(hyper, rng_seed),
-            mean_probabilities=np.zeros((0, 0)),
-            columns=[],
-            cluster_counts=[],
-            joint_log_weights=[],
-            sweeps_run=0,
-        )
+    values, index = np.unique(np.asarray(data, dtype=np.int64), return_inverse=True)
     state = MixtureState.init_single_cluster(data, hyper, rng_seed)
-    sums = ProbabilitySums(len(state.data))
+    counts = values.tolist()
+    sums: dict[int | None, np.ndarray] = {}
     cluster_counts: list[int] = []
     joint_log_weights: list[float] = []
-    for sweep_idx in range(sweeps):
+    sweeps_run = sweeps if data else 0
+    for sweep_idx in range(sweeps_run):
         diag: dict = {}
-        averaging = sweep_idx >= burn_in
-        gibbs_sweep(state, diagnostics=diag, accumulate=sums if averaging else None)
+        gibbs_sweep(state, diagnostics=diag)
         cluster_counts.append(state.n_clusters)
         joint_log_weights.append(diag["joint_log_weight"])
-    mean_probabilities, columns = sums.mean()
+        if sweep_idx >= burn_in:
+            rows = predictive_rows(state, counts)
+            for key, column in zip([*state.clusters, None], rows.T):
+                sums[key] = sums.get(key, 0.0) + column
+    columns = sorted(sums, key=lambda k: (k is None, k))
+    table = np.empty((len(counts), len(columns)))
+    for column, key in zip(table.T, columns):
+        np.divide(sums[key], sweeps - burn_in, out=column)
     return FitResult(
         state=state,
-        mean_probabilities=mean_probabilities,
+        table=table,
+        index=index,
         columns=columns,
         cluster_counts=cluster_counts,
         joint_log_weights=joint_log_weights,
-        sweeps_run=sweeps,
+        sweeps_run=sweeps_run,
     )
 
 

@@ -84,8 +84,9 @@ def average_probabilities(
     """Arithmetic mean of window probability vectors at every sample.
 
     ``window_probs`` is ``(n_windows, C)``, one row per window and one
-    column per key of ``columns`` (``FitResult.mean_probabilities`` and
-    ``.columns``), whose order the field's keys keep.
+    column per key of ``columns`` (``FitResult.table[FitResult.index]`` and
+    ``.columns``: each window's row is the posterior predictive assignment
+    of its count), whose order the field's keys keep.
     Window ``i`` covers samples ``[i*step, i*step + n)``.  Each covered
     sample averages the vectors of all windows containing it and is
     renormalised against accumulated rounding; coverage is recorded.  The
@@ -140,8 +141,10 @@ def segment_events(
     from ``FitResult.columns``, the lowest id, as in ``noise_cluster_id``.
     Runs shorter than ``min_length`` samples are discarded.
     ``mean_probability`` is the mean non-noise probability over the run,
-    hence never below the minimum.  Runs are found on cells; means are
-    taken over a run's samples.
+    hence never below the minimum; a sample's probabilities are those of
+    the windows covering it, each the predictive assignment of the
+    window's count averaged over the post-burn-in states.  Runs are found
+    on cells; means are taken over a run's samples.
     """
     if noise_cluster not in field.probabilities:
         raise ValueError(f"noise cluster {noise_cluster} not present in field")

@@ -6,11 +6,13 @@ leave-one-out weights with one uniform, and attach it again.  The fused
 kernel must reproduce these steps exactly, so the tests compare the two
 with ``==``.  ``greedy_pick`` is the reference for ``observe``'s greedy
 path: an argmax whose tie rules do not depend on the order of its input.
-``reference_fit`` accumulates probabilities the way the library once did,
-one dict per datum; ``dense`` lays such dicts out as the library's
-``(N, C)`` array, its columns in ``id_order``: ascending id, NEW last.
+``reference_table`` averages each count's new-datum probabilities over
+``reference_fit``'s post-burn-in states, one dict per count; ``dense`` lays
+such dicts out as the library's array, its columns in ``id_order``:
+ascending id, NEW last.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -109,56 +111,60 @@ def crp_prior(state: MixtureState, excluding: int):
 def draw_assignment(weights, rng: UniformStream):
     """Single categorical draw from log weights, consuming one uniform.
 
-    Returns the drawn key, the normalised probabilities keyed like
-    ``weights``, and the unnormalised log weight of the drawn entry.
+    Returns the drawn key and the unnormalised log weight of the drawn entry.
     """
     raw, total = _exp_weights(weights)
     idx = scan(raw, rng.random() * total)
-    probs = {k: w / total for (k, _), w in zip(weights, raw)}
-    return weights[idx][0], probs, weights[idx][1]
+    return weights[idx]
 
 
 def resample_step(state: MixtureState, index: int):
     """Detach, draw from ``state.rng`` and attach datum ``index``.
 
-    Returns the cluster id it left, the normalised probabilities of the
-    draw, and the unnormalised log weight of the drawn entry.
+    Returns the cluster id it left and the unnormalised log weight of the
+    drawn entry.
     """
     left = detach_datum(state, index)
-    choice, probs, log_w = draw_assignment(
+    choice, log_w = draw_assignment(
         assignment_log_weights(state.data[index], state), state.rng
     )
     attach_datum(state, index, choice)
-    return left, probs, log_w
+    return left, log_w
 
 
-def reference_sweep(state: MixtureState, accumulate=None):
+def reference_sweep(state: MixtureState):
     """One sweep of ``resample_step`` in data order; returns (joint, flips)."""
     joint, flips = 0.0, 0
     for i in range(len(state.data)):
-        left, probs, log_w = resample_step(state, i)
+        left, log_w = resample_step(state, i)
         joint += log_w
         flips += state.assignments[i] != left
-        if accumulate is not None:
-            for key, p in probs.items():
-                accumulate[i][key] = accumulate[i].get(key, 0.0) + p
     return joint, flips
 
 
 def reference_fit(data, hyper, sweeps, burn_in, seed):
     """``fit`` by ``reference_sweep``: the final state, each sweep's joint
-    log weight, and one dict of mean probabilities per datum."""
+    log weight, and a copy of the clusters after each post-burn-in sweep,
+    held as a state without data."""
     state = MixtureState.init_single_cluster(data, hyper, seed)
-    accumulated = [{} for _ in data]
-    joints = [
-        reference_sweep(state, accumulated if sweep >= burn_in else None)[0]
-        for sweep in range(sweeps)
-    ]
-    means = [
-        {key: total / (sweeps - burn_in) for key, total in acc.items()}
-        for acc in accumulated
-    ]
-    return state, joints, means
+    joints, kept = [], []
+    for sweep in range(sweeps):
+        joints.append(reference_sweep(state)[0])
+        if sweep >= burn_in:
+            kept.append(MixtureState(hyper, clusters=copy.deepcopy(state.clusters)))
+    return state, joints, kept
+
+
+def reference_table(states, values):
+    """One dict per count of ``values``: ``normalize_log_weights`` of its
+    ``assignment_log_weights`` in each state, summed per key in state order
+    and divided by the number of states."""
+    sums = [{} for _ in values]
+    for state in states:
+        for acc, x in zip(sums, values):
+            for key, p in normalize_log_weights(assignment_log_weights(x, state)):
+                acc[key] = acc.get(key, 0.0) + p
+    return [{key: total / len(states) for key, total in acc.items()} for acc in sums]
 
 
 def id_order(keys):

@@ -39,6 +39,7 @@ from aeburst.windowing import (
     WindowSpec,
     extract_counts,
 )
+from partition_oracle import canonical_partition, exact_partition_posterior
 from sampler_oracle import crp_prior, detach_datum, normalize_log_weights
 from windowing_oracle import entries, probability_of
 
@@ -196,49 +197,6 @@ def test_ac2_lead_break_reproduction():
 # ---------------------------------------------------------------------------
 
 
-def exact_partition_posterior(data, alpha, a, b):
-    """Exhaustive enumeration: process prior times closed-form block
-    marginal likelihoods over all set partitions."""
-
-    def block_log_marginal(block):
-        s = sum(data[i] for i in block)
-        n = len(block)
-        return (
-            a * math.log(b)
-            - math.lgamma(a)
-            + math.lgamma(a + s)
-            - (a + s) * math.log(b + n)
-            - sum(math.lgamma(data[i] + 1.0) for i in block)
-        )
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for sub in partitions(rest):
-            for i in range(len(sub)):
-                yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-            yield [[first]] + sub
-
-    weights = {}
-    for blocks in partitions(list(range(len(data)))):
-        log_w = len(blocks) * math.log(alpha)
-        log_w += sum(math.lgamma(len(block)) for block in blocks)
-        log_w += sum(block_log_marginal(block) for block in blocks)
-        key = frozenset(frozenset(block) for block in blocks)
-        weights[key] = weights.get(key, 0.0) + math.exp(log_w)
-    total = sum(weights.values())
-    return {key: value / total for key, value in weights.items()}
-
-
-def canonical_partition(assignments):
-    blocks = {}
-    for index, label in enumerate(assignments):
-        blocks.setdefault(label, []).append(index)
-    return frozenset(frozenset(block) for block in blocks.values())
-
-
 def test_ac3_partition_posterior_equivalence():
     """[0, 1, 9] with unit base and alpha = 1: 1e5 post-sweep partitions vs
     exact enumeration over the 5 set partitions, TV < 0.02."""
@@ -296,10 +254,11 @@ def test_ac4_mixture_recovery():
     """Poi(2)/Poi(40), 250 each, 200 sweeps, 10 seeds: median big-cluster
     count 2, median ARI >= 0.95, median recovered rates within 10%.
 
-    ARI is computed on each datum's argmax over the sweep-averaged
-    assignment probabilities, the same point estimate the segmentation
-    stage consumes; raw final-sweep labels carry transient singletons
-    that are posterior mass, not recovery error."""
+    ARI is computed on the argmax of each datum's row of the predictive
+    table, its count's assignment probabilities averaged over the sweeps,
+    the same point estimate the segmentation stage consumes; raw
+    final-sweep labels carry transient singletons that are posterior
+    mass, not recovery error."""
     start = time.time()
     truth = [0] * 250 + [1] * 250
     big_counts, aris, low_rates, high_rates = [], [], [], []
@@ -313,7 +272,7 @@ def test_ac4_mixture_recovery():
         big_counts.append(len(big))
         point_labels = [
             max(zip(result.columns, probs), key=lambda kv: (kv[1], kv[0] is not None))[0]
-            for probs in result.mean_probabilities.tolist()
+            for probs in result.table[result.index].tolist()
         ]
         aris.append(adjusted_rand_index(truth, point_labels))
         rates = [posterior_mean_rate(c, UNIT_PRIOR) for c in big]
@@ -510,7 +469,7 @@ def test_ac7_overlap_robustness():
     event_disjoint = event_cluster_id(fit_disjoint.state)
     onset_window = offset_onset // n
     p_onset = dict(
-        zip(fit_disjoint.columns, fit_disjoint.mean_probabilities[onset_window].tolist())
+        zip(fit_disjoint.columns, fit_disjoint.table[fit_disjoint.index[onset_window]].tolist())
     ).get(event_disjoint, 0.0)
 
     overlapped = extract_counts(waveform, policy, WindowSpec(n, 0.875))
@@ -519,7 +478,7 @@ def test_ac7_overlap_robustness():
     )
     event_overlap = event_cluster_id(fit_overlap.state)
     field = average_probabilities(
-        fit_overlap.mean_probabilities, overlapped.spec, signal_len, fit_overlap.columns
+        fit_overlap.table[fit_overlap.index], overlapped.spec, signal_len, fit_overlap.columns
     )
     core_probability = probability_of(field, event_overlap)[
         offset_core : offset_core + span

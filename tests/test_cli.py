@@ -287,7 +287,8 @@ class TestCluster:
         # perfbench/tracing.py replaces the layer functions that aeburst.cli
         # imports, by attribute, and reads fit's .sweeps_run and .state,
         # average_probabilities' third positional argument as the signal
-        # length, and the field's keys as the ids seen.
+        # length, and the field's keys as the ids seen.  The field reads each
+        # window's row of fit's table, which takes no draws.
         import aeburst.cli as cli_module
 
         calls = {}
@@ -316,7 +317,10 @@ class TestCluster:
         result = calls["fit"][1]
         assert result.sweeps_run == 20
         assert result.state.rng.draws == result.sweeps_run * len(result.state.data)
+        doc = json.loads((tmp_path / "state.json").read_text())
+        assert doc["rng_draws"] == 20 * len(result.index) == 20 * len(doc["assignments"])
         args, field = calls["average_probabilities"]
+        assert np.array_equal(args[0], result.table[result.index])
         assert args[2] == len(calls["read_waveform"][1]) == len(field)
         assert list(field.probabilities) == result.columns
         assert len(set(result.columns)) == len(result.columns) > result.state.n_clusters

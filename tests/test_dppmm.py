@@ -24,7 +24,6 @@ from aeburst.distributions import GammaParams
 from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
-    ProbabilitySums,
     UniformStream,
     assignment_log_weights,
     audit,
@@ -32,19 +31,25 @@ from aeburst.dppmm import (
     fit,
     gibbs_sweep,
     posterior_mean_rate,
+    predictive_rows,
     state_from_json_dict,
     state_to_json_dict,
 )
 from aeburst.monitor import observe
+from partition_oracle import (
+    canonical_partition,
+    exact_partition_posterior,
+    new_datum_probabilities,
+)
 from sampler_oracle import (
     crp_prior,
     dense,
     detach_datum,
     greedy_pick,
-    id_order,
     normalize_log_weights,
     reference_fit,
     reference_sweep,
+    reference_table,
     resample_step,
     scan,
 )
@@ -287,10 +292,9 @@ class TestGibbsSweep:
 
     def test_sweep_returns_probabilities_per_datum(self):
         state = MixtureState.init_single_cluster([0, 0, 9], UNIT, 0)
-        sums = ProbabilitySums(3)
-        assert gibbs_sweep(state, accumulate=sums) is state
-        probs, _ = sums.mean()
-        assert len(probs) == 3
+        assert gibbs_sweep(state) is state
+        probs = predictive_rows(state, state.data)
+        assert probs.shape == (3, state.n_clusters + 1)
         for vector in probs.tolist():
             assert abs(sum(vector) - 1.0) <= 1e-12
 
@@ -340,30 +344,17 @@ def zero_runs(seed):
     return [0] * 250 + bursts[0] + [0] * 200 + bursts[1] + [0] * 150
 
 
-def assert_sums_match(sums, dicts):
-    """``sums`` holds, with ``==``, what one dict per datum would: a column
-    per key in ``id_order``, ``0.0`` where a dict has none."""
-    expected, columns = dense(dicts)
-    assert id_order(sums.by_key) == columns
-    got = [sums.by_key[key] for key in columns]
-    assert np.array_equal(np.reshape(got, (len(columns), len(dicts))).T, expected)
-
-
-def sweep_against_reference(fused, ref, sweeps, burn_in):
+def sweep_against_reference(fused, ref, sweeps):
     """Sweep twin states with ``gibbs_sweep`` and ``reference_sweep``, comparing with ``==``.
 
-    Probabilities accumulate from sweep ``burn_in`` on.  Returns how many
-    clusters were born and how many died over the run.
+    Returns how many clusters were born and how many died over the run.
     """
-    fused_acc = ProbabilitySums(len(fused.data))
-    ref_acc = [{} for _ in ref.data]
     births = deaths = 0
-    for sweep in range(sweeps):
+    for _ in range(sweeps):
         ids_before, next_before = set(ref.clusters), ref.next_cluster_id
-        averaging = sweep >= burn_in
         diag = {}
-        gibbs_sweep(fused, diagnostics=diag, accumulate=fused_acc if averaging else None)
-        joint, flips = reference_sweep(ref, ref_acc if averaging else None)
+        gibbs_sweep(fused, diagnostics=diag)
+        joint, flips = reference_sweep(ref)
         births += ref.next_cluster_id - next_before
         deaths += len(ids_before - set(ref.clusters))
         assert fused.assignments == ref.assignments
@@ -371,27 +362,29 @@ def sweep_against_reference(fused, ref, sweeps, burn_in):
         assert fused.next_cluster_id == ref.next_cluster_id
         assert fused.rng.draws == ref.rng.draws
         assert (diag["joint_log_weight"], diag["flips"]) == (joint, flips)
-        assert_sums_match(fused_acc, ref_acc)
-    assert fused_acc.by_key
     return births, deaths
 
 
 def assert_fit_matches_reference(data, sweeps, burn_in, seed):
-    """``fit`` equals ``reference_fit`` with ``==``: mean probabilities entry
-    by entry (``0.0`` for a key a datum's dict lacks), columns in ``id_order``,
-    joints, and the final state."""
+    """``fit`` equals ``reference_fit`` with ``==``: the table entry by entry
+    against ``reference_table`` of the post-burn-in states (``0.0`` for a key
+    a count's dict lacks), columns in ``id_order``, joints, and the final
+    state."""
     result = fit(data, UNIT, sweeps=sweeps, burn_in=burn_in, rng_seed=seed)
-    ref, joints, means = reference_fit(data, UNIT, sweeps, burn_in, seed)
+    ref, joints, states = reference_fit(data, UNIT, sweeps, burn_in, seed)
+    values = sorted(set(data))
+    assert np.array_equal(np.array(values)[result.index], data)
+    means = reference_table(states, values)
     expected, columns = dense(means)
     assert result.columns == columns
-    assert np.array_equal(result.mean_probabilities, expected)
-    for i, probs in enumerate(means):
+    assert np.array_equal(result.table, expected)
+    for row, probs in enumerate(means):
         for col, key in enumerate(columns):
-            assert result.mean_probabilities[i, col] == probs.get(key, 0.0)
+            assert result.table[row, col] == probs.get(key, 0.0)
     assert result.joint_log_weights == joints
     assert result.state.assignments == ref.assignments
     assert cluster_table(result.state) == cluster_table(ref)
-    assert result.state.rng.draws == ref.rng.draws
+    assert result.state.rng.draws == ref.rng.draws == sweeps * len(data)
 
 
 class TestFusedSweep:
@@ -402,22 +395,7 @@ class TestFusedSweep:
         data = mixed_counts(seed)
         fused = MixtureState.init_single_cluster(data, UNIT, seed)
         ref = MixtureState.init_single_cluster(data, UNIT, seed)
-        fused_acc = ProbabilitySums(len(data))
-        ref_acc = [{} for _ in data]
-        births = deaths = 0
-        for _ in range(30):
-            ids_before, next_before = set(ref.clusters), ref.next_cluster_id
-            diag = {}
-            gibbs_sweep(fused, diagnostics=diag, accumulate=fused_acc)
-            joint, flips = reference_sweep(ref, ref_acc)
-            births += ref.next_cluster_id - next_before
-            deaths += len(ids_before - set(ref.clusters))
-            assert fused.assignments == ref.assignments
-            assert cluster_table(fused) == cluster_table(ref)
-            assert fused.next_cluster_id == ref.next_cluster_id
-            assert fused.rng.draws == ref.rng.draws
-            assert (diag["joint_log_weight"], diag["flips"]) == (joint, flips)
-            assert_sums_match(fused_acc, ref_acc)
+        births, deaths = sweep_against_reference(fused, ref, sweeps=30)
         # The run exercises singleton deaths and new-cluster births.
         assert births > 0 and deaths > 0
 
@@ -433,20 +411,16 @@ class TestFusedSweep:
         assert_fit_matches_reference(counts(seed), sweeps, burn_in, seed)
 
     def test_columns_ascend_by_id(self):
-        # Id 11 is live at an earlier datum than id 10, yet the columns
-        # ascend by id with NEW last: where a key first appears plays no part.
+        # The columns are the ids live after some post-burn-in sweep, in
+        # ascending id with NEW last: an id that died before the last sweep
+        # keeps its column, and one never live after such a sweep has none.
         data = mixed_counts(3)
         result = fit(data, UNIT, sweeps=14, burn_in=6, rng_seed=3)
-        means = reference_fit(data, UNIT, 14, 6, 3)[2]
-        first_datum = {}
-        for i, probs in enumerate(means):
-            for key in probs:
-                first_datum.setdefault(key, i)
-        assert first_datum[11] < first_datum[10]
-        assert result.columns == sorted(result.columns[:-1]) + [None]
-        expected, columns = dense(means)
-        assert result.columns == columns
-        assert np.array_equal(result.mean_probabilities, expected)
+        states = reference_fit(data, UNIT, 14, 6, 3)[2]
+        live = set().union(*(state.clusters for state in states))
+        assert result.columns == sorted(live) + [None]
+        assert live - set(result.state.clusters)
+        assert set(range(result.state.next_cluster_id)) - live
 
     def test_stay_restores_cached_terms(self, monkeypatch):
         # A datum that returns to the cluster it left reuses the terms saved
@@ -475,7 +449,7 @@ class TestFusedSweep:
         data = zero_runs(seed)
         fused = MixtureState.init_single_cluster(data, UNIT, seed)
         ref = MixtureState.init_single_cluster(data, UNIT, seed)
-        births, deaths = sweep_against_reference(fused, ref, sweeps=12, burn_in=6)
+        births, deaths = sweep_against_reference(fused, ref, sweeps=12)
         assert births > 0 and deaths > 0
 
     def test_zeros_split_over_two_clusters(self):
@@ -483,7 +457,7 @@ class TestFusedSweep:
         # zeros stay split and their steps alternate between two stay keys.
         data = [[0] * 200, [0] * 150 + [3] * 8, [40, 44, 37]]
         fused, ref = state_with_clusters(data, seed=5), state_with_clusters(data, seed=5)
-        sweep_against_reference(fused, ref, sweeps=10, burn_in=4)
+        sweep_against_reference(fused, ref, sweeps=10)
         zero_clusters = {k for x, k in zip(ref.data, ref.assignments) if x == 0}
         assert len(zero_clusters) >= 2
 
@@ -494,7 +468,7 @@ class TestFusedSweep:
         fused = MixtureState.init_single_cluster(data, UNIT, 2)
         ref = MixtureState.init_single_cluster(data, UNIT, 2)
         sweeps = 8
-        births, deaths = sweep_against_reference(fused, ref, sweeps=sweeps, burn_in=3)
+        births, deaths = sweep_against_reference(fused, ref, sweeps=sweeps)
         assert births >= 2 * sweeps and deaths >= 2 * (sweeps - 1)
         singletons = [c for c in ref.clusters.values() if c.n_members == 1]
         assert {30, 400} <= {c.sum_x for c in singletons}
@@ -592,7 +566,8 @@ class TestFit:
         result = fit([], UNIT, sweeps=10, burn_in=2, rng_seed=0)
         assert len(result.state.data) == 0
         assert result.state.n_clusters == 0
-        assert result.mean_probabilities.shape == (0, 0)
+        assert result.table.shape == (0, 0)
+        assert result.index.shape == (0,)
         assert result.columns == []
 
     def test_invalid_sweep_configuration(self):
@@ -605,35 +580,39 @@ class TestFit:
         rng = np.random.default_rng(2)
         data = list(rng.poisson(3, 40)) + list(rng.poisson(25, 10))
         result = fit(data, UNIT, sweeps=40, burn_in=20, rng_seed=3)
-        for vector in result.mean_probabilities.tolist():
+        assert result.table.shape[0] == len(set(data))
+        for vector in result.table.tolist():
             assert abs(sum(vector) - 1.0) <= 1e-9
 
     def test_averaging_holds_dense_arrays(self):
-        # On 20,000 windows, averaging adds to the peak of the same sweeps
-        # without it less than two float64 arrays of N x columns; one dict
-        # per datum, a Python object per key, adds over ten times that.
+        # On 20,000 windows, what averaging adds to the peak of the same
+        # sweeps is the per-window index into the table plus a few arrays of
+        # distinct counts x columns; an N x columns float64 array is 1.28 MB.
         rng = np.random.default_rng(0)
         data = []
         while len(data) < 20_000:
             data += rng.poisson(1.0, 400).tolist()
             data += rng.poisson(rng.choice([20, 60]), 20).tolist()
         data = data[:20_000]
-        tracemalloc.start()
-        try:
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def plain_sweeps():
             state = MixtureState.init_single_cluster(data, UNIT, 0)
             for _ in range(4):
                 gibbs_sweep(state)
-            plain = tracemalloc.get_traced_memory()[1]
-            del state
-            tracemalloc.stop()
-            tracemalloc.start()
-            result = fit(data, UNIT, sweeps=4, burn_in=2, rng_seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n, columns = result.mean_probabilities.shape
-        assert n == len(data) and columns > 5
-        assert peak - plain < 2 * n * columns * 8
+
+        peak(plain_sweeps)  # first-call allocations count in neither run
+        plain = peak(plain_sweeps)[1]
+        result, total = peak(lambda: fit(data, UNIT, sweeps=4, burn_in=2, rng_seed=0))
+        distinct, columns = result.table.shape
+        assert distinct < 100 and columns > 5
+        assert total - plain < result.index.nbytes + 16 * distinct * columns * 8
 
     def test_diagnostics_lengths(self):
         data = [0, 1, 2, 3]
@@ -657,54 +636,6 @@ class TestFit:
         assert means[0] <= means[1] <= means[2]
 
 
-def exact_partition_posterior(data, alpha, a, b):
-    """Exact posterior over set partitions by enumeration.
-
-    The partition weight is the process prior times the product of block
-    marginal likelihoods, each computed in closed form from the conjugate
-    integral.
-    """
-
-    def block_marginal(block):
-        s = sum(data[i] for i in block)
-        n = len(block)
-        log_m = (
-            a * math.log(b)
-            - math.lgamma(a)
-            + math.lgamma(a + s)
-            - (a + s) * math.log(b + n)
-            - sum(math.lgamma(data[i] + 1) for i in block)
-        )
-        return log_m
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for sub in partitions(rest):
-            for i in range(len(sub)):
-                yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-            yield [[first]] + sub
-
-    out = {}
-    for blocks in partitions(list(range(len(data)))):
-        log_w = len(blocks) * math.log(alpha)
-        log_w += sum(math.lgamma(len(block)) for block in blocks)
-        log_w += sum(block_marginal(block) for block in blocks)
-        key = frozenset(frozenset(block) for block in blocks)
-        out[key] = out.get(key, 0.0) + math.exp(log_w)
-    total = sum(out.values())
-    return {key: value / total for key, value in out.items()}
-
-
-def canonical_partition(assignments):
-    blocks = {}
-    for index, label in enumerate(assignments):
-        blocks.setdefault(label, []).append(index)
-    return frozenset(frozenset(block) for block in blocks.values())
-
-
 class TestExchangeability:
     def test_small_instance_partition_posterior(self):
         # Quick variant of the full acceptance run: 20k samples, TV < 0.05.
@@ -723,6 +654,38 @@ class TestExchangeability:
             for key in set(exact) | set(freq)
         )
         assert tv < 0.05
+
+
+class TestPredictiveTable:
+    def test_rows_match_enumeration(self):
+        # Averaged over sweeps, a count's row estimates the exact
+        # posterior-expected probabilities that a new datum of that count
+        # opens a cluster and that it joins datum 0's cluster.
+        data = [0, 1, 9, 0, 3, 12]
+        values = [0, 1, 5, 9, 30]
+        state = MixtureState.init_single_cluster(data, UNIT, rng_seed=29)
+        for _ in range(500):
+            gibbs_sweep(state)
+        new, home = np.zeros(len(values)), np.zeros(len(values))
+        n_samples = 20_000
+        for _ in range(n_samples):
+            gibbs_sweep(state)
+            rows = predictive_rows(state, values)
+            new += rows[:, -1]
+            home += rows[:, list(state.clusters).index(state.assignments[0])]
+        for x, p_new, p_home in zip(values, new / n_samples, home / n_samples):
+            exact_new, exact_home = new_datum_probabilities(data, x, 1.0, 1.0, 1.0, i=0)
+            assert abs(p_new - exact_new) < 0.02, x
+            assert abs(p_home - exact_home) < 0.02, x
+
+    def test_rows_are_normalised_assignment_weights(self):
+        state = state_with_clusters([[0, 0, 1], [9, 12], [3]], seed=4)
+        values = [0, 3, 9, 400]
+        expected = [
+            [p for _, p in normalize_log_weights(assignment_log_weights(x, state))]
+            for x in values
+        ]
+        assert predictive_rows(state, values).tolist() == expected
 
 
 class TestSerialization:

@@ -19,7 +19,7 @@ from aeburst.segmentation import (
 )
 from aeburst.synth import BurstSpec, SynthSpec, synthesize
 from aeburst.windowing import Waveform, WindowSpec, extract_counts
-from sampler_oracle import dense, id_order, reference_fit
+from sampler_oracle import dense, id_order, reference_fit, reference_table
 from windowing_oracle import count_crossings, per_sample, probability_of
 
 
@@ -259,11 +259,14 @@ class TestCellFieldMatchesPerSample:
         hyper = config.hyperparams()
         result = fit(counts, hyper, sweeps=40, burn_in=20, rng_seed=seed)
         assert result.state.n_clusters > 1
-        means = reference_fit(counts, hyper, 40, 20, seed)[2]
+        values = sorted(set(counts))
+        means = reference_table(reference_fit(counts, hyper, 40, 20, seed)[2], values)
         expected, columns = dense(means)
         assert result.columns == columns
-        assert np.array_equal(result.mean_probabilities, expected)
-        assert_matches_reference(means, windowed.spec, len(waveform), min_lengths=(1,))
+        assert np.array_equal(result.table, expected)
+        window_probs = [means[row] for row in result.index.tolist()]
+        assert [values[row] for row in result.index.tolist()] == counts
+        assert_matches_reference(window_probs, windowed.spec, len(waveform), min_lengths=(1,))
 
     def test_stored_arrays_scale_with_windows_not_samples(self):
         spec = WindowSpec(200_000, 0.5)
@@ -422,7 +425,7 @@ class TestOverlapAveragedPipeline:
         hyper = Hyperparams(1.0, GammaParams(1.0, 1.0))
         result = fit(wc.counts.tolist(), hyper, sweeps=60, burn_in=30, rng_seed=1)
         field = average_probabilities(
-            result.mean_probabilities, wc.spec, len(waveform), result.columns
+            result.table[result.index], wc.spec, len(waveform), result.columns
         )
         base = hyper.base
         event = max(
