@@ -353,7 +353,7 @@ def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = []
     if result.state.clusters:
         field = average_probabilities(
-            result.table[result.index], windowed.spec, len(waveform), result.columns
+            result.table, windowed.spec, len(waveform), result.columns, result.index
         )
         noise = noise_cluster_id(result.state)
         records = build_event_records(

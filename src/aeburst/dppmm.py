@@ -22,12 +22,12 @@ seeded stream (one draw per categorical sample), which makes runs
 replayable from ``(seed, draw count)`` alone.  A sweep over N data makes
 exactly N draws and takes their uniforms from the stream N at a time.
 
-Window counts are mostly background and take few distinct values, so a
-sweep reuses what it has already computed, bit for bit: a log weight is a
-pure function of a cluster's ``(n, s)`` and the count ``x``, and a datum
-that returns to the cluster it left leaves the state as it found it, so
-the next datum with the same count leaving that cluster meets the same
-weights and needs only its own uniform (see ``gibbs_sweep``).
+A sweep visits the data in ascending count, a fixed scan set by the data
+alone that leaves the posterior invariant as data order does.  Equal
+counts are then adjacent, and a sweep reuses its work exactly: a log
+weight is a pure function of a cluster's ``(n, s)`` and the count, and a
+datum that returns to the cluster it left leaves the state unchanged, so
+the next equal count leaving it needs only its own uniform.
 """
 
 from __future__ import annotations
@@ -230,35 +230,32 @@ def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
 
 
 def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> MixtureState:
-    """One full sweep: every datum resampled once, in data order.
+    """One full sweep: every datum resampled once, in ascending count.
 
-    Each step removes the datum from its cluster (deleting the cluster if
-    emptied), draws its assignment from the leave-one-out weights and adds
-    it back, minting a fresh id on a NEW draw.  The steps run in one loop
-    over slot lists of the live clusters plus NEW, in creation order, with
-    the N uniforms taken from ``state.rng`` in one batch; the step-by-step
-    reference it must match exactly is ``tests/sampler_oracle.py``.
-    Returns the updated state.  Given ``diagnostics``, records
-    ``joint_log_weight`` (the sum of the chosen entries' unnormalised log
-    weights) and ``flips`` (number of assignments that changed).
+    Ties go in data order, and the t-th datum visited takes the t-th of the
+    N uniforms, taken from ``state.rng`` in one batch.  Each step removes
+    the datum from its cluster (deleting the cluster if emptied), draws its
+    assignment from the leave-one-out weights and adds it back, minting a
+    fresh id on a NEW draw, in one loop over slot lists of the live
+    clusters plus NEW in creation order; the step-by-step reference it must
+    match exactly is ``tests/sampler_oracle.py``.  Given ``diagnostics``,
+    records ``joint_log_weight`` (the sum of the chosen entries'
+    unnormalised log weights) and ``flips``.
 
     Two sweep-local tables skip work whose result is already known, and
     both are exact.  ``rows`` maps a cluster statistic ``(n, s)`` to its
     ``predictive_terms`` tuple and a ``{x: log weight}`` memo (NEW has its
-    own memo): a log weight is a pure function of ``(n, s, x)``, so the
-    table starts from the live clusters' statistics and ends with the sweep.  ``steps``
-    maps ``(slot left, x)`` to that step's log weights, cumulative weights,
-    total and detached row: a datum that returns to the cluster it left (a
-    stay) leaves the state as it found it, so until the next flip clears
-    the table the same key meets the same weights.  The draw
-    ``bisect_right(cumulative, u * total)``, clamped to the last slot, is the
-    first slot whose cumulative weight exceeds ``u * total`` (the oracle's
-    ``scan``), and ``total`` is ``sum(raw)`` as in ``_exp_weights``.
+    own memo): a log weight is a pure function of ``(n, s, x)``.  ``steps``
+    maps the slot a datum leaves to that step's log weights, cumulative
+    weights, total and detached row: a stay leaves the state as it found
+    it, so until a flip or the next count clears the table, the next datum
+    leaving that slot meets the same weights.  The draw ``bisect_right(cum,
+    u * total)``, clamped to the last slot, is the oracle's ``scan``, and
+    ``total`` is ``sum(raw)`` as in ``_exp_weights``.
     """
     data, assignments, clusters = state.data, state.assignments, state.clusters
     base = state.hyper.base
-    exp, log = math.exp, math.log
-    lgamma_x1 = {x: math.lgamma(x + 1) for x in set(data)}
+    exp, log, lgamma = math.exp, math.log, math.lgamma
     rows: dict = {}
     steps: dict = {}
 
@@ -273,12 +270,15 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
     new_route = (predictive_terms(base, 0, 0, log(state.hyper.alpha)), {})
     slots = [row(c.n_members, c.sum_x) for c in stats] + [new_route]
 
-    uniforms = state.rng.take(len(data))
-    joint, flips = 0.0, 0
-    for i, x in enumerate(data):
+    order = sorted(range(len(data)), key=data.__getitem__)
+    joint, flips, x = 0.0, 0, -1
+    for i, u in zip(order, state.rng.take(len(data))):
+        if data[i] != x:  # A new run of equal counts.
+            x, lgamma_x1 = data[i], lgamma(data[i] + 1)
+            steps.clear()
         left = assignments[i]
         j = ids.index(left)
-        step = steps.get((j, x))
+        step = steps.get(j)
         if step is None:
             cluster = stats[j]
             n, s = cluster.n_members - 1, cluster.sum_x - x
@@ -286,13 +286,12 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
                 detached = row(n, s)
                 saved, slots[j] = slots[j], detached
             else:
-                # An emptied cluster is deleted, so this step flips and its
-                # entry in ``steps`` is cleared at once.
+                # An emptied cluster is deleted, so this step flips: no reuse.
                 del clusters[left], ids[j], stats[j], slots[j]
                 j, detached = -1, None
             log_w = [
                 memo[x] if x in memo
-                else memo.setdefault(x, log_predictive(terms, x, lgamma_x1[x]))
+                else memo.setdefault(x, log_predictive(terms, x, lgamma_x1))
                 for terms, memo in slots
             ]
             if n:
@@ -301,9 +300,9 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
             raw = [exp(w - top) for w in log_w]
             total = sum(raw)
             cum = list(itertools.accumulate(raw))
-            step = steps[j, x] = (log_w, cum, total, detached)
+            step = steps[j] = (log_w, cum, total, detached)
         log_w, cum, total, detached = step
-        idx = min(bisect_right(cum, uniforms[i] * total), len(cum) - 1)
+        idx = min(bisect_right(cum, u * total), len(cum) - 1)
         joint += log_w[idx]
         if idx == j:
             continue

@@ -128,9 +128,9 @@ def observe(
 
     Every uniform comes from ``state.rng``, in an order fixed for replay:
     the gate uniform first, then (resampling path only) the assignment
-    draw for ``x`` followed by the sweep's draws in data order.  An empty
-    state consumes no draws: the first count simply founds the first
-    cluster.
+    draw for ``x``, then the sweep's draws in sweep order (ascending count,
+    ties in data order).  An empty state consumes no draws: the first
+    count simply founds the first cluster.
 
     ``eta_override`` forces the gate (0 never resamples, 1 always does).
 

@@ -76,46 +76,47 @@ class EventRecord:
 
 
 def average_probabilities(
-    window_probs: np.ndarray,
+    table: np.ndarray,
     spec: WindowSpec,
     signal_len: int,
     columns: Sequence[int | None],
+    index: np.ndarray,
 ) -> SampleProbabilityField:
     """Arithmetic mean of window probability vectors at every sample.
 
-    ``window_probs`` is ``(n_windows, C)``, one row per window and one
-    column per key of ``columns`` (``FitResult.table[FitResult.index]`` and
-    ``.columns``: each window's row is the posterior predictive assignment
-    of its count), whose order the field's keys keep.
-    Window ``i`` covers samples ``[i*step, i*step + n)``.  Each covered
-    sample averages the vectors of all windows containing it and is
-    renormalised against accumulated rounding; coverage is recorded.  The
-    windows covering a cell are consecutive, so pass ``k`` of a loop over
-    coverage depth adds each cell's ``k``-th covering window: sums run over
-    windows in index order, and the total over keys in ``columns`` order,
-    so each cell holds exactly the value a per-sample accumulation would
-    give its samples.
+    Window ``w``'s vector is row ``index[w]`` of ``table``, whose columns
+    are the keys of ``columns`` in the order the field keeps (``FitResult``'s
+    ``table``, ``index`` and ``columns``: each window's row is the posterior
+    predictive assignment of its count).  Window ``i`` covers samples
+    ``[i*step, i*step + n)``.  Each covered sample averages the vectors of
+    all windows containing it and is renormalised against accumulated
+    rounding; coverage is recorded.  The windows covering a cell are
+    consecutive, so pass ``k`` of a loop over coverage depth gathers each
+    cell's ``k``-th covering window's row: sums run over windows in index
+    order, and the total over keys in ``columns`` order, so each cell holds
+    exactly the value a per-sample accumulation would give its samples.
 
     Raises:
-        ValueError: if the array's shape does not match the window count the
-            spec produces over ``signal_len`` and the number of columns.
+        ValueError: if ``index`` has not one row per window or ``table`` one column per key.
     """
     expected = spec.n_windows(signal_len)
-    if window_probs.shape != (expected, len(columns)):
+    if index.shape != (expected,) or table.shape[1:] != (len(columns),):
         raise ValueError(
-            f"got {window_probs.shape} window probabilities for {len(columns)} keys, "
-            f"but spec places {expected} windows over {signal_len} samples"
+            f"got {index.shape} window rows of a {table.shape} table for {len(columns)} "
+            f"keys, but spec places {expected} windows over {signal_len} samples"
         )
     starts = spec.window_starts(signal_len)
     ends = starts + spec.length_n
-    edges = np.unique(np.concatenate(([0, signal_len], starts, ends)))
+    # Sorted and deduped by hand: ``np.unique`` imports ``numpy.ma``.
+    edges = np.sort(np.concatenate(([0, signal_len], starts, ends)))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     # Window w covers cell j iff starts[w] <= edges[j] < ends[w]; both ascend.
     first = np.searchsorted(ends, edges[:-1], side="right")
     coverage = np.searchsorted(starts, edges[:-1], side="right") - first
     sums = np.zeros((edges.size - 1, len(columns)))
     for depth in range(coverage.max(initial=0)):
         cells = np.flatnonzero(coverage > depth)
-        sums[cells] += window_probs[first[cells] + depth]
+        sums[cells] += table[index[first[cells] + depth]]
     covered = coverage > 0
     total = np.zeros(edges.size - 1)
     for acc in sums.T:

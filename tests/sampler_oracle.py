@@ -2,14 +2,14 @@
 
 Each step is written out once, from the public weights of ``aeburst.dppmm``:
 detach a datum from its cluster, draw its assignment from the
-leave-one-out weights with one uniform, and attach it again.  The fused
-kernel must reproduce these steps exactly, so the tests compare the two
-with ``==``.  ``greedy_pick`` is the reference for ``observe``'s greedy
-path: an argmax whose tie rules do not depend on the order of its input.
-``reference_table`` averages each count's new-datum probabilities over
-``reference_fit``'s post-burn-in states, one dict per count; ``dense`` lays
-such dicts out as the library's array, its columns in ``id_order``:
-ascending id, NEW last.
+leave-one-out weights with one uniform, and attach it again, visiting the
+data in ``scan_order``.  The fused kernel must reproduce these steps
+exactly, so the tests compare the two with ``==``.  ``greedy_pick`` is the
+reference for ``observe``'s greedy path: an argmax whose tie rules do not
+depend on the order of its input.  ``reference_table`` averages each
+count's new-datum probabilities over ``reference_fit``'s post-burn-in
+states, one dict per count; ``dense`` lays such dicts out as the library's
+array, its columns in ``id_order``: ascending id, NEW last.
 """
 
 import copy
@@ -132,10 +132,16 @@ def resample_step(state: MixtureState, index: int):
     return left, log_w
 
 
+def scan_order(data):
+    """Indices of ``data`` in ascending count, ties in data order: the
+    order a sweep visits the data in."""
+    return sorted(range(len(data)), key=lambda i: (data[i], i))
+
+
 def reference_sweep(state: MixtureState):
-    """One sweep of ``resample_step`` in data order; returns (joint, flips)."""
+    """One sweep of ``resample_step`` in ``scan_order``; returns (joint, flips)."""
     joint, flips = 0.0, 0
-    for i in range(len(state.data)):
+    for i in scan_order(state.data):
         left, log_w = resample_step(state, i)
         joint += log_w
         flips += state.assignments[i] != left

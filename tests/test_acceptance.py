@@ -478,7 +478,7 @@ def test_ac7_overlap_robustness():
     )
     event_overlap = event_cluster_id(fit_overlap.state)
     field = average_probabilities(
-        fit_overlap.table[fit_overlap.index], overlapped.spec, signal_len, fit_overlap.columns
+        fit_overlap.table, overlapped.spec, signal_len, fit_overlap.columns, fit_overlap.index
     )
     core_probability = probability_of(field, event_overlap)[
         offset_core : offset_core + span

@@ -4,13 +4,18 @@ import argparse
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aeburst
 from aeburst.cli import _nll_csv, _write_json, build_parser, cli
 from aeburst.config import PipelineConfig
 from aeburst.detector import NllTrace, score, train_background
@@ -240,6 +245,31 @@ class TestDetect:
 
 
 class TestCluster:
+    def test_run_leaves_numpy_ma_unimported(self, lead_break_files, tmp_path):
+        # ``np.unique`` without index outputs imports ``numpy.ma``, which
+        # costs a fresh ``cluster`` process 9-18 ms; the field dedupes its
+        # edges without it.
+        wave, _ = lead_break_files
+        script = (
+            "import sys\n"
+            "from aeburst.cli import cli\n"
+            "assert cli(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        argv = [
+            "cluster", "--input", str(wave), "--format", "raw_f32_le",
+            "--sample-rate", "1e6", "--window", "1024", "--overlap", "0.875",
+            "--sweeps", "20", "--burn-in", "10", "--seed", "0",
+            "--events-out", str(tmp_path / "events.jsonl"),
+            "--state-out", str(tmp_path / "state.json"),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(aeburst.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert run.stdout == "False\n"
+
     def test_emits_events_and_state(self, lead_break_files, tmp_path):
         wave, ann = lead_break_files
         events_out = tmp_path / "events.jsonl"
@@ -287,8 +317,8 @@ class TestCluster:
         # perfbench/tracing.py replaces the layer functions that aeburst.cli
         # imports, by attribute, and reads fit's .sweeps_run and .state,
         # average_probabilities' third positional argument as the signal
-        # length, and the field's keys as the ids seen.  The field reads each
-        # window's row of fit's table, which takes no draws.
+        # length, and the field's keys as the ids seen.  The field gathers
+        # each window's row of fit's table itself, which takes no draws.
         import aeburst.cli as cli_module
 
         calls = {}
@@ -320,7 +350,7 @@ class TestCluster:
         doc = json.loads((tmp_path / "state.json").read_text())
         assert doc["rng_draws"] == 20 * len(result.index) == 20 * len(doc["assignments"])
         args, field = calls["average_probabilities"]
-        assert np.array_equal(args[0], result.table[result.index])
+        assert args[0] is result.table and args[4] is result.index
         assert args[2] == len(calls["read_waveform"][1]) == len(field)
         assert list(field.probabilities) == result.columns
         assert len(set(result.columns)) == len(result.columns) > result.state.n_clusters

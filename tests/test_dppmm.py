@@ -52,6 +52,7 @@ from sampler_oracle import (
     reference_table,
     resample_step,
     scan,
+    scan_order,
 )
 
 UNIT = Hyperparams(alpha=1.0, base=GammaParams(1.0, 1.0))
@@ -504,7 +505,7 @@ class TestFusedSweep:
             gibbs_sweep(state)
         twin = copy.deepcopy(state)
         most = twin.n_clusters
-        for i in range(len(data)):
+        for i in scan_order(data):
             resample_step(twin, i)
             most = max(most, twin.n_clusters)
         calls = 0
@@ -636,24 +637,40 @@ class TestFit:
         assert means[0] <= means[1] <= means[2]
 
 
+def sweep_tv(data, seed, n_samples, burn_in=0):
+    """Total variation between the partitions of ``n_samples`` Gibbs sweeps,
+    after ``burn_in`` more, and the exact partition posterior."""
+    exact = exact_partition_posterior(data, 1.0, 1.0, 1.0)
+    state = MixtureState.init_single_cluster(data, UNIT, rng_seed=seed)
+    for _ in range(burn_in):
+        gibbs_sweep(state)
+    freq = {}
+    for _ in range(n_samples):
+        gibbs_sweep(state)
+        key = canonical_partition(state.assignments)
+        freq[key] = freq.get(key, 0) + 1
+    return 0.5 * sum(
+        abs(exact.get(key, 0.0) - freq.get(key, 0) / n_samples)
+        for key in set(exact) | set(freq)
+    )
+
+
 class TestExchangeability:
     def test_small_instance_partition_posterior(self):
         # Quick variant of the full acceptance run: 20k samples, TV < 0.05.
-        data = [0, 1, 9]
-        exact = exact_partition_posterior(data, 1.0, 1.0, 1.0)
-        assert len(exact) == 5
-        state = MixtureState.init_single_cluster(data, UNIT, rng_seed=17)
-        freq = {}
-        n_samples = 20_000
-        for _ in range(n_samples):
-            gibbs_sweep(state)
-            key = canonical_partition(state.assignments)
-            freq[key] = freq.get(key, 0) + 1
-        tv = 0.5 * sum(
-            abs(exact.get(key, 0.0) - freq.get(key, 0) / n_samples)
-            for key in set(exact) | set(freq)
-        )
-        assert tv < 0.05
+        assert len(exact_partition_posterior([0, 1, 9], 1.0, 1.0, 1.0)) == 5
+        assert sweep_tv([0, 1, 9], 17, 20_000) < 0.05
+
+    @pytest.mark.parametrize(
+        "data, n_partitions",
+        [([0, 1, 9, 0, 3, 12], 203), ([30, 0, 9, 1, 10, 0, 2], 877)],
+    )
+    def test_unsorted_data_partition_posterior(self, data, n_partitions):
+        # The sweep visits these data in ascending count, not in data order;
+        # a fixed scan that depends on the data alone leaves the posterior
+        # invariant.  Weights taken without detaching the datum give TV > 0.1.
+        assert len(exact_partition_posterior(data, 1.0, 1.0, 1.0)) == n_partitions
+        assert sweep_tv(data, 23, 100_000, burn_in=500) < 0.02
 
 
 class TestPredictiveTable:

@@ -139,7 +139,7 @@ class TestObserve:
     def test_births_ascend_by_id(self):
         # The sweep at the sixth count mints two clusters that both survive;
         # their alarms come lowest id first, as do those of every call.
-        state = MixtureState.empty(UNIT, 0)
+        state = MixtureState.empty(UNIT, 5)
         births = [
             [alarm.cluster_id for alarm in observe(x, state, eta_override=1.0).alarms]
             for x in (2, 49, 37, 1, 44, 53)

@@ -39,7 +39,7 @@ def field_from_event_prob(event_prob, noise=0, event=1):
 def field_of(window_probs, spec, signal_len):
     """``average_probabilities`` of per-window dicts, laid out by ``dense``."""
     probs, columns = dense(window_probs)
-    return average_probabilities(probs, spec, signal_len, columns)
+    return average_probabilities(probs, spec, signal_len, columns, np.arange(len(probs)))
 
 
 class TestAverageProbabilities:
@@ -85,13 +85,31 @@ class TestAverageProbabilities:
         assert list(per_sample(field, field.coverage)[10:]) == [0] * 5
         assert np.all(probability_of(field, 0)[10:] == 0.0)
 
+    def test_rows_are_gathered_through_the_index(self):
+        # Windows that share a table row read it through ``index``; the field
+        # equals the one built from the gathered windows × keys array.
+        rng = np.random.default_rng(8)
+        spec, signal_len = WindowSpec(16, 0.75), 200
+        table = rng.random((5, 3))
+        table /= table.sum(axis=1, keepdims=True)
+        index = rng.integers(0, 5, spec.n_windows(signal_len))
+        columns = [0, 2, None]
+        field = average_probabilities(table, spec, signal_len, columns, index)
+        gathered = average_probabilities(
+            table[index], spec, signal_len, columns, np.arange(index.size)
+        )
+        assert np.array_equal(field.edges, gathered.edges)
+        assert np.array_equal(field.coverage, gathered.coverage)
+        for key in columns:
+            assert np.array_equal(field.probabilities[key], gathered.probabilities[key])
+
     def test_window_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             field_of([{0: 1.0}], WindowSpec(10, 0.0), 30)
 
     def test_column_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            average_probabilities(np.ones((3, 1)), WindowSpec(10, 0.0), 30, [0, 1])
+            average_probabilities(np.ones((3, 1)), WindowSpec(10, 0.0), 30, [0, 1], np.arange(3))
 
 
 def reference_average(window_probs, spec, signal_len):
@@ -425,7 +443,7 @@ class TestOverlapAveragedPipeline:
         hyper = Hyperparams(1.0, GammaParams(1.0, 1.0))
         result = fit(wc.counts.tolist(), hyper, sweeps=60, burn_in=30, rng_seed=1)
         field = average_probabilities(
-            result.table[result.index], wc.spec, len(waveform), result.columns
+            result.table, wc.spec, len(waveform), result.columns, result.index
         )
         base = hyper.base
         event = max(
