@@ -28,6 +28,7 @@ from .dppmm import (
     audit,
     fit,
     gibbs_sweep,
+    merge_split,
     posterior_mean_rate,
     state_from_json_dict,
     state_to_json_dict,

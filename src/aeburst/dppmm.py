@@ -1,4 +1,5 @@
-"""Dirichlet-process Poisson mixture inferred by collapsed Gibbs sampling.
+"""Dirichlet-process Poisson mixture inferred by collapsed Gibbs sampling
+with merge–split moves.
 
 Counts are partitioned into an unbounded set of Poisson components.  The
 mixing weights and per-component rates are integrated out analytically
@@ -17,10 +18,19 @@ creation and never reused within a run, so the assignment probabilities
 of a new datum can be averaged across sweeps without label-switching
 heuristics; a cluster that dies and re-forms is a distinct cluster.
 
-Randomness is consumed exclusively as uniform variates from a counted,
-seeded stream (one draw per categorical sample), which makes runs
-replayable from ``(seed, draw count)`` alone.  A sweep over N data makes
-exactly N draws and takes their uniforms from the stream N at a time.
+Randomness is consumed exclusively as uniform variates from two counted
+streams seeded from the run seed, which makes runs replayable from the
+seed and the two draw counts alone.  The Gibbs stream ``rng`` gives one
+draw per categorical sample: a sweep over N data makes exactly N draws and
+takes their uniforms from it N at a time.  The move stream ``moves``,
+seeded from ``(seed, 1)``, feeds ``merge_split`` alone, so the moves never
+shift the Gibbs stream.
+
+Single-site Gibbs cannot merge two large clusters of identical counts:
+moving one datum between them is nearly neutral, so one of them would
+have to empty by a random walk.  ``fit`` therefore follows every sweep
+with one ``merge_split`` move, which merges or splits whole clusters in
+one Metropolis–Hastings step (Jain & Neal 2004, *JCGS* 13(1)).
 
 A sweep visits the data in ascending count, a fixed scan set by the data
 alone that leaves the posterior invariant as data order does.  Equal
@@ -52,6 +62,7 @@ __all__ = [
     "assignment_log_weights",
     "predictive_rows",
     "gibbs_sweep",
+    "merge_split",
     "fit",
     "audit",
     "posterior_mean_rate",
@@ -78,15 +89,17 @@ class UniformStream:
 
     Every categorical draw in the sampler consumes exactly one uniform, so
     ``(seed, draws)`` pins the stream position; ``resume`` fast-forwards a
-    fresh stream to that position.
+    fresh stream to that position.  Stream 0 is seeded from ``seed`` and
+    stream ``k > 0`` from ``(seed, k)``, so one seed gives independent
+    streams.
     """
 
     __slots__ = ("seed", "draws", "_gen")
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed)
         self.draws = 0
-        self._gen = np.random.default_rng(self.seed)
+        self._gen = np.random.default_rng([self.seed, int(stream)] if stream else self.seed)
 
     def random(self) -> float:
         self.draws += 1
@@ -94,16 +107,20 @@ class UniformStream:
 
     def take(self, n: int) -> list[float]:
         """The next ``n`` values of ``random()``, drawn in one batch."""
+        return self.array(n).tolist()
+
+    def array(self, n: int) -> np.ndarray:
+        """The next ``n`` values of ``random()`` as a float64 array."""
         self.draws += n
-        return self._gen.random(n).tolist()
+        return self._gen.random(n)
 
     @classmethod
-    def resume(cls, seed: int, draws: int) -> "UniformStream":
+    def resume(cls, seed: int, draws: int, stream: int = 0) -> "UniformStream":
         # Each double from ``random()`` is exactly one PCG64 step.
-        stream = cls(seed)
-        stream._gen.bit_generator.advance(int(draws))
-        stream.draws = int(draws)
-        return stream
+        resumed = cls(seed, stream)
+        resumed._gen.bit_generator.advance(int(draws))
+        resumed.draws = int(draws)
+        return resumed
 
 
 class ClusterStats:
@@ -123,12 +140,13 @@ class ClusterStats:
 class MixtureState:
     """Assignments, per-cluster statistics, and hyperparameters of the mixture.
 
-    A state is mutated by exactly one writer at a time, via ``append_datum``
-    and ``gibbs_sweep``.  It holds each cluster's ``(n, s)`` and nothing
-    derived from them: weights are computed where they are taken.  Cluster
-    ids are minted from ``next_cluster_id`` and never reused within a run.
-    All of the sampler's randomness comes from ``rng``, so the state
-    document always records the stream position.
+    A state is mutated by exactly one writer at a time, via ``append_datum``,
+    ``gibbs_sweep`` and ``merge_split``.  It holds each cluster's ``(n, s)``
+    and nothing derived from them: weights are computed where they are
+    taken.  Cluster ids are minted from ``next_cluster_id`` and never reused
+    within a run.  All of the sampler's randomness comes from ``rng`` (Gibbs
+    steps and ``observe``'s gate) and ``moves`` (``merge_split``), both
+    seeded from the run seed, so the state document records both positions.
     """
 
     hyper: Hyperparams
@@ -136,11 +154,12 @@ class MixtureState:
     assignments: list[int] = field(default_factory=list)
     clusters: dict[int, ClusterStats] = field(default_factory=dict)
     rng: UniformStream = field(default_factory=lambda: UniformStream(0))
+    moves: UniformStream = field(default_factory=lambda: UniformStream(0, 1))
     next_cluster_id: int = 0
 
     @classmethod
     def empty(cls, hyper: Hyperparams, rng_seed: int = 0) -> "MixtureState":
-        return cls(hyper=hyper, rng=UniformStream(rng_seed))
+        return cls(hyper=hyper, rng=UniformStream(rng_seed), moves=UniformStream(rng_seed, 1))
 
     @classmethod
     def init_single_cluster(
@@ -328,6 +347,107 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
     return state
 
 
+def _block_log_marginal(base: GammaParams, n: int, s: int) -> float:
+    """``M(n, s)``: the log marginal likelihood of ``n`` counts summing to
+    ``s`` under one Gamma-distributed rate, without the ``prod 1/x!`` term
+    that every partition of the same data shares."""
+    a, b = base.shape, base.rate
+    return a * math.log(b) - math.lgamma(a) + math.lgamma(a + s) - (a + s) * math.log(b + n)
+
+
+def merge_split(state: MixtureState, data: np.ndarray) -> bool:
+    """One merge–split Metropolis–Hastings move; True if it was accepted.
+
+    ``data`` is ``state.data`` as an int64 array.  The move draws two
+    distinct data ``i`` and ``j`` uniformly.  If they sit in different
+    clusters A and B it proposes their union; if they share a cluster C of
+    ``n`` members it draws ``k`` uniformly from ``1 .. n-1`` and proposes
+    the split into S1, ``i`` plus the ``k - 1`` other members (neither ``i``
+    nor ``j``) with the smallest of ``n - 2`` uniforms, and S2, the rest,
+    which holds ``j``.  A merge is accepted with probability
+    ``min(1, exp(M(A+B) - M(A) - M(B)) / alpha)`` and a split with
+    ``min(1, alpha * exp(M(S1) + M(S2) - M(C)))``, ``M`` as in
+    ``_block_log_marginal``.
+
+    Derivation.  The partition posterior is proportional to
+    ``alpha**K * prod Gamma(n_c) * prod exp(M(c))`` over blocks, times the
+    shared ``prod 1/x!``.  Given ``(i, j)``, which both directions draw with
+    the same probability, the merge is proposed with probability one and
+    the split it reverses, with ``n1 = |S1| = k``, with probability
+    ``1 / ((n - 1) * C(n - 2, k - 1))``.  Since ``(n - 1) * C(n - 2, k - 1)
+    = Gamma(n) / (Gamma(n1) * Gamma(n2))``, the proposal ratio cancels the
+    process prior's ``Gamma(n1) * Gamma(n2) / Gamma(n)`` exactly, and
+    neither K nor N is left in either ratio.
+
+    Each move takes four uniforms from ``state.moves`` (``i``, ``j``, ``k``
+    and the acceptance draw, ``k`` unused by a merge), plus ``n - 2`` when
+    it proposes a split; with fewer than two data it takes none.  A merge
+    decides from the two clusters' ``(n, s)`` and relabels only when
+    accepted.  Ids stay stable: a merge keeps the lower (older) id and
+    retires the other for good; an accepted split mints a fresh id for the
+    smaller part (S1 on a tie) and leaves the larger under C's id.  The
+    table averages by id, so a split that peels a few members off the
+    noise cluster must not rename the rest of it.
+    """
+    n_data = len(state.data)
+    if n_data < 2:
+        return False
+    u_i, u_j, u_k, u_accept = state.moves.take(4)
+    i = int(u_i * n_data)
+    j = int(u_j * (n_data - 1))
+    j += j >= i
+    assignments, clusters = state.assignments, state.clusters
+    base, alpha = state.hyper.base, state.hyper.alpha
+    home_i, home_j = assignments[i], assignments[j]
+    if home_i != home_j:
+        a, b = clusters[home_i], clusters[home_j]
+        log_ratio = (
+            _block_log_marginal(base, a.n_members + b.n_members, a.sum_x + b.sum_x)
+            - _block_log_marginal(base, a.n_members, a.sum_x)
+            - _block_log_marginal(base, b.n_members, b.sum_x)
+            - math.log(alpha)
+        )
+        if log_ratio < 0 and u_accept >= math.exp(log_ratio):
+            return False
+        keep, gone = (a, b) if a.id < b.id else (b, a)
+        keep.n_members += gone.n_members
+        keep.sum_x += gone.sum_x
+        del clusters[gone.id]
+        assignments[:] = [keep.id if c == gone.id else c for c in assignments]
+        return True
+    cluster = clusters[home_i]
+    n = cluster.n_members
+    k = 1 + int(u_k * (n - 1))
+    labels = np.array(assignments)
+    labels[i] = labels[j] = -1
+    others = (labels == home_i).nonzero()[0]
+    # The others in an order whose first k - 1 hold the smallest uniforms.
+    uniforms = state.moves.array(n - 2)
+    order = uniforms.argpartition(k - 2) if k > 1 else np.arange(n - 2)
+    joined = others[order[: k - 1]]
+    s1 = int(data[i] + data[joined].sum())
+    log_ratio = (
+        math.log(alpha)
+        + _block_log_marginal(base, k, s1)
+        + _block_log_marginal(base, n - k, cluster.sum_x - s1)
+        - _block_log_marginal(base, n, cluster.sum_x)
+    )
+    if log_ratio < 0 and u_accept >= math.exp(log_ratio):
+        return False
+    if k <= n - k:
+        leaving, n_leaving, s_leaving = [i, *joined.tolist()], k, s1
+    else:
+        leaving = [j, *others[order[k - 1 :]].tolist()]
+        n_leaving, s_leaving = n - k, cluster.sum_x - s1
+    part = state.mint_cluster()
+    part.n_members, part.sum_x = n_leaving, s_leaving
+    cluster.n_members -= n_leaving
+    cluster.sum_x -= s_leaving
+    for t in leaving:
+        assignments[t] = part.id
+    return True
+
+
 @dataclass
 class FitResult:
     """Final sampler state, the predictive table and per-sweep diagnostics.
@@ -361,11 +481,14 @@ def fit(
 ) -> FitResult:
     """Run the collapsed Gibbs sampler for a fixed sweep budget.
 
-    All data start in a single component.  Reported labels are those of
-    the final sweep; after each sweep from ``burn_in`` on, every distinct
-    count's ``predictive_rows`` row is added into ``table``, which takes no
-    uniforms, so the stream makes exactly ``sweeps * len(data)`` draws.
-    Every sweep in the budget runs.
+    All data start in a single component.  Each sweep is one
+    ``gibbs_sweep`` followed by one ``merge_split`` move.  Reported labels
+    are those of the final sweep and move; after each sweep from
+    ``burn_in`` on, every distinct count's ``predictive_rows`` row is added
+    into ``table``, which takes no uniforms.  The two streams stay apart:
+    the Gibbs stream ``state.rng`` makes exactly ``sweeps * len(data)``
+    draws, and the moves draw from ``state.moves`` alone.  Every sweep in
+    the budget runs.
 
     An empty dataset returns an empty state rather than raising; it means
     "no events" downstream.
@@ -374,7 +497,8 @@ def fit(
         raise ValueError(
             f"need sweeps > burn_in >= 0, got sweeps={sweeps}, burn_in={burn_in}"
         )
-    values, index = np.unique(np.asarray(data, dtype=np.int64), return_inverse=True)
+    data_array = np.asarray(data, dtype=np.int64)
+    values, index = np.unique(data_array, return_inverse=True)
     state = MixtureState.init_single_cluster(data, hyper, rng_seed)
     counts = values.tolist()
     sums: dict[int | None, np.ndarray] = {}
@@ -384,6 +508,7 @@ def fit(
     for sweep_idx in range(sweeps_run):
         diag: dict = {}
         gibbs_sweep(state, diagnostics=diag)
+        merge_split(state, data_array)
         cluster_counts.append(state.n_clusters)
         joint_log_weights.append(diag["joint_log_weight"])
         if sweep_idx >= burn_in:
@@ -437,7 +562,7 @@ def data_digest(data: Sequence[int]) -> str:
 
 def state_to_json_dict(state: MixtureState) -> dict:
     """Serialisable document: hyperparameters, data digest, assignments,
-    cluster table, and the rng position for exact resume."""
+    cluster table, and the positions of both streams for exact resume."""
     return {
         "format": "dp-poisson-mixture-state",
         "version": 1,
@@ -459,6 +584,7 @@ def state_to_json_dict(state: MixtureState) -> dict:
         "next_cluster_id": state.next_cluster_id,
         "rng_seed": state.rng.seed,
         "rng_draws": state.rng.draws,
+        "move_draws": state.moves.draws,
     }
 
 
@@ -466,8 +592,9 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
     """Rebuild a state from its JSON document plus the original data.
 
     The data is not stored in the document; it must be supplied and is
-    checked against the recorded digest.  The rng stream is fast-forwarded
-    to the recorded draw count, so sampling resumes exactly.
+    checked against the recorded digest.  Both streams are fast-forwarded
+    to their recorded draw counts, so sampling resumes exactly; a document
+    without ``move_draws`` predates the moves and made none.
     """
     if doc.get("format") != "dp-poisson-mixture-state":
         raise ValueError("not a mixture-state document")
@@ -480,6 +607,7 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
         data=counts,
         assignments=[int(k) for k in doc["assignments"]],
         rng=UniformStream.resume(doc["rng_seed"], doc["rng_draws"]),
+        moves=UniformStream.resume(doc["rng_seed"], doc.get("move_draws", 0), stream=1),
         next_cluster_id=int(doc["next_cluster_id"]),
     )
     for row in sorted(doc["clusters"], key=lambda r: r["id"]):

@@ -33,6 +33,10 @@ __all__ = [
     "build_event_records",
 ]
 
+# Cells per gather in ``average_probabilities``: with 64 keys, 2 MiB of rows.
+_CELL_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class SampleProbabilityField:
     """Cluster probabilities over a waveform, one value per window cell.
@@ -116,16 +120,21 @@ def average_probabilities(
     sums = np.zeros((edges.size - 1, len(columns)))
     for depth in range(coverage.max(initial=0)):
         cells = np.flatnonzero(coverage > depth)
-        sums[cells] += table[index[first[cells] + depth]]
+        # Rows are gathered a block of cells at a time, so the gathered
+        # temporary stays small beside ``sums``.
+        for start in range(0, cells.size, _CELL_BLOCK):
+            block = cells[start : start + _CELL_BLOCK]
+            sums[block] += table[index[first[block] + depth]]
     covered = coverage > 0
     total = np.zeros(edges.size - 1)
     for acc in sums.T:
         total += acc
-    # Dividing by the per-cell vector sum both averages and renormalises.
-    averaged = sums.T / np.where(covered & (total > 0), total, 1.0)
-    averaged[:, ~covered] = 0.0
+    # Dividing by the per-cell vector sum both averages and renormalises; in
+    # place, so each key's field is a column view of ``sums``.
+    sums /= np.where(covered & (total > 0), total, 1.0)[:, None]
+    sums[~covered] = 0.0
     return SampleProbabilityField(
-        edges=edges, coverage=coverage, probabilities=dict(zip(columns, averaged))
+        edges=edges, coverage=coverage, probabilities=dict(zip(columns, sums.T))
     )
 
 

@@ -1,9 +1,11 @@
 """Exact posterior of the Poisson mixture by enumerating set partitions.
 
 The one enumeration the tests compare the sampler with: AC-3 and the unit
-tests check Gibbs-sweep partition frequencies against
-``exact_partition_posterior``, and ``new_datum_probabilities`` gives the
-exact values that ``dppmm.fit``'s predictive table estimates.  Block
+tests measure the partition frequencies of Gibbs sweeps, of merge–split
+moves alone and of both as ``fit`` runs them against
+``exact_partition_posterior`` with ``partition_tv``, and
+``new_datum_probabilities`` gives the exact values that ``dppmm.fit``'s
+predictive table estimates.  Block
 marginal likelihoods come in closed form from the Gamma-Poisson integral,
 written out here rather than taken from the library.
 """
@@ -50,6 +52,16 @@ def exact_partition_posterior(data, alpha, a, b):
         weights[frozenset(frozenset(block) for block in blocks)] = math.exp(log_w)
     total = sum(weights.values())
     return {key: value / total for key, value in weights.items()}
+
+
+def partition_tv(freq, exact):
+    """Total variation between sampled partition counts ``freq`` and the
+    exact posterior ``exact``, both keyed by ``canonical_partition``."""
+    n_samples = sum(freq.values())
+    return 0.5 * sum(
+        abs(exact.get(key, 0.0) - freq.get(key, 0) / n_samples)
+        for key in set(exact) | set(freq)
+    )
 
 
 def canonical_partition(assignments):

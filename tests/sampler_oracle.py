@@ -6,10 +6,13 @@ leave-one-out weights with one uniform, and attach it again, visiting the
 data in ``scan_order``.  The fused kernel must reproduce these steps
 exactly, so the tests compare the two with ``==``.  ``greedy_pick`` is the
 reference for ``observe``'s greedy path: an argmax whose tie rules do not
-depend on the order of its input.  ``reference_table`` averages each
-count's new-datum probabilities over ``reference_fit``'s post-burn-in
-states, one dict per count; ``dense`` lays such dicts out as the library's
-array, its columns in ``id_order``: ascending id, NEW last.
+depend on the order of its input.  ``reference_fit`` follows each sweep
+with the library's ``merge_split``, as ``fit`` does; the move is checked
+against enumeration on its own, not written out again here.
+``reference_table`` averages each count's new-datum probabilities over
+``reference_fit``'s post-burn-in states, one dict per count; ``dense``
+lays such dicts out as the library's array, its columns in ``id_order``:
+ascending id, NEW last.
 """
 
 import copy
@@ -22,6 +25,7 @@ from aeburst.dppmm import (
     UniformStream,
     _exp_weights,
     assignment_log_weights,
+    merge_split,
 )
 
 
@@ -149,13 +153,16 @@ def reference_sweep(state: MixtureState):
 
 
 def reference_fit(data, hyper, sweeps, burn_in, seed):
-    """``fit`` by ``reference_sweep``: the final state, each sweep's joint
-    log weight, and a copy of the clusters after each post-burn-in sweep,
-    held as a state without data."""
+    """``fit`` by ``reference_sweep``, each followed by one ``merge_split``
+    move: the final state, each sweep's joint log weight, and a copy of the
+    clusters after each post-burn-in sweep and move, held as a state
+    without data."""
     state = MixtureState.init_single_cluster(data, hyper, seed)
+    values = np.array(data, dtype=np.int64)
     joints, kept = [], []
     for sweep in range(sweeps):
         joints.append(reference_sweep(state)[0])
+        merge_split(state, values)
         if sweep >= burn_in:
             kept.append(MixtureState(hyper, clusters=copy.deepcopy(state.clusters)))
     return state, joints, kept

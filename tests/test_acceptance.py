@@ -39,7 +39,7 @@ from aeburst.windowing import (
     WindowSpec,
     extract_counts,
 )
-from partition_oracle import canonical_partition, exact_partition_posterior
+from partition_oracle import canonical_partition, exact_partition_posterior, partition_tv
 from sampler_oracle import crp_prior, detach_datum, normalize_log_weights
 from windowing_oracle import entries, probability_of
 
@@ -213,10 +213,7 @@ def test_ac3_partition_posterior_equivalence():
         gibbs_sweep(state)
         key = canonical_partition(state.assignments)
         frequencies[key] = frequencies.get(key, 0) + 1
-    tv = 0.5 * sum(
-        abs(exact.get(key, 0.0) - frequencies.get(key, 0) / n_samples)
-        for key in set(exact) | set(frequencies)
-    )
+    tv = partition_tv(frequencies, exact)
     elapsed = time.time() - start
     assert tv < 0.02
     assert elapsed < 60.0

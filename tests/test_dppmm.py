@@ -30,6 +30,7 @@ from aeburst.dppmm import (
     data_digest,
     fit,
     gibbs_sweep,
+    merge_split,
     posterior_mean_rate,
     predictive_rows,
     state_from_json_dict,
@@ -37,9 +38,11 @@ from aeburst.dppmm import (
 )
 from aeburst.monitor import observe
 from partition_oracle import (
+    block_log_marginal,
     canonical_partition,
     exact_partition_posterior,
     new_datum_probabilities,
+    partition_tv,
 )
 from sampler_oracle import (
     crp_prior,
@@ -56,6 +59,9 @@ from sampler_oracle import (
 )
 
 UNIT = Hyperparams(alpha=1.0, base=GammaParams(1.0, 1.0))
+# A non-unit prior: the block constant a log b - lgamma(a) and log alpha are
+# both non-zero, so a move that drops or inverts either has the wrong target.
+SHIFTED = Hyperparams(alpha=0.5, base=GammaParams(2.0, 0.5))
 
 
 def quad_marginal(x: int, shape: float, rate: float) -> float:
@@ -386,6 +392,7 @@ def assert_fit_matches_reference(data, sweeps, burn_in, seed):
     assert result.state.assignments == ref.assignments
     assert cluster_table(result.state) == cluster_table(ref)
     assert result.state.rng.draws == ref.rng.draws == sweeps * len(data)
+    assert result.state.moves.draws == ref.moves.draws >= 4 * sweeps
 
 
 class TestFusedSweep:
@@ -604,9 +611,12 @@ class TestFit:
                 tracemalloc.stop()
 
         def plain_sweeps():
+            # ``fit``'s sweeps and moves, and the data array the moves read.
             state = MixtureState.init_single_cluster(data, UNIT, 0)
+            values = np.array(data, dtype=np.int64)
             for _ in range(4):
                 gibbs_sweep(state)
+                merge_split(state, values)
 
         peak(plain_sweeps)  # first-call allocations count in neither run
         plain = peak(plain_sweeps)[1]
@@ -637,22 +647,36 @@ class TestFit:
         assert means[0] <= means[1] <= means[2]
 
 
-def sweep_tv(data, seed, n_samples, burn_in=0):
-    """Total variation between the partitions of ``n_samples`` Gibbs sweeps,
-    after ``burn_in`` more, and the exact partition posterior."""
-    exact = exact_partition_posterior(data, 1.0, 1.0, 1.0)
-    state = MixtureState.init_single_cluster(data, UNIT, rng_seed=seed)
+def gibbs_step(state, values):
+    """One Gibbs sweep; False only if no datum changed cluster."""
+    diag = {}
+    gibbs_sweep(state, diagnostics=diag)
+    return diag["flips"] > 0
+
+
+def fit_step(state, values):
+    """One Gibbs sweep and one move, as ``fit`` runs them."""
+    return gibbs_step(state, values) | merge_split(state, values)
+
+
+def sweep_tv(data, seed, n_samples, burn_in=0, hyper=UNIT, step=gibbs_step):
+    """Total variation between the partitions after each of ``n_samples``
+    steps of a kernel, after ``burn_in`` more, and the exact partition
+    posterior under ``hyper``.  ``step(state, values)`` returns False only
+    if the partition is unchanged, so its key is reused."""
+    base = hyper.base
+    exact = exact_partition_posterior(data, hyper.alpha, base.shape, base.rate)
+    state = MixtureState.init_single_cluster(data, hyper, rng_seed=seed)
+    values = np.array(data, dtype=np.int64)
     for _ in range(burn_in):
-        gibbs_sweep(state)
+        step(state, values)
     freq = {}
+    key = canonical_partition(state.assignments)
     for _ in range(n_samples):
-        gibbs_sweep(state)
-        key = canonical_partition(state.assignments)
+        if step(state, values):
+            key = canonical_partition(state.assignments)
         freq[key] = freq.get(key, 0) + 1
-    return 0.5 * sum(
-        abs(exact.get(key, 0.0) - freq.get(key, 0) / n_samples)
-        for key in set(exact) | set(freq)
-    )
+    return partition_tv(freq, exact)
 
 
 class TestExchangeability:
@@ -671,6 +695,184 @@ class TestExchangeability:
         # invariant.  Weights taken without detaching the datum give TV > 0.1.
         assert len(exact_partition_posterior(data, 1.0, 1.0, 1.0)) == n_partitions
         assert sweep_tv(data, 23, 100_000, burn_in=500) < 0.02
+
+
+class ScriptedStream:
+    """Stands in for ``state.moves``: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values, self.draws = list(values), 0
+
+    def take(self, n):
+        self.draws += n
+        return self.values[self.draws - n : self.draws]
+
+    def array(self, n):
+        return np.array(self.take(n), dtype=float)
+
+
+def pair_uniforms(n_data, i, j):
+    """The first two move uniforms that draw data ``i`` and ``j``."""
+    return (i + 0.5) / n_data, (j - (j > i) + 0.5) / (n_data - 1)
+
+
+def log_posterior(data, blocks, hyper):
+    """Unnormalised log partition posterior, from the enumeration oracle's
+    terms: ``K log alpha`` plus ``lgamma(|block|)`` and the block's full
+    log marginal likelihood for every block."""
+    a, b = hyper.base.shape, hyper.base.rate
+    return sum(
+        math.log(hyper.alpha)
+        + math.lgamma(len(block))
+        + block_log_marginal([data[t] for t in block], a, b)
+        for block in blocks
+    )
+
+
+def log_split_proposal(n, n1):
+    """Log probability that a split of ``n`` members proposes one given
+    part of ``n1`` members holding ``i``: ``k`` then the other members."""
+    return -math.log(n - 1) - (
+        math.lgamma(n - 1) - math.lgamma(n1) - math.lgamma(n - n1)
+    )
+
+
+def acceptance_cases(log_ratio):
+    """``(u_accept, accepted)`` pairs on either side of ``min(1, exp(log_ratio))``."""
+    if log_ratio >= 0:
+        return [(0.999999, True)]
+    p = math.exp(log_ratio)
+    return [(p * (1 + 1e-9), False), (p * (1 - 1e-9), True)]
+
+
+def blocks_by_id(assignments):
+    """The data indices of each cluster id, ascending."""
+    blocks = {}
+    for t, k in enumerate(assignments):
+        blocks.setdefault(k, []).append(t)
+    return blocks
+
+
+MOVE_CLUSTERS = [[0, 1, 0, 0, 2], [9, 14, 30, 11, 0, 12], [3, 4]]
+
+
+class TestMergeSplit:
+    """``merge_split`` against exact enumeration, alone and as ``fit`` runs it."""
+
+    @pytest.mark.parametrize("hyper", [UNIT, SHIFTED], ids=["unit", "shifted"])
+    @pytest.mark.parametrize(
+        "data, n_moves", [([0, 1, 9, 0, 3, 12], 250_000), ([30, 0, 9, 1, 10, 0, 2], 500_000)]
+    )
+    def test_moves_alone_partition_posterior(self, data, n_moves, hyper):
+        # The moves alone are irreducible: merges reach the one-cluster
+        # partition and splits reach any partition from it.  Seven data have
+        # 877 partitions to the six's 203, so they get more moves.  Dropping
+        # the block constant, doubling the acceptance ratio or inverting
+        # alpha each fails some case here.
+        assert sweep_tv(data, 37, n_moves, burn_in=1_000, hyper=hyper, step=merge_split) < 0.02
+
+    @pytest.mark.parametrize("hyper", [UNIT, SHIFTED], ids=["unit", "shifted"])
+    @pytest.mark.parametrize("data", [[0, 1, 9, 0, 3, 12], [30, 0, 9, 1, 10, 0, 2]])
+    def test_fit_kernel_partition_posterior(self, data, hyper):
+        # A sweep then a move, each from its own stream, as ``fit`` runs them.
+        assert sweep_tv(data, 41, 40_000, burn_in=200, hyper=hyper, step=fit_step) < 0.02
+
+    @pytest.mark.parametrize("hyper", [UNIT, SHIFTED], ids=["unit", "shifted"])
+    @pytest.mark.parametrize("pair", [(0, 5), (6, 2), (12, 3), (10, 11)])
+    def test_merge_accepts_at_posterior_ratio(self, hyper, pair):
+        # A merge is accepted iff its uniform lies below the posterior ratio
+        # of the two partitions times the reverse split's proposal
+        # probability (the merge's own is one).
+        i, j = pair
+        state = state_with_clusters(MOVE_CLUSTERS, hyper)
+        blocks = blocks_by_id(state.assignments)
+        a, b = blocks.pop(state.assignments[i]), blocks.pop(state.assignments[j])
+        rest = list(blocks.values())
+        log_ratio = (
+            log_posterior(state.data, rest + [a + b], hyper)
+            - log_posterior(state.data, rest + [a, b], hyper)
+            + log_split_proposal(len(a) + len(b), len(a))
+        )
+        for u_accept, accepted in acceptance_cases(log_ratio):
+            trial = state_with_clusters(MOVE_CLUSTERS, hyper)
+            trial.moves = ScriptedStream([*pair_uniforms(len(trial.data), i, j), 0.5, u_accept])
+            assert merge_split(trial, np.array(trial.data)) is accepted
+            assert trial.moves.draws == 4 and trial.rng.draws == 0
+            assert audit(trial)
+            if accepted:
+                # The union keeps the lower id; the other is retired.
+                keep = min(state.assignments[i], state.assignments[j])
+                assert blocks_by_id(trial.assignments)[keep] == sorted(a + b)
+                assert trial.next_cluster_id == state.next_cluster_id
+
+    @pytest.mark.parametrize("hyper", [UNIT, SHIFTED], ids=["unit", "shifted"])
+    @pytest.mark.parametrize(
+        "pair, k", [((5, 9), 3), ((9, 5), 1), ((6, 10), 5), ((0, 4), 2), ((11, 12), 1)]
+    )
+    def test_split_accepts_at_posterior_ratio(self, hyper, pair, k):
+        i, j = pair
+        state = state_with_clusters(MOVE_CLUSTERS, hyper)
+        home = state.assignments[i]
+        blocks = blocks_by_id(state.assignments)
+        members = blocks.pop(home)
+        others = [t for t in members if t not in pair]
+        n = len(members)
+        # Descending uniforms: the last k - 1 others join i.
+        uniforms = [0.9 - 0.1 * q for q in range(len(others))]
+        part = sorted([i] + others[len(others) - (k - 1) :])
+        remainder = [t for t in members if t not in part]
+        rest = list(blocks.values())
+        log_ratio = (
+            log_posterior(state.data, rest + [part, remainder], hyper)
+            - log_posterior(state.data, rest + [members], hyper)
+            - log_split_proposal(n, k)
+        )
+        u_k = (k - 0.5) / (n - 1)
+        for u_accept, accepted in acceptance_cases(log_ratio):
+            trial = state_with_clusters(MOVE_CLUSTERS, hyper)
+            trial.moves = ScriptedStream(
+                [*pair_uniforms(len(trial.data), i, j), u_k, u_accept, *uniforms]
+            )
+            fresh = trial.next_cluster_id
+            assert merge_split(trial, np.array(trial.data)) is accepted
+            assert trial.moves.draws == 4 + n - 2
+            assert audit(trial)
+            if accepted:
+                # The smaller part leaves under a fresh id, S1 on a tie; the
+                # larger keeps C's id.
+                small, large = (part, remainder) if k <= n - k else (remainder, part)
+                blocks = blocks_by_id(trial.assignments)
+                assert (blocks[fresh], blocks[home]) == (small, large)
+                assert list(trial.clusters) == sorted(trial.clusters)
+
+    def test_streams_stay_apart(self):
+        # ``fit`` leaves the Gibbs stream at one draw per datum per sweep, and
+        # each move takes four uniforms plus n - 2 per proposed split.
+        data = zero_runs(2)
+        result = fit(data, UNIT, sweeps=12, burn_in=6, rng_seed=2)
+        assert result.state.rng.draws == 12 * len(data)
+        assert result.state.moves.draws >= 4 * 12
+        assert UniformStream(2, 1).take(3) != UniformStream(2).take(3)
+        assert UniformStream(2, 1).take(3) == np.random.default_rng([2, 1]).random(3).tolist()
+        assert MixtureState.empty(UNIT, 9).moves.take(2) == UniformStream(9, 1).take(2)
+        lone = MixtureState.init_single_cluster([4], UNIT, 0)
+        assert not merge_split(lone, np.array([4]))
+        assert lone.moves.draws == 0
+
+    def test_ids_are_never_reused(self):
+        rng = np.random.default_rng(8)
+        data = [int(v) for v in rng.poisson(1, 40)] + [int(v) for v in rng.poisson(20, 20)]
+        state = MixtureState.init_single_cluster(data, SHIFTED, 8)
+        values = np.array(data)
+        retired, accepted = set(), 0
+        for _ in range(3_000):
+            before = set(state.clusters)
+            accepted += merge_split(state, values)
+            retired |= before - set(state.clusters)
+            assert not retired & set(state.clusters)
+            assert audit(state)
+            assert list(state.clusters) == sorted(state.clusters)
+        assert accepted > 100 and len(retired) > 50
 
 
 class TestPredictiveTable:
@@ -718,6 +920,25 @@ class TestSerialization:
         continued_a = gibbs_sweep(result.state)
         continued_b = gibbs_sweep(restored)
         assert continued_a.assignments == continued_b.assignments
+
+    def test_fit_state_reloads_and_continues(self):
+        # The document records both streams' positions: the reloaded state
+        # runs further sweeps and moves exactly like the in-memory one.
+        data = zero_runs(3)
+        result = fit(data, UNIT, sweeps=10, burn_in=4, rng_seed=3)
+        doc = json.loads(json.dumps(state_to_json_dict(result.state)))
+        assert doc["move_draws"] == result.state.moves.draws > 4 * 10
+        restored = state_from_json_dict(doc, data)
+        values = np.array(data, dtype=np.int64)
+        for _ in range(3):
+            for state in (result.state, restored):
+                gibbs_sweep(state)
+                merge_split(state, values)
+            assert restored.assignments == result.state.assignments
+            assert cluster_table(restored) == cluster_table(result.state)
+            assert restored.next_cluster_id == result.state.next_cluster_id
+            assert restored.rng.draws == result.state.rng.draws
+            assert restored.moves.draws == result.state.moves.draws
 
     def test_digest_guards_data(self):
         data = [1, 2, 3]

@@ -7,6 +7,7 @@ import pytest
 
 from aeburst.config import PipelineConfig
 from aeburst.distributions import GammaParams
+from aeburst import segmentation
 from aeburst.dppmm import Hyperparams, MixtureState, fit
 from aeburst.segmentation import (
     EventRecord,
@@ -253,6 +254,14 @@ class TestCellFieldMatchesPerSample:
             values /= values.sum()
             window_probs.append(dict(zip(keys, values.tolist())))
         assert_matches_reference(window_probs, spec, signal_len)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_cells_gathered_in_blocks(self, block, monkeypatch):
+        # Each depth gathers its cells' rows ``_CELL_BLOCK`` cells at a time;
+        # blocks smaller than a depth's cells must leave every value as it is.
+        monkeypatch.setattr(segmentation, "_CELL_BLOCK", block)
+        for seed in range(12):
+            self.test_random_geometries(seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fit_on_overlapped_recording(self, seed):
