@@ -10,16 +10,18 @@ Both steps read a ``Recording`` one chunk at a time, at its stored width:
 an in-memory ``Waveform`` is one float64 chunk, and a raw file
 (``aeburst.io``) yields fixed-size float32 or int16 chunks.  The percentile
 is exact, equal to ``np.percentile``'s linear method on the samples as
-float64: a radix select over keys as wide as the samples finds the two
-order statistics it interpolates, holding a histogram and at most one
-chunk's worth of candidate keys.  Window counts compare each sample with
-the threshold rounded down into its dtype and carry only a running edge
-count and one sample's state across a chunk boundary, so memory is set by
-the chunk size and the window count, not by the recording length.
+float64, from two order statistics of keys as wide as the samples.  If the
+upper tail down to them fits in the first chunk, one read keeps that many
+of the largest keys; else a radix select holds a histogram and at most one
+chunk of candidate keys.  Window counts compare each sample with the
+threshold rounded down into its dtype and carry only a running edge count
+and one sample's state across a chunk boundary, so memory is set by the
+chunk size and the window count, not by the recording length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -222,29 +224,66 @@ def _key_value(key: int, rectify: bool, dtype: np.dtype) -> float:
     return float(np.array([key], dtype=f"u{dtype.itemsize}").view(dtype)[0])
 
 
+def _keys(chunks: Iterator[np.ndarray], rectify: bool) -> Iterator[np.ndarray]:
+    return (_sort_keys(chunk, rectify) for chunk in chunks)
+
+
+def _fold(kept: np.ndarray, pending: list[np.ndarray], m: int) -> np.ndarray:
+    """The ``m`` largest keys of ``kept`` and ``pending``, the smallest of them first."""
+    merged = np.concatenate([kept, *pending])  # a new array: never recording memory
+    merged.partition(merged.size - m)
+    return merged[merged.size - m :]
+
+
+def _largest(first: np.ndarray, rest: Iterator[np.ndarray], m: int) -> np.ndarray:
+    """The ``m <= first.size`` largest keys of ``first`` and of every array of ``rest``.
+
+    Later arrays add only keys above the running ``m``-th largest, folded in
+    once they reach ``m``: at most ``m`` kept, ``m`` pending and one array.
+    """
+    kept, pending, waiting = _fold(first, [], m), [], 0
+    for keys in rest:
+        above = np.compress(keys > kept[0], keys)  # faster than a boolean index
+        if above.size:  # an empty array a chunk would grow with the recording
+            pending.append(above)
+            waiting += above.size
+        if waiting >= m:
+            kept, pending, waiting = _fold(kept, pending, m), [], 0
+    return _fold(kept, pending, m)
+
+
 def _order_statistics(
     recording: Recording, rectify: bool, low: int, high: int
 ) -> tuple[float, float]:
     """The values of ranks ``low`` and ``high = low`` or ``low + 1``, ascending.
 
-    A radix select over the keys of ``_sort_keys``, whose width the first
-    chunk sets: each pass reads every chunk and histograms the next 16 bits
-    of the keys inside the bucket that holds the ranks, whose base is
-    ``base`` and whose width is ``2 ** (shift + 16)``.  The select stops
+    Selects over the keys of ``_sort_keys``, whose width the first chunk
+    sets.  When the upper tail of ``m = len(recording) - low`` keys fits in
+    that chunk, ``_largest`` keeps it in one read and the ranks are its two
+    smallest keys.  A larger tail takes a radix select, whose first pass
+    goes on from that chunk: each pass reads every chunk and histograms the
+    next 16 bits of the keys inside the bucket that holds the ranks, whose
+    base is ``base`` and whose width is ``2 ** (shift + 16)``.  It stops
     when the bucket holds one distinct key, or no more keys than the largest
     chunk, which are then collected and partitioned: 32-bit keys take at
     most two reads, unless the ranks straddle two buckets.
     """
-    base, below, shift, top, dtype = 0, 0, 0, 0, None  # the first chunk sets shift, dtype
+    chunks = recording.chunks()
+    first = next(chunks)
+    keys = _sort_keys(first, rectify)
+    dtype = np.dtype(f"{first.dtype.kind}{keys.itemsize}")
+    m = len(recording) - low
+    if m <= keys.size:
+        found, ranks = _largest(keys, _keys(chunks, rectify), m), (0, high - low)
+        found.partition(ranks)
+        return tuple(_key_value(int(found[r]), rectify, dtype) for r in ranks)
+    base, below, shift, top = 0, 0, 8 * keys.itemsize - _RADIX_BITS, 0
+    source = itertools.chain([keys], _keys(chunks, rectify))
     while True:
         hist = np.zeros(1 << _RADIX_BITS, dtype=np.int64)
         limit = 0
-        for chunk in recording.chunks():
-            limit = max(limit, chunk.size)
-            keys = _sort_keys(chunk, rectify)
-            if dtype is None:
-                dtype = np.dtype(f"{chunk.dtype.kind}{keys.itemsize}")
-                shift = 8 * keys.itemsize - _RADIX_BITS
+        for keys in source:
+            limit = max(limit, keys.size)
             if shift + _RADIX_BITS < 8 * keys.itemsize:
                 keys = keys[(keys >= base) & (keys <= top)] - keys.dtype.type(base)
             # Digits fit in 16 bits, so the signed view is the same numbers.
@@ -265,15 +304,14 @@ def _order_statistics(
             value = _key_value(base, rectify, dtype)
             return value, value
         if hist[b_low] <= limit:
-            found = []
-            for chunk in recording.chunks():
-                keys = _sort_keys(chunk, rectify)
-                found.append(keys[(keys >= base) & (keys <= top)])
-            found = np.concatenate(found)
+            found = np.concatenate(
+                [k[(k >= base) & (k <= top)] for k in _keys(recording.chunks(), rectify)]
+            )
             ranks = (low - below, high - below)
             found.partition(ranks)
             return tuple(_key_value(int(found[r]), rectify, dtype) for r in ranks)
         shift -= _RADIX_BITS
+        source = _keys(recording.chunks(), rectify)
 
 
 def resolve_threshold(recording: Recording, policy: ThresholdPolicy) -> float:
@@ -282,7 +320,9 @@ def resolve_threshold(recording: Recording, policy: ThresholdPolicy) -> float:
     Percentile thresholds use linear interpolation between closest order
     statistics of ``|v|`` (or of ``v`` when ``rectify`` is off), equal to
     ``np.percentile`` on the samples as float64 (which may pick the other
-    zero of a -0.0/0.0 tie); fixed thresholds pass through unchanged.
+    zero of a -0.0/0.0 tie); fixed thresholds pass through unchanged.  One
+    read suffices if the tail from the lower statistic up fits the first
+    chunk (at the 99th percentile, to ~26M samples of 2^18-sample chunks).
     """
     if policy.kind == "fixed":
         return float(policy.value)

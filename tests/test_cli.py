@@ -160,6 +160,26 @@ class TestDetect:
                 for e in doc["events"]
             )
 
+    def test_raw_recording_is_read_twice(self, lead_break_files, tmp_path, monkeypatch):
+        # The 99th percentile's upper tail fits the one 2^18-sample chunk, so
+        # the threshold takes one read and the window counts the other.
+        wave, _ = lead_break_files
+        reads = []
+        chunks = aeio.RawRecording.chunks
+        monkeypatch.setattr(
+            aeio.RawRecording, "chunks", lambda self: reads.append(self) or chunks(self)
+        )
+        code = cli(
+            [
+                "detect", "--input", str(wave), "--format", "raw_f32_le",
+                "--sample-rate", "1e6", "--window", "256", "--train-count", "5",
+                "--nll-out", str(tmp_path / "trace.csv"),
+                "--events-out", str(tmp_path / "flags.json"),
+            ]
+        )
+        assert code == 0
+        assert len(reads) == 2
+
     def test_nll_csv_blocks_join_to_one_document(self):
         counts = np.random.default_rng(0).poisson(2.0, 23)
         windowed = WindowedCounts(

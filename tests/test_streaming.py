@@ -144,23 +144,37 @@ def test_event_features_from_span_reads_equal_eager(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", ["noise", "constant"])
 def test_count_memory_is_set_by_the_chunk(tmp_path, monkeypatch, kind):
     # A large window keeps the per-window arrays a few entries long, so only
-    # the recording length changes between the two runs.
+    # the recording length changes between the two runs of each select path.
+    # At 4,096-sample chunks the 99.9th percentile's upper tail fits a chunk
+    # at both lengths (67 and 526 samples) and the 50th's does not at either.
     monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 1 << 12)
+    reads = []
+    chunks = aeio.RawRecording.chunks
+    monkeypatch.setattr(
+        aeio.RawRecording, "chunks", lambda self: reads.append(self) or chunks(self)
+    )
     rng = np.random.default_rng(8)
-    peaks = []
+    peaks = {}
     for n in (1 << 16, 1 << 19):
         path = tmp_path / f"{n}.f32"
         values = rng.normal(size=n) if kind == "noise" else np.full(n, 0.25)
         values.astype("<f4").tofile(path)
         recording = read_waveform(path, "raw_f32_le", 1e6)
-        tracemalloc.start()
-        try:
-            extract_counts(recording, ThresholdPolicy.percentile(99.0), WindowSpec(1 << 14))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # Holding the longer recording whole would add at least 4 MiB of float64.
-    assert peaks[1] < 1.1 * peaks[0]
+        for path_name, q in (("tail", 99.9), ("radix", 50.0)):
+            reads.clear()
+            tracemalloc.start()
+            try:
+                extract_counts(recording, ThresholdPolicy.percentile(q), WindowSpec(1 << 14))
+                peaks[path_name, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # One read to count, and one to select on the tail path.
+            assert (len(reads) == 2) == (path_name == "tail")
+    for path_name in ("tail", "radix"):
+        # Holding the longer recording whole would add at least 4 MiB of float64.
+        assert peaks[path_name, 1 << 19] < 1.1 * peaks[path_name, 1 << 16]
+    for n in (1 << 16, 1 << 19):
+        assert peaks["tail", n] <= peaks["radix", n]
 
 
 # Stored-width reading: float32 and int16 chunks are thresholded and counted
@@ -240,6 +254,99 @@ def test_stored_width_equals_float64(tmp_path_factory, fmt, data):
             assert got.counts.tolist() == want.counts.tolist()
             assert got.counts.tolist() == extract_counts(eager, policy, spec).counts.tolist()
             assert got.starts.tolist() == want.starts.tolist()
+
+
+@dataclass
+class CountedReads:
+    """A recording that counts the reads of its samples."""
+
+    recording: object
+    reads: int = 0
+
+    def __len__(self) -> int:
+        return len(self.recording)
+
+    def chunks(self):
+        self.reads += 1
+        return self.recording.chunks()
+
+
+# Over 1,201 samples the upper tail from the lower order statistic holds
+# 601, 13, 3 and 2 samples.  No percentile below 100 leaves one sample in it
+# unless the recording has one sample: (n - 1) * (q / 100) rounds below n - 1.
+PATH_PERCENTILES = (50.0, 99.0, 99.9, 99.99999)
+SPECIAL = {"raw_f32_le": F32_SPECIAL, "raw_i16_le": I16_SPECIAL, "float64": F32_SPECIAL}
+
+
+def _upper_tail(n, q):
+    index = (n - 1) * (q / 100)
+    return 1 if index >= n - 1 else n - int(index)
+
+
+def _path_signal(source, kind, rng, n):
+    if kind == "noise":
+        return _signal(source, rng, n)
+    if kind == "constant":
+        return np.full(n, -3.0)
+    if kind == "special":
+        return rng.permutation(np.resize(np.array(SPECIAL[source], dtype=np.float64), n))
+    ramp = np.linspace(0.5, 300.0, n)  # the top keys come last, or first
+    return ramp if kind == "ascending" else ramp[::-1].copy()
+
+
+@pytest.mark.parametrize("rectify", [True, False])
+@pytest.mark.parametrize("kind", ["noise", "constant", "special", "ascending", "descending"])
+@pytest.mark.parametrize("source", ["float64", "raw_f32_le", "raw_i16_le"])
+def test_both_select_paths_equal_percentile(tmp_path, monkeypatch, source, kind, rectify):
+    # A chunk of exactly the upper tail keeps it in one read; a chunk one
+    # sample shorter takes the radix select, which reads at least twice.
+    rng = np.random.default_rng([len(kind), rectify])
+    values = _path_signal(source, kind, rng, 1_201)
+    for q in PATH_PERCENTILES:
+        policy = ThresholdPolicy.percentile(q, rectify)
+        m = _upper_tail(values.size, q)
+        for chunk in (m, m - 1):
+            if chunk == 0:
+                continue
+            recording, samples = _recording(tmp_path, monkeypatch, source, values, chunk)
+            counted = CountedReads(recording)
+            threshold = resolve_threshold(counted, policy)
+            assert threshold == oracle.resolve_threshold(samples, policy)
+            assert (counted.reads == 1) == (chunk == m)
+        if source == "float64":
+            # One chunk holds the whole recording; the select partitions a
+            # copy of its keys, never the samples themselves.
+            waveform = Waveform(values, 1e6)
+            before = waveform.samples.tobytes()
+            counted = CountedReads(waveform)
+            assert resolve_threshold(counted, policy) == oracle.resolve_threshold(values, policy)
+            assert counted.reads == 1
+            assert waveform.samples.tobytes() == before
+
+
+@pytest.mark.parametrize("rectify", [True, False])
+@pytest.mark.parametrize("source", ["float64", "raw_f32_le", "raw_i16_le"])
+def test_one_sample_is_its_own_upper_tail(tmp_path, monkeypatch, source, rectify):
+    recording, samples = _recording(tmp_path, monkeypatch, source, np.array([-7.0]), 1)
+    for q in (0.5, 99.99999):
+        policy = ThresholdPolicy.percentile(q, rectify)
+        counted = CountedReads(recording)
+        assert resolve_threshold(counted, policy) == oracle.resolve_threshold(samples, policy)
+        assert counted.reads == 1
+
+
+@pytest.mark.parametrize("fmt, dtype", [("raw_f32_le", "<f4"), ("raw_i16_le", "<i2")])
+def test_upper_tail_select_reads_once(tmp_path, monkeypatch, fmt, dtype):
+    monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 256)
+    rng = np.random.default_rng(11)
+    path = tmp_path / "wave.raw"
+    rng.normal(0.0, 1_000.0, size=50_000).astype(dtype).tofile(path)
+    recording = read_waveform(path, fmt, 1e6)
+    samples = np.fromfile(path, dtype=dtype).astype(np.float64)
+    counted = CountedReads(recording)
+    policy = ThresholdPolicy.percentile(99.9)  # an upper tail of 51 samples
+    assert resolve_threshold(counted, policy) == oracle.resolve_threshold(samples, policy)
+    assert counted.reads == 1
 
 
 def test_raw_chunks_keep_the_stored_dtype_and_the_select_reads_twice(
