@@ -14,11 +14,11 @@ from .detector import (
     BackgroundModel,
     NllTrace,
     flag_events,
-    pick_noise_training,
     score,
     train_background,
 )
 from .dppmm import (
+    NOISE,
     ClusterStats,
     FitResult,
     Hyperparams,
@@ -40,7 +40,6 @@ from .segmentation import (
     average_probabilities,
     build_event_records,
     extract_features,
-    noise_cluster_id,
     segment_events,
 )
 from .monitor import (

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .detector import NllTrace, flag_events, pick_noise_training, score, train_background
-from .dppmm import MixtureState, fit, state_to_json_dict
+from .detector import NllTrace, flag_events, score, train_background
+from .dppmm import NOISE, MixtureState, fit, state_to_json_dict
 from .io import (
     DataFormatError,
     read_hits,
@@ -40,7 +40,6 @@ from .segmentation import (
     block_features,
     build_event_records,
     extract_features,
-    noise_cluster_id,
 )
 from .synth import BurstSpec, HitStreamSpec, SynthSpec, synthesize, synthesize_hit_stream
 from .windowing import extract_counts
@@ -213,12 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "prior_shape", "prior_rate",
     )
     p_detect.add_argument(
-        "--train-windows", type=_window_range, default=None,
-        help="explicit noise window index range START:STOP (e.g. 0:20)",
-    )
-    p_detect.add_argument(
-        "--train-count", type=_positive_int, default=20,
-        help="auto-pick this many lowest-count windows when no range is given",
+        "--train-windows", type=_window_range, required=True,
+        help="noise window index range START:STOP (e.g. 0:20)",
     )
     p_detect.add_argument("--nll-out", required=True, help="per-window NLL CSV")
     p_detect.add_argument("--events-out", required=True, help="flagged intervals JSON")
@@ -320,13 +315,10 @@ def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
     waveform = read_waveform(args.input, args.format, args.sample_rate)
     windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
     counts = windowed.counts.tolist()
-    if args.train_windows is not None:
-        stop = args.train_windows.stop
-        if stop > len(counts):
-            raise DataFormatError(f"training range stop {stop} exceeds {len(counts)} windows")
-        train_idx = list(args.train_windows)
-    else:
-        train_idx = pick_noise_training(counts, min(args.train_count, len(counts)))
+    stop = args.train_windows.stop
+    if stop > len(counts):
+        raise DataFormatError(f"training range stop {stop} exceeds {len(counts)} windows")
+    train_idx = list(args.train_windows)
     model = train_background(config.prior(), [counts[i] for i in train_idx])
     trace = score(model, windowed, margin=config.flag_margin)
     write_atomic(args.nll_out, _nll_csv(trace))
@@ -355,11 +347,10 @@ def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
         field = average_probabilities(
             result.table, windowed.spec, len(waveform), result.columns, result.index
         )
-        noise = noise_cluster_id(result.state)
         records = build_event_records(
             waveform,
             field,
-            noise,
+            NOISE,
             windowed.threshold,
             min_probability=config.min_probability,
             min_length=config.min_event_length,

@@ -27,7 +27,6 @@ __all__ = [
     "train_background",
     "score",
     "flag_events",
-    "pick_noise_training",
 ]
 
 # One order of magnitude in likelihood above the worst training window.
@@ -132,18 +131,3 @@ def flag_events(trace: NllTrace) -> list[tuple[int, int]]:
         else:
             merged.append((start, end))
     return merged
-
-
-def pick_noise_training(counts: Sequence[int], n_train: int) -> list[int]:
-    """Heuristic selection of training windows: the lowest-count windows.
-
-    Returns the indices of the ``n_train`` smallest counts (ties broken by
-    position).  This is a convenience for unattended runs; hand-picked
-    noise ranges are preferable when they are known.
-    """
-    if n_train < 1:
-        raise ValueError("n_train must be at least 1")
-    if n_train > len(counts):
-        raise ValueError(f"cannot pick {n_train} windows from {len(counts)}")
-    order = sorted(range(len(counts)), key=lambda i: (counts[i], i))
-    return sorted(order[:n_train])

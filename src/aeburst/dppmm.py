@@ -54,6 +54,7 @@ import numpy as np
 from .distributions import GammaParams, log_predictive, predictive_terms
 
 __all__ = [
+    "NOISE",
     "Hyperparams",
     "ClusterStats",
     "MixtureState",
@@ -70,6 +71,9 @@ __all__ = [
     "state_from_json_dict",
     "data_digest",
 ]
+
+# The table key of the background column; cluster ids are never negative.
+NOISE = -1
 
 
 @dataclass(frozen=True)
@@ -386,8 +390,8 @@ def merge_split(state: MixtureState, data: np.ndarray) -> bool:
     accepted.  Ids stay stable: a merge keeps the lower (older) id and
     retires the other for good; an accepted split mints a fresh id for the
     smaller part (S1 on a tie) and leaves the larger under C's id.  The
-    table averages by id, so a split that peels a few members off the
-    noise cluster must not rename the rest of it.
+    table averages by id, so a split that peels a few members off a
+    cluster must not rename the rest of it.
     """
     n_data = len(state.data)
     if n_data < 2:
@@ -456,10 +460,13 @@ class FitResult:
     data, in ascending count, and ``index[i]`` is the row of datum ``i``'s
     count, so ``table[index]`` is one row per datum.  A row is the
     new-datum assignment probabilities of its count (``predictive_rows``)
-    after each post-burn-in sweep, averaged over those sweeps and matched
-    by stable cluster id, with ``0.0`` where a key was not live; clusters
-    that die and re-form contribute under distinct ids.  ``columns`` names
-    its columns: ascending cluster id, then ``None`` for NEW, the order of
+    after each post-burn-in sweep and move, averaged over those sweeps and
+    matched by key, with ``0.0`` where a key was not live.  In each such
+    state the largest cluster (the lowest id on a tie) is the background:
+    its entry goes under ``NOISE``, not under its id.  The other clusters
+    go under their stable ids, so clusters that die and re-form contribute
+    under distinct ids.  ``columns`` names the columns in ascending key,
+    ``NOISE`` first and ``None`` for NEW last, the order of
     ``MixtureState.clusters``, in which ``average_probabilities`` sums them.
     """
 
@@ -485,7 +492,8 @@ def fit(
     ``gibbs_sweep`` followed by one ``merge_split`` move.  Reported labels
     are those of the final sweep and move; after each sweep from
     ``burn_in`` on, every distinct count's ``predictive_rows`` row is added
-    into ``table``, which takes no uniforms.  The two streams stay apart:
+    into ``table``, the largest cluster's entry under ``NOISE``; the table
+    takes no uniforms.  The two streams stay apart:
     the Gibbs stream ``state.rng`` makes exactly ``sweeps * len(data)``
     draws, and the moves draw from ``state.moves`` alone.  Every sweep in
     the budget runs.
@@ -513,7 +521,9 @@ def fit(
         joint_log_weights.append(diag["joint_log_weight"])
         if sweep_idx >= burn_in:
             rows = predictive_rows(state, counts)
-            for key, column in zip([*state.clusters, None], rows.T):
+            noise = max(state.clusters, key=lambda k: state.clusters[k].n_members)
+            keys = [NOISE if k == noise else k for k in state.clusters]
+            for key, column in zip([*keys, None], rows.T):
                 sums[key] = sums.get(key, 0.0) + column
     columns = sorted(sums, key=lambda k: (k is None, k))
     table = np.empty((len(counts), len(columns)))

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dppmm import MixtureState, posterior_mean_rate
 from .windowing import Recording, WindowSpec, runs
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "segment_events",
     "block_features",
     "extract_features",
-    "noise_cluster_id",
     "build_event_records",
 ]
 
@@ -148,8 +146,9 @@ def segment_events(
 
     Each run is labelled with the non-noise cluster holding the highest
     mean probability over the run, ties going to the first key of the field:
-    from ``FitResult.columns``, the lowest id, as in ``noise_cluster_id``.
-    Runs shorter than ``min_length`` samples are discarded.
+    from ``FitResult.columns``, the lowest id.  With a field of ``fit``'s
+    table, ``noise_cluster`` is ``dppmm.NOISE``, the per-sweep largest
+    cluster.  Runs shorter than ``min_length`` samples are discarded.
     ``mean_probability`` is the mean non-noise probability over the run,
     hence never below the minimum; a sample's probabilities are those of
     the windows covering it, each the predictive assignment of the
@@ -244,20 +243,6 @@ def extract_features(
         waveform.span(start, end)[None, :], waveform.sample_rate, threshold, rectify
     )
     return features
-
-
-def noise_cluster_id(state: MixtureState) -> int:
-    """Cluster representing background noise: the lowest posterior-mean rate.
-
-    Background has the lowest count rate by construction; ties break
-    toward the lowest id.
-    """
-    if not state.clusters:
-        raise ValueError("state has no clusters")
-    base = state.hyper.base
-    return min(
-        state.clusters.values(), key=lambda c: (posterior_mean_rate(c, base), c.id)
-    ).id
 
 
 def build_event_records(

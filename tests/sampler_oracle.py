@@ -10,9 +10,10 @@ depend on the order of its input.  ``reference_fit`` follows each sweep
 with the library's ``merge_split``, as ``fit`` does; the move is checked
 against enumeration on its own, not written out again here.
 ``reference_table`` averages each count's new-datum probabilities over
-``reference_fit``'s post-burn-in states, one dict per count; ``dense``
-lays such dicts out as the library's array, its columns in ``id_order``:
-ascending id, NEW last.
+``reference_fit``'s post-burn-in states, one dict per count, with each
+state's ``largest_cluster`` under ``NOISE``; ``dense`` lays such dicts out
+as the library's array, its columns in ``id_order``: ascending key, NEW
+last.
 """
 
 import copy
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from aeburst.dppmm import (
+    NOISE,
     MixtureState,
     UniformStream,
     _exp_weights,
@@ -168,20 +170,29 @@ def reference_fit(data, hyper, sweeps, burn_in, seed):
     return state, joints, kept
 
 
+def largest_cluster(state):
+    """The id of the cluster with the most members, the lowest on a tie."""
+    most = max(c.n_members for c in state.clusters.values())
+    return min(k for k, c in state.clusters.items() if c.n_members == most)
+
+
 def reference_table(states, values):
     """One dict per count of ``values``: ``normalize_log_weights`` of its
-    ``assignment_log_weights`` in each state, summed per key in state order
-    and divided by the number of states."""
+    ``assignment_log_weights`` in each state, the ``largest_cluster``'s
+    entry keyed ``NOISE``, summed per key in state order and divided by the
+    number of states."""
     sums = [{} for _ in values]
     for state in states:
+        noise = largest_cluster(state)
         for acc, x in zip(sums, values):
             for key, p in normalize_log_weights(assignment_log_weights(x, state)):
+                key = NOISE if key == noise else key
                 acc[key] = acc.get(key, 0.0) + p
     return [{key: total / len(states) for key, total in acc.items()} for acc in sums]
 
 
 def id_order(keys):
-    """The distinct keys, ascending cluster id with ``None`` (NEW) last."""
+    """The distinct keys, ascending (``NOISE`` first) with ``None`` (NEW) last."""
     return sorted(set(keys), key=lambda k: (k is None, k))
 
 

@@ -629,7 +629,7 @@ def test_ac10_cli_determinism(tmp_path):
                 [
                     "detect", "--input", str(wave), "--format", "raw_f32_le",
                     "--sample-rate", "1e6", "--window", "4096", "--overlap", "0",
-                    "--train-count", "3", "--nll-out", str(nll),
+                    "--train-windows", "0:1", "--nll-out", str(nll),
                     "--events-out", str(events),
                 ]
             )

@@ -127,7 +127,7 @@ class TestDetect:
                 "--sample-rate", "1e6",
                 "--window", "4096",
                 "--overlap", "0",
-                "--train-count", "5",
+                "--train-windows", "0:2",
                 "--nll-out", str(nll_out),
                 "--events-out", str(events_out),
             ]
@@ -172,7 +172,7 @@ class TestDetect:
         code = cli(
             [
                 "detect", "--input", str(wave), "--format", "raw_f32_le",
-                "--sample-rate", "1e6", "--window", "256", "--train-count", "5",
+                "--sample-rate", "1e6", "--window", "256", "--train-windows", "0:20",
                 "--nll-out", str(tmp_path / "trace.csv"),
                 "--events-out", str(tmp_path / "flags.json"),
             ]
@@ -747,7 +747,7 @@ class TestMalformedRaw:
         source = ["--input", str(wave), "--format", fmt, "--sample-rate", "1e6"]
         if command == "detect":
             argv = [
-                "detect", *source, "--window", "50", "--train-count", "2",
+                "detect", *source, "--window", "50", "--train-windows", "0:2",
                 "--nll-out", str(tmp_path / "t.csv"), "--events-out", str(tmp_path / "e.json"),
             ]
         elif command == "cluster":
@@ -810,6 +810,7 @@ class TestExitCodes:
                 "--input", str(tmp_path / "missing.f32"),
                 "--format", "raw_f32_le",
                 "--sample-rate", "1e6",
+                "--train-windows", "0:2",
                 "--nll-out", str(tmp_path / "t.csv"),
                 "--events-out", str(tmp_path / "e.json"),
             ]
@@ -839,6 +840,7 @@ class TestExitCodes:
                 "--input", str(tmp_path / "unread.f32"),
                 "--format", "raw_f32_le",
                 "--sample-rate", "1e6",
+                "--train-windows", "0:2",
                 "--config", str(path),
                 "--nll-out", str(tmp_path / "t.csv"),
                 "--events-out", str(tmp_path / "e.json"),
@@ -882,8 +884,7 @@ PARSER_SNAPSHOT = {
         (("--threshold-value",), "float", None, None, False),
         (("--prior-shape",), "float", None, None, False),
         (("--prior-rate",), "float", None, None, False),
-        (("--train-windows",), "_window_range", None, None, False),
-        (("--train-count",), "_positive_int", None, 20, False),
+        (("--train-windows",), "_window_range", None, None, True),
         (("--nll-out",), None, None, None, True),
         (("--events-out",), None, None, None, True),
     ],
@@ -985,13 +986,14 @@ class TestParserSnapshot:
         for argv in [
             ["monitor", "--hits", str(hits_path), "--threshold-volts", "0.05", "--seed", "-1",
              "--alarms-out", str(tmp_path / "a.jsonl"), "--tracks-out", str(tmp_path / "t.csv")],
-            ["detect", "--input", str(wave), "--sample-rate", "1e6", "--train-count", "0",
+            # detect picks no noise windows itself: the range is required.
+            ["detect", "--input", str(wave), "--sample-rate", "1e6",
              "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json")],
         ]:
             assert cli(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error: ")
-            assert "seed" in err or "positive integer" in err
+            assert "seed" in err or "required: --train-windows" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(
@@ -1018,7 +1020,7 @@ class TestParserSnapshot:
         before = sorted(p.name for p in tmp_path.iterdir())
         command, *rest = flags
         argv = {
-            "detect": ["--input", str(wave), "--sample-rate", "1e6",
+            "detect": ["--input", str(wave), "--sample-rate", "1e6", "--train-windows", "0:2",
                        "--nll-out", str(tmp_path / "n.csv"),
                        "--events-out", str(tmp_path / "e.json")],
             "monitor": ["--hits", str(hits_path), "--threshold-volts", "0.05",
@@ -1047,8 +1049,9 @@ class TestParserSnapshot:
             "--events-out", str(tmp_path / "e.jsonl"), "--state-out", str(tmp_path / "s.json"),
         ]
         for argv, field in [
-            (["detect", *wave_in, "--window", "0", "--nll-out", str(tmp_path / "n.csv"),
-              "--events-out", str(tmp_path / "e.json")], "length_n"),
+            (["detect", *wave_in, "--window", "0", "--train-windows", "0:2",
+              "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json")],
+             "length_n"),
             (["cluster", *wave_in, "--sweeps", "-3", *cluster_out], "sweeps"),
             (["monitor", "--hits", str(hits_path), "--threshold-volts", "0.05",
               "--keep-ratio", "0", "--alarms-out", str(tmp_path / "a.jsonl"),
@@ -1079,7 +1082,8 @@ class TestParserSnapshot:
         wave, _ = lead_break_files
         before = sorted(p.name for p in tmp_path.iterdir())
         argv = [
-            "detect", "--input", str(wave), "--sample-rate", "1e6", flag, value,
+            "detect", "--input", str(wave), "--sample-rate", "1e6", "--train-windows", "0:2",
+            flag, value,
             "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json"),
         ]
         assert cli(argv) == 1
@@ -1149,6 +1153,7 @@ class TestMalformedConfig:
         config.write_text(json.dumps({"window_length": 8, "overlap": 0.95}))
         argv = [
             "detect", "--input", str(wave), "--sample-rate", "1e6", "--config", str(config),
+            "--train-windows", "0:2",
             "--nll-out", str(tmp_path / "n.csv"), "--events-out", str(tmp_path / "e.json"),
         ]
         assert cli(argv) == 2

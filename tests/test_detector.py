@@ -7,7 +7,6 @@ import pytest
 
 from aeburst.detector import (
     flag_events,
-    pick_noise_training,
     score,
     train_background,
 )
@@ -172,16 +171,6 @@ class TestFlagEvents:
         assert flag_events(trace) == [(0, 150)]
 
 
-class TestPickNoiseTraining:
-    def test_picks_lowest_counts(self):
-        counts = [9, 0, 3, 0, 8, 1]
-        assert pick_noise_training(counts, 3) == [1, 3, 5]
-
-    def test_requests_bounded(self):
-        with pytest.raises(ValueError):
-            pick_noise_training([1, 2], 3)
-
-
 class TestLeadBreakSeparation:
     """Burst windows score strictly above all noise windows when the
     window length matches the burst span."""
@@ -218,8 +207,7 @@ class TestLeadBreakSeparation:
             waveform, ThresholdPolicy.percentile(99), WindowSpec(256, 0.0)
         )
         counts = wc.counts.tolist()
-        train_idx = pick_noise_training(counts, 20)
-        model = train_background(UNIT_PRIOR, [counts[i] for i in train_idx])
+        model = train_background(UNIT_PRIOR, counts[:20])
         trace = score(model, wc)
         intervals = flag_events(trace)
         for b_start, b_end in spans:
@@ -233,6 +221,7 @@ class TestLeadBreakSeparation:
             )
             for start, _ in entries(wc)
         ]
+        assert all(is_noise[:20])  # the training windows hold no burst
         noise_flagged = sum(
             1 for i, noise in enumerate(is_noise) if noise and flagged[i]
         )

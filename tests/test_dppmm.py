@@ -22,6 +22,7 @@ from scipy import integrate, stats
 from aeburst import dppmm
 from aeburst.distributions import GammaParams
 from aeburst.dppmm import (
+    NOISE,
     Hyperparams,
     MixtureState,
     UniformStream,
@@ -49,6 +50,7 @@ from sampler_oracle import (
     dense,
     detach_datum,
     greedy_pick,
+    largest_cluster,
     normalize_log_weights,
     reference_fit,
     reference_sweep,
@@ -419,14 +421,15 @@ class TestFusedSweep:
         assert_fit_matches_reference(counts(seed), sweeps, burn_in, seed)
 
     def test_columns_ascend_by_id(self):
-        # The columns are the ids live after some post-burn-in sweep, in
-        # ascending id with NEW last: an id that died before the last sweep
-        # keeps its column, and one never live after such a sweep has none.
+        # The columns are NOISE, the ids live and not the largest after some
+        # post-burn-in sweep in ascending id, and NEW: an id that died before
+        # the last sweep keeps its column, and one never live after such a
+        # sweep has none.
         data = mixed_counts(3)
         result = fit(data, UNIT, sweeps=14, burn_in=6, rng_seed=3)
         states = reference_fit(data, UNIT, 14, 6, 3)[2]
-        live = set().union(*(state.clusters for state in states))
-        assert result.columns == sorted(live) + [None]
+        live = set().union(*(set(state.clusters) - {largest_cluster(state)} for state in states))
+        assert result.columns == [NOISE, *sorted(live), None]
         assert live - set(result.state.clusters)
         assert set(range(result.state.next_cluster_id)) - live
 
@@ -630,6 +633,21 @@ class TestFit:
         result = fit(data, UNIT, sweeps=25, burn_in=5, rng_seed=1)
         assert len(result.cluster_counts) == result.sweeps_run == 25
         assert len(result.joint_log_weights) == 25
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_late_low_rate_cluster_is_not_the_noise(self, seed):
+        # Ten zeros appended to Poisson(5) background end in a small cluster
+        # of the lowest rate, minted after the start.  The background is the
+        # largest cluster in every post-burn-in state, so each background
+        # datum that is not a zero gets event probability below one half.
+        data = np.random.default_rng(seed).poisson(5, 300).tolist() + [0] * 10
+        result = fit(data, UNIT, sweeps=60, burn_in=30, rng_seed=seed)
+        state = result.state
+        lowest = min(state.clusters.values(), key=lambda c: posterior_mean_rate(c, UNIT.base))
+        assert lowest.created_at > 0 and lowest.n_members < 20
+        event = 1.0 - result.table[result.index, result.columns.index(NOISE)]
+        background = np.array(data[:300]) >= 1
+        assert event[:300][background].max() < 0.5
 
     def test_alpha_monotone_in_expected_cluster_count(self):
         # Larger concentration never reduces the expected number of

@@ -8,14 +8,13 @@ import pytest
 from aeburst.config import PipelineConfig
 from aeburst.distributions import GammaParams
 from aeburst import segmentation
-from aeburst.dppmm import Hyperparams, MixtureState, fit
+from aeburst.dppmm import fit
 from aeburst.segmentation import (
     EventRecord,
     SampleProbabilityField,
     average_probabilities,
     build_event_records,
     extract_features,
-    noise_cluster_id,
     segment_events,
 )
 from aeburst.synth import BurstSpec, SynthSpec, synthesize
@@ -468,24 +467,6 @@ class TestOverlapAveragedPipeline:
         is_event = event_prob[window] >= 0.5
         flips = int(np.sum(is_event[1:] != is_event[:-1]))
         assert flips <= 2
-
-
-class TestNoiseClusterId:
-    def test_lowest_posterior_mean_rate_wins(self):
-        hyper = Hyperparams(1.0, GammaParams(1.0, 1.0))
-        state = MixtureState.empty(hyper, 0)
-        quiet = None
-        for x in (0, 1, 0):
-            quiet = state.append_datum(x, quiet)
-        loud = None
-        for x in (30, 28):
-            loud = state.append_datum(x, loud)
-        assert noise_cluster_id(state) == quiet
-
-    def test_empty_state_rejected(self):
-        hyper = Hyperparams(1.0, GammaParams(1.0, 1.0))
-        with pytest.raises(ValueError):
-            noise_cluster_id(MixtureState.empty(hyper, 0))
 
 
 class TestBuildEventRecords:
