@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .detector import NllTrace, flag_events, score, train_background
-from .dppmm import NOISE, MixtureState, fit, state_to_json_dict
+from .dppmm import MixtureState, fit, state_to_json_dict
 from .io import (
     DataFormatError,
     read_hits,
@@ -314,18 +314,16 @@ def _nll_csv(trace: NllTrace, block: int = 4096) -> Iterator[bytes]:
 def _cmd_detect(args: argparse.Namespace, config: PipelineConfig) -> int:
     waveform = read_waveform(args.input, args.format, args.sample_rate)
     windowed = extract_counts(waveform, config.threshold_policy(), config.window_spec())
-    counts = windowed.counts.tolist()
-    stop = args.train_windows.stop
-    if stop > len(counts):
-        raise DataFormatError(f"training range stop {stop} exceeds {len(counts)} windows")
-    train_idx = list(args.train_windows)
-    model = train_background(config.prior(), [counts[i] for i in train_idx])
+    start, stop = args.train_windows.start, args.train_windows.stop
+    if stop > len(windowed):
+        raise DataFormatError(f"training range stop {stop} exceeds {len(windowed)} windows")
+    model = train_background(config.prior(), windowed.counts[start:stop])
     trace = score(model, windowed, margin=config.flag_margin)
     write_atomic(args.nll_out, _nll_csv(trace))
     intervals = flag_events(trace)
     doc = {
         "flag_threshold": trace.flag_threshold,
-        "training_windows": train_idx,
+        "training_windows": list(args.train_windows),
         "events": [{"start_index": s, "end_index": e} for s, e in intervals],
     }
     _write_json(args.events_out, doc)
@@ -350,7 +348,6 @@ def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
         records = build_event_records(
             waveform,
             field,
-            NOISE,
             windowed.threshold,
             min_probability=config.min_probability,
             min_length=config.min_event_length,
@@ -391,15 +388,7 @@ def _cmd_monitor(args: argparse.Namespace, config: PipelineConfig) -> int:
         )
     hits = read_hits(args.hits)
     state = MixtureState.empty(config.hyperparams(), rng_seed=config.seed)
-    monitor = StreamMonitor(
-        state,
-        step_factor=config.step_factor,
-        lag=config.alarm_lag,
-        min_history=config.alarm_min_history,
-        survival_horizon=config.survival_horizon,
-        min_survivors=config.min_survivors,
-        warmup=config.alarm_warmup,
-    )
+    monitor = StreamMonitor(state, config)
 
     def write_state() -> None:
         _write_json(args.state_out, state_to_json_dict(monitor.state))

@@ -89,27 +89,23 @@ def score(
     model: BackgroundModel,
     windowed: WindowedCounts,
     *,
-    flag_threshold: float | None = None,
     margin: float = DEFAULT_FLAG_MARGIN,
 ) -> NllTrace:
     """Score every window count under the model's posterior predictive.
 
-    The flag threshold defaults to the largest NLL seen across the noise
-    counts the model was trained on, plus ``margin``; pass
-    ``flag_threshold`` to override the calibration entirely.
+    The flag threshold is the largest NLL seen across the noise counts the
+    model was trained on, plus ``margin``.
     """
     # Windows share few distinct counts: one evaluation per distinct value.
     values, inverse = np.unique(windowed.counts, return_inverse=True)
     nlls = np.array(
         [-log_predictive(model.predictive, c, math.lgamma(c + 1)) for c in values.tolist()]
     )[inverse]
-    if flag_threshold is None:
-        flag_threshold = model.train_nll_max + margin
     return NllTrace(
         starts=windowed.starts,
         counts=windowed.counts,
         nlls=nlls,
-        flag_threshold=float(flag_threshold),
+        flag_threshold=float(model.train_nll_max + margin),
         spec=windowed.spec,
     )
 

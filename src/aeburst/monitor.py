@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TypeVar
 
+from .config import PipelineConfig
 from .dppmm import (
     MixtureState,
     _exp_weights,
@@ -219,30 +220,25 @@ def update_tracks(
     time: int,
     count: int,
     energy: float,
-    *,
-    step_factor: float = 10.0,
-    lag: int = 50,
-    min_history: int = 10,
+    config: PipelineConfig,
 ) -> list[AlarmEvent]:
     """Append one hit to its cluster's cumulative series and test for steps.
 
     A ``growth_step`` alarm fires when the energy increment exceeds
-    ``step_factor`` times the cluster's trailing median increment over the
-    last ``lag`` hits; at least ``min_history`` prior increments, and never
-    fewer than one, are required before the test arms, so young clusters
-    cannot alarm off an empty baseline.
+    ``config.step_factor`` times the cluster's trailing median increment
+    over the last ``config.alarm_lag`` hits; at least
+    ``config.alarm_min_history`` prior increments are required before the
+    test arms, so young clusters cannot alarm off an empty baseline.
     """
     if energy < 0:
         raise ValueError(f"energy must be non-negative, got {energy}")
-    if min_history < 1:
-        raise ValueError(f"min_history must be at least 1, got {min_history}")
     track = tracks.get(cluster_id)
     if track is None:
-        track = ClusterTrack(cluster_id=cluster_id)
+        track = ClusterTrack(cluster_id, recent_energy_increments=deque(maxlen=config.alarm_lag))
         tracks[cluster_id] = track
     alarms: list[AlarmEvent] = []
     history = track.recent_energy_increments
-    if len(history) >= min_history:
+    if len(history) >= config.alarm_min_history:
         ordered = sorted(history)
         mid = len(ordered) // 2
         median = (
@@ -250,7 +246,7 @@ def update_tracks(
             if len(ordered) % 2 == 1
             else 0.5 * (ordered[mid - 1] + ordered[mid])
         )
-        if median > 0 and energy > step_factor * median:
+        if median > 0 and energy > config.step_factor * median:
             alarms.append(
                 AlarmEvent(
                     time=time,
@@ -267,8 +263,6 @@ def update_tracks(
         (track.cumulative_energy[-1] if track.cumulative_energy else 0.0) + energy
     )
     history.append(energy)
-    while len(history) > lag:
-        history.popleft()
     return alarms
 
 
@@ -278,37 +272,23 @@ class StreamMonitor:
     Feeds (count, energy) observations through the entropy-gated sampler,
     maintains per-cluster cumulative tracks, and emits only *confirmed*
     alarms: a new-cluster alarm is held back until the cluster has
-    retained at least ``min_survivors`` members for ``survival_horizon``
-    subsequent observations (sporadic sampler-born clusters collapse
-    within a few iterations and are suppressed); growth-step alarms pass
-    through immediately.
+    retained at least ``config.min_survivors`` members for
+    ``config.survival_horizon`` subsequent observations (sporadic
+    sampler-born clusters collapse within a few iterations and are
+    suppressed); growth-step alarms, tested by ``update_tracks`` with the
+    same config, pass through immediately.
 
-    The first ``warmup`` observations are a learning phase: clusters born
-    then describe normal operating conditions and never alarm, exactly as
-    a training period would establish the benign cluster population.
+    The first ``config.alarm_warmup`` observations are a learning phase:
+    clusters born then describe normal operating conditions and never alarm,
+    exactly as a training period would establish the benign cluster
+    population.  ``PipelineConfig`` checks every range when it is built,
+    so the monitor checks none.
     """
 
-    def __init__(
-        self,
-        state: MixtureState,
-        *,
-        step_factor: float = 10.0,
-        lag: int = 50,
-        min_history: int = 10,
-        survival_horizon: int = 20,
-        min_survivors: int = 2,
-        warmup: int = 50,
-    ) -> None:
-        if min_history < 1:
-            raise ValueError(f"min_history must be at least 1, got {min_history}")
+    def __init__(self, state: MixtureState, config: PipelineConfig) -> None:
         self.state = state
+        self.config = config
         self.tracks: dict[int, ClusterTrack] = {}
-        self.step_factor = step_factor
-        self.lag = lag
-        self.min_history = min_history
-        self.survival_horizon = survival_horizon
-        self.min_survivors = min_survivors
-        self.warmup = warmup
         # Cluster id -> ordinal of its birth, for births awaiting confirmation.
         self._pending: dict[int, int] = {}
         self.n_observed = 0
@@ -318,21 +298,15 @@ class StreamMonitor:
         ordinal = self.n_observed
         outcome = observe(count, self.state)
         self.n_observed += 1
+        warm = ordinal >= self.config.alarm_warmup
         for alarm in outcome.alarms:
-            if alarm.kind == "new_cluster" and ordinal >= self.warmup:
+            if alarm.kind == "new_cluster" and warm:
                 self._pending[alarm.cluster_id] = ordinal
         confirmed = self._settle_pending()
         growth = update_tracks(
-            self.tracks,
-            outcome.cluster_id,
-            ordinal,
-            count,
-            energy,
-            step_factor=self.step_factor,
-            lag=self.lag,
-            min_history=self.min_history,
+            self.tracks, outcome.cluster_id, ordinal, count, energy, self.config
         )
-        if ordinal >= self.warmup:
+        if warm:
             confirmed.extend(growth)
         return confirmed
 
@@ -340,11 +314,11 @@ class StreamMonitor:
         confirmed: list[AlarmEvent] = []
         for cluster_id, born in list(self._pending.items()):
             cluster = self.state.clusters.get(cluster_id)
-            if cluster is not None and self.n_observed - born < self.survival_horizon:
+            if cluster is not None and self.n_observed - born < self.config.survival_horizon:
                 continue
             # Collapsed (sampler noise, not damage) or at its horizon: settled.
             del self._pending[cluster_id]
-            if cluster is not None and cluster.n_members >= self.min_survivors:
+            if cluster is not None and cluster.n_members >= self.config.min_survivors:
                 confirmed.append(
                     AlarmEvent(
                         time=self.n_observed - 1,

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dppmm import NOISE
 from .windowing import Recording, WindowSpec, runs
 
 __all__ = [
@@ -138,7 +139,6 @@ def average_probabilities(
 
 def segment_events(
     field: SampleProbabilityField,
-    noise_cluster: int,
     min_probability: float = 0.5,
     min_length: int = 1,
 ) -> list[EventRecord]:
@@ -146,8 +146,8 @@ def segment_events(
 
     Each run is labelled with the non-noise cluster holding the highest
     mean probability over the run, ties going to the first key of the field:
-    from ``FitResult.columns``, the lowest id.  With a field of ``fit``'s
-    table, ``noise_cluster`` is ``dppmm.NOISE``, the per-sweep largest
+    from ``FitResult.columns``, the lowest id.  The noise is the field's
+    ``dppmm.NOISE`` key, which ``fit``'s table gives the per-sweep largest
     cluster.  Runs shorter than ``min_length`` samples are discarded.
     ``mean_probability`` is the mean non-noise probability over the run,
     hence never below the minimum; a sample's probabilities are those of
@@ -155,11 +155,11 @@ def segment_events(
     window's count averaged over the post-burn-in states.  Runs are found
     on cells; means are taken over a run's samples.
     """
-    if noise_cluster not in field.probabilities:
-        raise ValueError(f"noise cluster {noise_cluster} not present in field")
+    if NOISE not in field.probabilities:
+        raise ValueError(f"noise key {NOISE} not present in field")
     if not 0.0 < min_probability <= 1.0:
         raise ValueError(f"min_probability must lie in (0, 1], got {min_probability}")
-    event_prob = 1.0 - field.probabilities[noise_cluster]
+    event_prob = 1.0 - field.probabilities[NOISE]
     active = (event_prob >= min_probability) & (field.coverage > 0)
     events: list[EventRecord] = []
     edges = field.edges
@@ -172,7 +172,7 @@ def segment_events(
         label = None
         best = -1.0
         for key, probs in field.probabilities.items():
-            if key == noise_cluster or key is None:
+            if key == NOISE or key is None:
                 continue
             mean_p = float(np.repeat(probs[first:end_cell], widths).mean())
             if mean_p > best:
@@ -248,14 +248,13 @@ def extract_features(
 def build_event_records(
     waveform: Recording,
     field: SampleProbabilityField,
-    noise_cluster: int,
     threshold: float,
     min_probability: float = 0.5,
     min_length: int = 1,
     rectify: bool = True,
 ) -> list[EventRecord]:
     """Segment events and attach extracted features in one pass."""
-    events = segment_events(field, noise_cluster, min_probability, min_length)
+    events = segment_events(field, min_probability, min_length)
     return [
         replace(
             e,

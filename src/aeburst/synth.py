@@ -48,10 +48,11 @@ class BurstSpec:
     family: int = 0
 
     def __post_init__(self) -> None:
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if self.decay_tau <= 0:
-            raise ValueError(f"decay_tau must be positive, got {self.decay_tau}")
+        for name in ("amplitude", "decay_tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not math.isfinite(self.carrier_freq):
+            raise ValueError(f"carrier_freq must be finite, got {self.carrier_freq}")
 
 
 @dataclass(frozen=True)

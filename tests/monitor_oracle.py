@@ -88,13 +88,7 @@ def reference_monitor(
     if state_writes is None:
         state_writes = []
     monitor = StreamMonitor(
-        MixtureState.empty(config.hyperparams(), rng_seed=config.seed),
-        step_factor=config.step_factor,
-        lag=config.alarm_lag,
-        min_history=config.alarm_min_history,
-        survival_horizon=config.survival_horizon,
-        min_survivors=config.min_survivors,
-        warmup=config.alarm_warmup,
+        MixtureState.empty(config.hyperparams(), rng_seed=config.seed), config
     )
     alarm_lines = []
     kept = decimate(range(len(hits)), config.keep_ratio)

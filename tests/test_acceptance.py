@@ -14,6 +14,7 @@ import numpy as np
 from scipy import stats
 
 from aeburst.cli import cli
+from aeburst.config import PipelineConfig
 from aeburst.detector import score, train_background
 from aeburst.distributions import GammaParams, log_predictive, predictive_terms
 from aeburst.dppmm import (
@@ -550,7 +551,7 @@ def test_ac9_monitor_end_to_end():
             damage_energy_factor=50.0,
         )
         state = MixtureState.empty(UNIT_HYPER, rng_seed=seed)
-        monitor = StreamMonitor(state, warmup=100)
+        monitor = StreamMonitor(state, PipelineConfig(alarm_warmup=100))
         alarms = []
         for hit in decimate(synthesize_hit_stream(spec, rng_seed=seed), 0.1):
             waveform = hit

@@ -74,7 +74,18 @@ class TestSynth:
         assert hits[0].samples.size == 2048
 
     @pytest.mark.parametrize(
-        "burst", ["a,b,c,d", "0.01,0.2,0.001", "0.01,0.2,0.001,1e5,0,0", "0.01,0.2,0.001,1e5,x"]
+        "burst",
+        [
+            "a,b,c,d",
+            "0.01,0.2,0.001",
+            "0.01,0.2,0.001,1e5,0,0",
+            "0.01,0.2,0.001,1e5,x",
+            "0.01,inf,0.001,1000",
+            "0.01,0.2,inf,1000",
+            "0.01,nan,0.001,1000",
+            "0.01,0.2,0.001,nan",
+            "0.01,0.2,0.001,inf",
+        ],
     )
     def test_malformed_burst_is_usage_error(self, tmp_path, capsys, burst):
         out = tmp_path / "wave.f32"

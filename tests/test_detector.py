@@ -119,14 +119,12 @@ class TestScore:
         assert trace.nlls.tolist() == [nll(c, model) for c in counts]
         assert trace.nlls.dtype == np.float64
 
-    def test_flag_threshold_default_and_override(self):
+    def test_flag_threshold_default(self):
         model = train_background(UNIT_PRIOR, [0, 1])
         trace = self._trace([0], model)
         assert trace.flag_threshold == pytest.approx(
             model.train_nll_max + math.log(10)
         )
-        forced = score(model, self._wc([0]), flag_threshold=42.0)
-        assert forced.flag_threshold == 42.0
 
     def _wc(self, counts):
         from aeburst.windowing import WindowedCounts

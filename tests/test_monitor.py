@@ -2,12 +2,14 @@
 
 import math
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aeburst.config import PipelineConfig
 from aeburst.distributions import GammaParams
 from aeburst.dppmm import Hyperparams, MixtureState, assignment_log_weights, audit
 from aeburst.monitor import (
@@ -21,6 +23,7 @@ from aeburst.monitor import (
 from sampler_oracle import draw_assignment, reference_sweep
 
 UNIT = Hyperparams(alpha=1.0, base=GammaParams(1.0, 1.0))
+CONFIG = PipelineConfig()
 
 
 def homogeneous_state(value=8, size=400, seed=0):
@@ -238,22 +241,39 @@ class TestUpdateTracks:
         tracks = {}
         alarms = []
         for t in range(10_000):
-            alarms += update_tracks(tracks, 0, t, count=8, energy=1.0)
+            alarms += update_tracks(tracks, 0, t, 8, 1.0, CONFIG)
         assert alarms == []
         track = tracks[0]
         assert len(track.times) == 10_000
         assert track.cumulative_counts[-1] == 80_000
+        # Only the trailing ``alarm_lag`` increments are kept for the median.
+        assert len(track.recent_energy_increments) == CONFIG.alarm_lag
 
-    def test_injected_energy_step_alarms_once(self):
+    @staticmethod
+    def step_alarms(config, step=50.0):
         tracks = {}
         alarms = []
         for t in range(200):
-            energy = 50.0 if t == 150 else 1.0
-            alarms += update_tracks(tracks, 0, t, count=8, energy=energy)
+            energy = step if t == 150 else 1.0
+            alarms += update_tracks(tracks, 0, t, 8, energy, config)
+        return alarms
+
+    def test_injected_energy_step_alarms_once(self):
+        alarms = self.step_alarms(CONFIG)
         assert len(alarms) == 1
         assert alarms[0].time == 150
         assert alarms[0].kind == "growth_step"
         assert alarms[0].magnitude == pytest.approx(50.0)
+
+    def test_step_factor_is_read_from_the_config(self):
+        config = PipelineConfig(step_factor=60.0)
+        assert self.step_alarms(config) == []
+        assert [a.time for a in self.step_alarms(config, step=70.0)] == [150]
+
+    def test_min_history_is_read_from_the_config(self):
+        # 150 prior increments are one short of arming the test.
+        config = PipelineConfig(alarm_min_history=151, alarm_lag=151)
+        assert self.step_alarms(config, step=1000.0) == []
 
     def test_series_monotone_non_decreasing(self):
         rng = np.random.default_rng(2)
@@ -263,8 +283,9 @@ class TestUpdateTracks:
                 tracks,
                 int(rng.integers(0, 3)),
                 t,
-                count=int(rng.integers(0, 20)),
-                energy=float(rng.random()),
+                int(rng.integers(0, 20)),
+                float(rng.random()),
+                CONFIG,
             )
         for track in tracks.values():
             for series in (track.cumulative_counts, track.cumulative_energy):
@@ -273,23 +294,37 @@ class TestUpdateTracks:
 
     def test_young_cluster_cannot_alarm(self):
         tracks = {}
-        alarms = update_tracks(tracks, 5, 0, count=1, energy=100.0)
+        alarms = update_tracks(tracks, 5, 0, 1, 100.0, CONFIG)
         assert alarms == []  # no baseline yet
 
     @pytest.mark.parametrize("min_history", [0, -1])
     def test_min_history_below_one_rejected(self, min_history):
-        tracks = {}
-        with pytest.raises(ValueError, match="min_history"):
-            update_tracks(tracks, 0, 0, 3, 1.0, min_history=min_history)
-        assert tracks == {}
-        with pytest.raises(ValueError, match="min_history"):
-            StreamMonitor(MixtureState.empty(UNIT, 0), min_history=min_history)
+        # The tracks and the monitor read the config, which refuses the value.
+        with pytest.raises(ValueError, match="config alarm_min_history must be >= 1"):
+            PipelineConfig(alarm_min_history=min_history)
+
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            ("alarm_lag", 5, ">= alarm_min_history 10"),
+            ("step_factor", 0.0, "finite and > 0"),
+            ("step_factor", -1.0, "finite and > 0"),
+            ("step_factor", math.nan, "finite and > 0"),
+            ("step_factor", math.inf, "finite and > 0"),
+            ("survival_horizon", -3, ">= 0"),
+            ("min_survivors", 0, ">= 1"),
+            ("alarm_warmup", -5, ">= 0"),
+        ],
+    )
+    def test_out_of_range_monitor_settings_rejected(self, name, value, rule):
+        with pytest.raises(ValueError, match=f"config {name} must be {rule}, got"):
+            PipelineConfig(**{name: value})
 
 
 class TestStreamMonitor:
     def test_transient_cluster_never_confirms(self):
         state = homogeneous_state(size=60, seed=1)
-        monitor = StreamMonitor(state, survival_horizon=10, min_survivors=2, warmup=0)
+        monitor = StreamMonitor(state, replace(CONFIG, survival_horizon=10, alarm_warmup=0))
         # One outlier founds a cluster that then starves.
         confirmed = monitor.process(400, 1.0)
         for _ in range(30):
@@ -299,18 +334,35 @@ class TestStreamMonitor:
 
     def test_sustained_cluster_confirms_once(self):
         state = homogeneous_state(size=60, seed=2)
-        monitor = StreamMonitor(state, survival_horizon=10, min_survivors=2, warmup=0)
+        monitor = StreamMonitor(state, replace(CONFIG, survival_horizon=10, alarm_warmup=0))
         confirmed = []
         for _ in range(25):
             confirmed += monitor.process(400, 1.0)
         new_cluster_alarms = [a for a in confirmed if a.kind == "new_cluster"]
         assert len(new_cluster_alarms) == 1
 
+    @pytest.mark.parametrize(
+        "horizon, survivors, expected",
+        [(10, 10, [(9, 10.0)]), (15, 2, [(14, 15.0)]), (10, 11, [])],
+    )
+    def test_confirmation_reads_the_config(self, horizon, survivors, expected):
+        # The cluster founded by the first 400 gains one member per hit: it
+        # settles ``survival_horizon`` hits later and alarms only if it then
+        # holds ``min_survivors`` members.
+        config = replace(
+            CONFIG, survival_horizon=horizon, min_survivors=survivors, alarm_warmup=0
+        )
+        monitor = StreamMonitor(homogeneous_state(size=60, seed=2), config)
+        confirmed = []
+        for _ in range(25):
+            confirmed += monitor.process(400, 1.0)
+        assert [(a.time, a.magnitude) for a in confirmed] == expected
+
     def test_warmup_clusters_never_alarm(self):
         # Clusters born during the learning phase describe normal
         # conditions; only later arrivals may raise confirmed alarms.
         state = MixtureState.empty(UNIT, 5)
-        monitor = StreamMonitor(state, survival_horizon=5, warmup=100)
+        monitor = StreamMonitor(state, replace(CONFIG, survival_horizon=5, alarm_warmup=100))
         confirmed = []
         for i in range(90):
             confirmed += monitor.process(8 if i % 2 else 60, 1.0)
@@ -340,7 +392,7 @@ class TestStreamMonitor:
         def run():
             rng = np.random.default_rng(44)
             state = MixtureState.empty(UNIT, 7)
-            monitor = StreamMonitor(state)
+            monitor = StreamMonitor(state, CONFIG)
             collected = []
             for i in range(300):
                 x = 60 if (i > 200 and i % 3 == 0) else int(rng.poisson(8))

@@ -3,8 +3,8 @@
 ``perfbench/child.py`` and ``perfbench/workloads.py`` import library names
 directly, so a renamed or deleted name fails every benchmark run; loading
 both files by path here fails first.  ``perfbench/tracing.py`` wraps the
-names ``aeburst.cli`` imports, and its summary must still add up on a
-traced ``detect`` and ``cluster``.
+names ``aeburst.cli`` imports and the monitor's loop, and its summary must
+still add up on a traced ``detect``, ``cluster`` and ``monitor``.
 """
 
 import importlib.util
@@ -93,3 +93,24 @@ def test_tracer_wraps_the_cli_layers(tmp_path, monkeypatch):
     written = len(events.read_text().splitlines())
     assert written > 0 and cluster["segmentation.events"] == written
     assert cluster["dppmm.fit_s"] > 0 and cluster["segmentation.field_s"] > 0
+
+
+def test_tracer_wraps_the_monitor_loop(tmp_path, monkeypatch):
+    # ``install`` wraps ``StreamMonitor.process`` and the ``update_tracks`` it
+    # calls by attribute; both must still run, and be timed, on every hit.
+    from aeburst.cli import cli
+
+    tracing = load("tracing", monkeypatch)
+    hits = tmp_path / "hits.bin"
+    assert cli([
+        "synth", "--mode", "hits", "--out", str(hits), "--n-hits", "200",
+        "--damage-start-hit", "100", "--seed", "2",
+    ]) == 0
+    tracks = tmp_path / "tracks.csv"
+    metrics = traced_run(tracing, monkeypatch, [
+        "monitor", "--hits", str(hits), "--keep-ratio", "1", "--threshold-volts", "0.05",
+        "--alarms-out", str(tmp_path / "alarms.jsonl"), "--tracks-out", str(tracks),
+    ])
+    rows = len(tracks.read_text().splitlines()) - 1
+    assert rows == 200 and metrics["monitor.hits_kept"] == rows
+    assert metrics["monitor.tracks_s"] > 0 and metrics["monitor.process_s"] > 0

@@ -1,6 +1,7 @@
 """Overlap averaging, event segmentation, and feature extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from aeburst.config import PipelineConfig
 from aeburst.distributions import GammaParams
 from aeburst import segmentation
-from aeburst.dppmm import fit
+from aeburst.dppmm import NOISE, fit
 from aeburst.segmentation import (
     EventRecord,
     SampleProbabilityField,
@@ -23,7 +24,7 @@ from sampler_oracle import dense, id_order, reference_fit, reference_table
 from windowing_oracle import count_crossings, per_sample, probability_of
 
 
-def field_from_event_prob(event_prob, noise=0, event=1):
+def field_from_event_prob(event_prob, noise=NOISE, event=1):
     """Two-cluster field with a prescribed per-sample event probability.
 
     Every sample is its own cell, so cell values are sample values.
@@ -194,6 +195,12 @@ def reference_segment(probabilities, coverage, noise_cluster, min_probability, m
     return events
 
 
+def as_noise(columns, key):
+    """``columns`` with ``key`` and ``NOISE`` swapping names, in the same order."""
+    swap = {key: NOISE, NOISE: key}
+    return {swap.get(k, k): value for k, value in columns.items()}
+
+
 def assert_matches_reference(window_probs, spec, signal_len, min_lengths=(1, 7)):
     """Cell field and cell segmentation equal the per-sample ones exactly,
     and the cell field equals the per-window loop's."""
@@ -214,12 +221,15 @@ def assert_matches_reference(window_probs, spec, signal_len, min_lengths=(1, 7))
         assert probability_of(field, key).tobytes() == expected.tobytes()
     assert not probability_of(field, "absent").any()
     labelled = [key for key in probabilities if key is not None]
+    # Every labelled column is tried as the noise.
     for noise in labelled:
+        noised = replace(field, probabilities=as_noise(field.probabilities, noise))
         for min_probability in (0.5, 0.2, 1.0):
             for min_length in min_lengths:
-                got = segment_events(field, noise, min_probability, min_length)
+                got = segment_events(noised, min_probability, min_length)
                 want = reference_segment(
-                    probabilities, coverage, noise, min_probability, min_length
+                    as_noise(probabilities, noise), coverage, NOISE, min_probability,
+                    min_length,
                 )
                 assert repr(got) == repr(want)
 
@@ -317,13 +327,13 @@ class TestCellFieldMatchesPerSample:
 class TestSegmentEvents:
     def test_noise_dominated_field_yields_nothing(self):
         field = field_from_event_prob(np.full(100, 0.2))
-        assert segment_events(field, noise_cluster=0) == []
+        assert segment_events(field) == []
 
     def test_rectangular_plateau(self):
         prob = np.zeros(700)
         prob[100:600] = 0.9
         field = field_from_event_prob(prob)
-        events = segment_events(field, noise_cluster=0, min_probability=0.5)
+        events = segment_events(field, min_probability=0.5)
         assert len(events) == 1
         event = events[0]
         assert (event.start_index, event.end_index) == (100, 600)
@@ -335,26 +345,26 @@ class TestSegmentEvents:
         prob[10:12] = 1.0
         prob[50:80] = 1.0
         field = field_from_event_prob(prob)
-        events = segment_events(field, noise_cluster=0, min_length=5)
+        events = segment_events(field, min_length=5)
         assert [(e.start_index, e.end_index) for e in events] == [(50, 80)]
 
     def test_intervals_disjoint_and_sorted(self):
         rng = np.random.default_rng(8)
         field = field_from_event_prob(rng.random(500))
-        events = segment_events(field, noise_cluster=0)
+        events = segment_events(field)
         for first, second in zip(events, events[1:]):
             assert first.end_index <= second.start_index
 
     def test_mean_probability_respects_minimum(self):
         rng = np.random.default_rng(9)
         field = field_from_event_prob(rng.random(500))
-        for event in segment_events(field, noise_cluster=0, min_probability=0.6):
+        for event in segment_events(field, min_probability=0.6):
             assert event.mean_probability >= 0.6
 
     def test_missing_noise_cluster_rejected(self):
-        field = field_from_event_prob(np.full(10, 0.9))
+        field = field_from_event_prob(np.full(10, 0.9), noise=7)
         with pytest.raises(ValueError):
-            segment_events(field, noise_cluster=7)
+            segment_events(field)
 
     def test_label_is_strongest_non_noise_cluster(self):
         prob_a = np.zeros(40)
@@ -364,9 +374,9 @@ class TestSegmentEvents:
         field = SampleProbabilityField(
             edges=np.arange(41),
             coverage=np.ones(40, dtype=np.int64),
-            probabilities={0: 1.0 - prob_a - prob_b, 1: prob_a, 2: prob_b},
+            probabilities={NOISE: 1.0 - prob_a - prob_b, 1: prob_a, 2: prob_b},
         )
-        (event,) = segment_events(field, noise_cluster=0)
+        (event,) = segment_events(field)
         assert event.label == 2
 
 
@@ -478,7 +488,7 @@ class TestBuildEventRecords:
         prob = np.zeros(400)
         prob[100:200] = 0.95
         field = field_from_event_prob(prob)
-        records = build_event_records(w, field, noise_cluster=0, threshold=0.5)
+        records = build_event_records(w, field, threshold=0.5)
         assert len(records) == 1
         record = records[0]
         assert record.features is not None
