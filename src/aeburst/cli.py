@@ -3,7 +3,8 @@
 Every subcommand takes ``--config``, a JSON file of ``PipelineConfig``
 fields, and flags that override single fields: each such flag is the field
 name with dashes (``--window`` for ``window_length``) and has its type.  The
-config is loaded and type-checked once, before any command runs.
+config is loaded and type-checked once, before any command runs.  ``synth``'s
+other flags set fields of its spec the same way (``--burst`` for ``bursts``).
 
 Exit codes: 0 success, 1 usage error, 2 data error (a malformed input or
 config file).  All randomness is governed by ``--seed`` (or the config
@@ -83,11 +84,20 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError(str(exc)) from exc
 
 
+# The two flags that are not their field's name with dashes.
+_SHORT_FLAGS = {"window_length": "--window", "bursts": "--burst"}
+
+
+def _flag(name: str) -> str:
+    """The flag that sets a config or spec field."""
+    return _SHORT_FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     """One flag per named config field, overriding the config file's value."""
     for name in names:
         parser.add_argument(
-            "--window" if name == "window_length" else "--" + name.replace("_", "-"),
+            _flag(name),
             dest=name,
             type=type(getattr(PipelineConfig, name)),
             choices=("percentile", "fixed") if name == "threshold_kind" else None,
@@ -113,20 +123,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_config_flags(parser, "seed")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text}")
-    return value
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -138,20 +134,6 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expects a positive number, got {text}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expects a non-negative number, got {text}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = _finite_float(text)
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"expects a number in [0, 1], got {text}")
     return value
 
 
@@ -186,23 +168,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_synth)
     p_synth.add_argument("--mode", choices=("waveform", "hits"), default="waveform")
     p_synth.add_argument("--out", required=True, help="output file")
-    p_synth.add_argument("--duration", type=_positive_float, default=0.1, help="seconds")
+    # Spec flags default to None: the specs hold the defaults and checks.
+    p_synth.add_argument("--duration", type=float, help="seconds")
+    p_synth.add_argument("--sample-rate", dest="sample_rate", type=float)
+    p_synth.add_argument("--noise-sigma", type=float)
     p_synth.add_argument(
-        "--sample-rate", dest="sample_rate", type=_positive_float, default=1e6
-    )
-    p_synth.add_argument("--noise-sigma", type=_non_negative_float, default=0.01)
-    p_synth.add_argument(
-        "--burst", action="append", default=[], type=_parse_burst,
+        "--burst", dest="bursts", action="append", type=_parse_burst,
         help="onset,amplitude,tau,freq[,family]; repeatable",
     )
     p_synth.add_argument("--annotations-out", default=None, help="ground-truth JSON")
     p_synth.add_argument(
         "--out-format", default="raw_f32_le", choices=("csv", "raw_f32_le"),
     )
-    p_synth.add_argument("--n-hits", type=_positive_int, default=1000)
-    p_synth.add_argument("--damage-start-hit", type=_non_negative_int, default=None)
-    p_synth.add_argument("--damage-energy-factor", type=_positive_float, default=50.0)
-    p_synth.add_argument("--damage-fraction", type=_fraction, default=0.3)
+    p_synth.add_argument("--n-hits", type=int)
+    p_synth.add_argument("--damage-start-hit", type=int)
+    p_synth.add_argument("--damage-energy-factor", type=float)
+    p_synth.add_argument("--damage-fraction", type=float)
 
     p_detect = sub.add_parser("detect", help="score windows against a noise background")
     _add_common(p_detect)
@@ -257,38 +238,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
+    spec_type = SynthSpec if args.mode == "waveform" else HitStreamSpec
+    own = {f.name for f in fields(spec_type)}
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(SynthSpec) + fields(HitStreamSpec)
+        if getattr(args, f.name, None) is not None
+    }
+    for name in given:
+        if name not in own:
+            raise UsageError(f"argument {_flag(name)}: not used by --mode {args.mode}")
+    try:
+        spec = spec_type(**given)
+    except ValueError as exc:
+        # The message begins with the field at fault, which only a flag sets.
+        raise UsageError(f"argument {_flag(str(exc).split()[0])}: {exc}") from exc
     if args.mode == "waveform":
-        spec = SynthSpec(
-            duration=args.duration,
-            sample_rate=args.sample_rate,
-            noise_sigma=args.noise_sigma,
-            bursts=tuple(args.burst),
-        )
         waveform, annotations = synthesize(spec, rng_seed=config.seed)
         write_waveform(args.out, waveform, args.out_format)
         if args.annotations_out:
-            doc = {
-                "sample_rate": waveform.sample_rate,
-                "n_samples": len(waveform),
-                "bursts": [
-                    {
-                        "start_index": a.start_index,
-                        "end_index": a.end_index,
-                        "family": a.family,
-                    }
-                    for a in annotations
-                ],
-            }
+            doc = {"sample_rate": waveform.sample_rate, "n_samples": len(waveform)}
+            doc["bursts"] = [asdict(a) for a in annotations]
             _write_json(args.annotations_out, doc)
     else:
-        spec = HitStreamSpec(
-            n_hits=args.n_hits,
-            sample_rate=args.sample_rate,
-            noise_sigma=args.noise_sigma,
-            damage_start_hit=args.damage_start_hit,
-            damage_energy_factor=args.damage_energy_factor,
-            damage_fraction=args.damage_fraction,
-        )
         write_hits(args.out, synthesize_hit_stream(spec, rng_seed=config.seed))
     return EXIT_OK
 

@@ -120,6 +120,8 @@ class UniformStream:
 
     @classmethod
     def resume(cls, seed: int, draws: int, stream: int = 0) -> "UniformStream":
+        if draws < 0:
+            raise ValueError(f"draws must be >= 0, got {draws}")
         # Each double from ``random()`` is exactly one PCG64 step.
         resumed = cls(seed, stream)
         resumed._gen.bit_generator.advance(int(draws))
@@ -604,7 +606,8 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
     The data is not stored in the document; it must be supplied and is
     checked against the recorded digest.  Both streams are fast-forwarded
     to their recorded draw counts, so sampling resumes exactly; a document
-    without ``move_draws`` predates the moves and made none.
+    without ``move_draws`` predates the moves and made none.  Cluster ids
+    must lie below ``next_cluster_id``, or a minted id would overwrite one.
     """
     if doc.get("format") != "dp-poisson-mixture-state":
         raise ValueError("not a mixture-state document")
@@ -624,6 +627,8 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
         cluster = ClusterStats(row["id"], row["created_at"])
         cluster.n_members, cluster.sum_x = int(row["n_members"]), int(row["sum_x"])
         state.clusters[cluster.id] = cluster
+    if not all(0 <= k < state.next_cluster_id for k in state.clusters):
+        raise ValueError(f"cluster ids must lie in [0, next_cluster_id {state.next_cluster_id})")
     if not audit(state):
         raise ValueError("state document is inconsistent with the supplied data")
     return state

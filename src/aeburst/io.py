@@ -254,7 +254,7 @@ def write_waveform(path: str | Path, waveform: Waveform, fmt: str) -> None:
         write_atomic(path, [waveform.samples.astype("<f4").tobytes()])
     elif fmt == "raw_i16_le":
         values = waveform.samples
-        if np.any(values != np.round(values)) or np.any(np.abs(values) > 32767):
+        if np.any(values != np.round(values)) or np.any((values < -32768) | (values > 32767)):
             raise DataFormatError("raw_i16_le requires integral samples in int16 range")
         write_atomic(path, [values.astype("<i2").tobytes()])
     else:

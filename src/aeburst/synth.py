@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 
+def _check(spec: object, *rules: tuple[str, bool, str]) -> None:
+    """Raise ``ValueError`` for the first ``(field, ok, rule)`` not ok, naming the field first."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {getattr(spec, name)!r}")
+
+
 @dataclass(frozen=True)
 class BurstSpec:
     """One decaying-sinusoid burst: onset (s), amplitude (V), decay time
@@ -48,35 +55,43 @@ class BurstSpec:
     family: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("amplitude", "decay_tau"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not math.isfinite(self.carrier_freq):
-            raise ValueError(f"carrier_freq must be finite, got {self.carrier_freq}")
+        _check(
+            self,
+            ("amplitude", 0 < self.amplitude < math.inf, "finite and positive"),
+            ("decay_tau", 0 < self.decay_tau < math.inf, "finite and positive"),
+            ("carrier_freq", math.isfinite(self.carrier_freq), "finite"),
+        )
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     """A synthetic recording: duration, rate, noise level, and bursts.
 
-    Overlapping bursts superpose.  Onsets must fall inside the recording.
+    Overlapping bursts superpose.  The recording holds at least one sample,
+    and onsets must fall inside it.
     """
 
-    duration: float
-    sample_rate: float
-    noise_sigma: float
+    duration: float = 0.1
+    sample_rate: float = 1e6
+    noise_sigma: float = 0.01
     bursts: tuple[BurstSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.sample_rate <= 0:
-            raise ValueError("duration and sample_rate must be positive")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be non-negative")
+        _check(
+            self,
+            ("duration", 0 < self.duration < math.inf, "finite and positive"),
+            ("sample_rate", 0 < self.sample_rate < math.inf, "finite and positive"),
+            ("noise_sigma", 0 <= self.noise_sigma < math.inf, "finite and non-negative"),
+            # n_samples rounds half to even, so it is at least 1 past half a sample.
+            ("duration", 0.5 < self.duration * self.sample_rate < math.inf,
+             f"one to finitely many samples at sample_rate {self.sample_rate!r}"),
+        )
         object.__setattr__(self, "bursts", tuple(self.bursts))
         for burst in self.bursts:
             if not 0.0 <= burst.onset < self.duration:
                 raise ValueError(
-                    f"burst onset {burst.onset} outside recording of {self.duration}s"
+                    f"bursts must each start in [0, duration {self.duration!r}) s, "
+                    f"got an onset of {burst.onset!r} s"
                 )
 
     @property
@@ -153,7 +168,7 @@ class HitStreamSpec:
     itself.
     """
 
-    n_hits: int
+    n_hits: int = 1000
     sample_rate: float = 2_000_000.0
     record_length: int = 2048
     pretrigger: int = 500
@@ -169,18 +184,23 @@ class HitStreamSpec:
     damage_energy_factor: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.n_hits < 0:
-            raise ValueError("n_hits must be non-negative")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if not self.damage_energy_factor > 0:
-            raise ValueError("damage_energy_factor must be positive")
-        if not 0 <= self.pretrigger < self.record_length:
-            raise ValueError("pretrigger must fit inside the record")
-        if not 0.0 <= self.damage_fraction <= 1.0:
-            raise ValueError("damage_fraction must lie in [0, 1]")
-        if self.damage_start_hit is not None and self.damage_start_hit < 0:
-            raise ValueError("damage_start_hit must be non-negative")
+        _check(
+            self,
+            ("n_hits", self.n_hits >= 1, ">= 1"),
+            ("sample_rate", 0 < self.sample_rate < math.inf, "finite and positive"),
+            ("pretrigger", 0 <= self.pretrigger < self.record_length, "in [0, record_length)"),
+            ("hit_period", 0 <= self.hit_period < math.inf, "finite and non-negative"),
+            ("noise_sigma", 0 <= self.noise_sigma < math.inf, "finite and non-negative"),
+            ("amplitude", 0 < self.amplitude < math.inf, "finite and positive"),
+            ("decay_tau", 0 < self.decay_tau < math.inf, "finite and positive"),
+            ("carrier_freq", math.isfinite(self.carrier_freq), "finite"),
+            ("amplitude_jitter", math.isfinite(self.amplitude_jitter), "finite"),
+            ("damage_start_hit",
+             self.damage_start_hit is None or self.damage_start_hit >= 0, ">= 0 or None"),
+            ("damage_fraction", 0 <= self.damage_fraction <= 1, "in [0, 1]"),
+            ("damage_energy_factor",
+             0 < self.damage_energy_factor < math.inf, "finite and positive"),
+        )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -85,6 +86,9 @@ class TestSynth:
             "0.01,nan,0.001,1000",
             "0.01,0.2,0.001,nan",
             "0.01,0.2,0.001,inf",
+            "5,0.2,0.001,1000",
+            "nan,0.2,0.001,1000",
+            "-0.01,0.2,0.001,1000",
         ],
     )
     def test_malformed_burst_is_usage_error(self, tmp_path, capsys, burst):
@@ -113,6 +117,12 @@ class TestSynth:
             ["--mode", "hits", "--damage-start-hit", "0", "--damage-fraction", "1.5"],
             ["--mode", "hits", "--damage-start-hit", "0", "--damage-energy-factor", "-1"],
             ["--mode", "hits", "--n-hits", "5", "--damage-start-hit", "-3"],
+            ["--duration", "1e-9"],
+            ["--sample-rate", "100", "--duration", "0.001"],
+            ["--duration", "inf"],
+            ["--noise-sigma", "inf"],
+            ["--mode", "hits", "--noise-sigma", "inf"],
+            ["--mode", "hits", "--damage-energy-factor", "inf"],
         ],
         ids=" ".join,
     )
@@ -123,6 +133,53 @@ class TestSynth:
         flag = flags[-2]
         assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "hits", "--burst", "0.01,0.2,0.001,1000"],
+            ["--mode", "hits", "--duration", "5"],
+            ["--n-hits", "5"],
+            ["--damage-start-hit", "3"],
+            ["--damage-fraction", "0.5"],
+            ["--damage-energy-factor", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_of_the_other_mode_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.bin"
+        code = cli(["synth", "--out", str(out), *flags])
+        assert code == 1
+        flag = flags[-2]
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: not used")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_hit_container_is_the_benchmarks(self, tmp_path):
+        # The README's monitor input, made by the CLI at the spec's defaults,
+        # is the container perfbench builds from HitStreamSpec directly.
+        by_cli, by_spec = tmp_path / "cli.bin", tmp_path / "spec.bin"
+        argv = ["--mode", "hits", "--n-hits", "50", "--damage-start-hit", "30", "--seed", "0"]
+        assert cli(["synth", "--out", str(by_cli), *argv]) == 0
+        spec = HitStreamSpec(n_hits=50, damage_start_hit=30)
+        write_hits(by_spec, synthesize_hit_stream(spec, 0))
+        assert by_cli.read_bytes() == by_spec.read_bytes()
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """Each ``aeburst ...`` command of the README's CLI block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("aeburst ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_cli_commands()
+    assert sorted({argv[1] for argv in commands}) == sorted(
+        ["synth", "detect", "cluster", "monitor", "features"]
+    )
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 class TestDetect:
@@ -872,16 +929,16 @@ PARSER_SNAPSHOT = {
         (("--seed",), "int", None, None, False),
         (("--mode",), None, ("waveform", "hits"), "waveform", False),
         (("--out",), None, None, None, True),
-        (("--duration",), "_positive_float", None, 0.1, False),
-        (("--sample-rate",), "_positive_float", None, 1000000.0, False),
-        (("--noise-sigma",), "_non_negative_float", None, 0.01, False),
-        (("--burst",), "_parse_burst", None, [], False),
+        (("--duration",), "float", None, None, False),
+        (("--sample-rate",), "float", None, None, False),
+        (("--noise-sigma",), "float", None, None, False),
+        (("--burst",), "_parse_burst", None, None, False),
         (("--annotations-out",), None, None, None, False),
         (("--out-format",), None, ("csv", "raw_f32_le"), "raw_f32_le", False),
-        (("--n-hits",), "_positive_int", None, 1000, False),
-        (("--damage-start-hit",), "_non_negative_int", None, None, False),
-        (("--damage-energy-factor",), "_positive_float", None, 50.0, False),
-        (("--damage-fraction",), "_fraction", None, 0.3, False),
+        (("--n-hits",), "int", None, None, False),
+        (("--damage-start-hit",), "int", None, None, False),
+        (("--damage-energy-factor",), "float", None, None, False),
+        (("--damage-fraction",), "float", None, None, False),
     ],
     "detect": [
         (("--config",), None, None, None, False),

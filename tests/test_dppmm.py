@@ -958,6 +958,36 @@ class TestSerialization:
             assert restored.rng.draws == result.state.rng.draws
             assert restored.moves.draws == result.state.moves.draws
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("next_cluster_id", 0, "next_cluster_id"),
+            ("next_cluster_id", -1, "next_cluster_id"),
+            ("rng_draws", -5, "draws"),
+            ("move_draws", -5, "draws"),
+        ],
+    )
+    def test_document_that_would_corrupt_the_state_rejected(self, key, value, message):
+        # With next_cluster_id 0 the next minted cluster would overwrite
+        # cluster 0; a negative draw count names no stream position.
+        data = [1, 2, 3]
+        doc = state_to_json_dict(MixtureState.init_single_cluster(data, UNIT, 0))
+        assert doc["next_cluster_id"] == 1 and [c["id"] for c in doc["clusters"]] == [0]
+        with pytest.raises(ValueError, match=message):
+            state_from_json_dict({**doc, key: value}, data)
+
+    def test_documents_written_by_fit_and_observe_reload(self):
+        data = zero_runs(3)
+        fitted = fit(data, UNIT, sweeps=10, burn_in=4, rng_seed=3).state
+        online = MixtureState.empty(UNIT, rng_seed=5)
+        for x in data:
+            observe(x, online)
+        assert len(online.clusters) > 1 and online.next_cluster_id > max(online.clusters)
+        for state in (fitted, online):
+            doc = json.loads(json.dumps(state_to_json_dict(state)))
+            restored = state_from_json_dict(doc, data)
+            assert state_to_json_dict(restored) == doc
+
     def test_digest_guards_data(self):
         data = [1, 2, 3]
         state = MixtureState.init_single_cluster(data, UNIT, 0)

@@ -83,11 +83,18 @@ class TestWaveformRaw:
             read_waveform(path, "raw_f32_le", sample_rate=1.0)
 
     def test_i16_round_trip(self, tmp_path):
-        w = Waveform(np.array([-5.0, 0.0, 1000.0, 32767.0]), 10.0)
+        w = Waveform(np.array([-32768.0, -5.0, 0.0, 1000.0, 32767.0]), 10.0)
         path = tmp_path / "w.i16"
         write_waveform(path, w, "raw_i16_le")
         back = read_waveform(path, "raw_i16_le", sample_rate=10.0)
         np.testing.assert_array_equal(back.span(0, len(back)), w.samples)
+
+    @pytest.mark.parametrize("value", [-32769.0, 32768.0, 0.5])
+    def test_i16_write_refuses_values_outside_int16(self, tmp_path, value):
+        path = tmp_path / "w.i16"
+        with pytest.raises(DataFormatError, match="int16 range"):
+            write_waveform(path, Waveform(np.array([0.0, value]), 10.0), "raw_i16_le")
+        assert not path.exists()
 
     def test_file_shortened_after_open_is_data_error(self, tmp_path):
         path = tmp_path / "w.f32"

@@ -73,13 +73,37 @@ class TestSynthesize:
         assert len(annotations) == 2
 
     def test_onset_outside_duration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bursts "):
             SynthSpec(0.01, 1e6, 0.01, (BurstSpec(0.02, 0.1, 1e-3, 1e5, 0),))
 
     @pytest.mark.parametrize("sigma", [math.nan, -1.0])
     def test_noise_sigma_nan_or_negative_rejected(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(0.01, 1e6, sigma)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration", math.nan),
+            ("duration", math.inf),
+            ("duration", 0.0),
+            ("sample_rate", math.inf),
+            ("sample_rate", -1.0),
+            ("noise_sigma", math.inf),
+        ],
+    )
+    def test_unrenderable_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SynthSpec(**{field: value})
+
+    @pytest.mark.parametrize("duration, rate", [(1e-9, 1e6), (0.001, 100.0), (1e200, 1e200)])
+    def test_duration_must_hold_a_sample(self, duration, rate):
+        with pytest.raises(ValueError, match="^duration "):
+            SynthSpec(duration, rate)
+
+    def test_defaults(self):
+        assert SynthSpec() == SynthSpec(0.1, 1e6, 0.01, ())
+        assert SynthSpec().n_samples == 100_000
 
     def test_zero_noise_renders_clean_burst(self):
         spec = SynthSpec(0.001, 1e6, 0.0, (BurstSpec(0.0, 1.0, 1e-4, 5e4, 0),))
@@ -136,8 +160,23 @@ class TestHitStream:
             ("damage_energy_factor", -1.0),
             ("damage_fraction", math.nan),
             ("damage_start_hit", -3),
+            ("n_hits", 0),
+            ("sample_rate", -1.0),
+            ("sample_rate", math.inf),
+            ("damage_energy_factor", math.inf),
+            ("noise_sigma", math.inf),
+            ("decay_tau", 0.0),
+            ("amplitude", math.inf),
+            ("carrier_freq", math.nan),
+            ("hit_period", math.inf),
+            ("amplitude_jitter", math.nan),
+            ("pretrigger", 2048),
         ],
     )
     def test_nan_or_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            HitStreamSpec(n_hits=5, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} "):
+            HitStreamSpec(**{"n_hits": 5, field: value})
+
+    def test_defaults(self):
+        spec = HitStreamSpec()
+        assert (spec.n_hits, spec.sample_rate, spec.damage_start_hit) == (1000, 2e6, None)
