@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument("--annotations-out", default=None, help="ground-truth JSON")
     p_synth.add_argument(
-        "--out-format", default="raw_f32_le", choices=("csv", "raw_f32_le"),
+        "--out-format", choices=("csv", "raw_f32_le"), help="default raw_f32_le",
     )
     p_synth.add_argument("--n-hits", type=int)
     p_synth.add_argument("--damage-start-hit", type=int)
@@ -240,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
     spec_type = SynthSpec if args.mode == "waveform" else HitStreamSpec
     own = {f.name for f in fields(spec_type)}
-    given = {
-        f.name: getattr(args, f.name)
-        for f in fields(SynthSpec) + fields(HitStreamSpec)
-        if getattr(args, f.name, None) is not None
-    }
+    names = [f.name for f in fields(SynthSpec) + fields(HitStreamSpec)]
+    if args.mode == "hits":
+        # Waveform mode's two output flags, which no spec field holds.
+        names += ["annotations_out", "out_format"]
+    given = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
     for name in given:
         if name not in own:
             raise UsageError(f"argument {_flag(name)}: not used by --mode {args.mode}")
@@ -255,7 +255,7 @@ def _cmd_synth(args: argparse.Namespace, config: PipelineConfig) -> int:
         raise UsageError(f"argument {_flag(str(exc).split()[0])}: {exc}") from exc
     if args.mode == "waveform":
         waveform, annotations = synthesize(spec, rng_seed=config.seed)
-        write_waveform(args.out, waveform, args.out_format)
+        write_waveform(args.out, waveform, args.out_format or "raw_f32_le")
         if args.annotations_out:
             doc = {"sample_rate": waveform.sample_rate, "n_samples": len(waveform)}
             doc["bursts"] = [asdict(a) for a in annotations]

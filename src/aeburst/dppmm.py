@@ -33,20 +33,22 @@ with one ``merge_split`` move, which merges or splits whole clusters in
 one Metropolis–Hastings step (Jain & Neal 2004, *JCGS* 13(1)).
 
 A sweep visits the data in ascending count, a fixed scan set by the data
-alone that leaves the posterior invariant as data order does.  Equal
-counts are then adjacent, and a sweep reuses its work exactly: a log
-weight is a pure function of a cluster's ``(n, s)`` and the count, and a
-datum that returns to the cluster it left leaves the state unchanged, so
-the next equal count leaving it needs only its own uniform.
+alone that leaves the posterior invariant as data order does; the runs
+of equal counts are found once per chain and kept on the state.  A sweep
+reuses its work exactly: a log weight is a pure function of a cluster's
+``(n, s)`` and the count, so the live clusters' weights are kept from one
+sweep to the next, and a datum that returns to the cluster it left
+leaves the state unchanged, so the next equal count leaving it needs only
+its own uniform.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,6 +164,10 @@ class MixtureState:
     rng: UniformStream = field(default_factory=lambda: UniformStream(0))
     moves: UniformStream = field(default_factory=lambda: UniformStream(0, 1))
     next_cluster_id: int = 0
+    # The sweep's kept work, never serialised: the runs ``_scan_plan`` finds and
+    # the log weights ``_row`` computes.
+    _plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def empty(cls, hyper: Hyperparams, rng_seed: int = 0) -> "MixtureState":
@@ -203,33 +209,21 @@ class MixtureState:
         return target.id
 
 
-def _routes(state: MixtureState) -> list[tuple[int | None, tuple]]:
-    """``predictive_terms`` of each live cluster in ascending id, then NEW's."""
-    base = state.hyper.base
-    routes: list[tuple[int | None, tuple]] = [
-        (k, predictive_terms(base, c.n_members, c.sum_x, math.log(c.n_members)))
-        for k, c in state.clusters.items()
-    ]
-    # The empty-component route: log(alpha) plus the prior predictive.
-    routes.append((None, predictive_terms(base, 0, 0, math.log(state.hyper.alpha))))
-    return routes
-
-
-def _log_weights(
-    x: int, routes: list[tuple[int | None, tuple]]
-) -> list[tuple[int | None, float]]:
-    lgamma_x1 = math.lgamma(x + 1)
-    return [(k, log_predictive(terms, x, lgamma_x1)) for k, terms in routes]
-
-
 def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None, float]]:
     """Unnormalised log assignment weights of a count over clusters plus NEW.
 
     One ``(cluster_id, log_weight)`` entry per retained component in
     ascending creation order, followed by ``(None, log_weight)`` for the
-    empty-component route.
+    empty-component route: ``log(alpha)`` plus the prior predictive.
     """
-    return _log_weights(int(x), _routes(state))
+    base, x = state.hyper.base, int(x)
+    routes = [(k, c.n_members, c.sum_x, math.log(c.n_members)) for k, c in state.clusters.items()]
+    routes.append((None, 0, 0, math.log(state.hyper.alpha)))
+    lgamma_x1 = math.lgamma(x + 1)
+    return [
+        (k, log_predictive(predictive_terms(base, n, s, log_c), x, lgamma_x1))
+        for k, n, s, log_c in routes
+    ]
 
 
 def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[float], float]:
@@ -239,19 +233,56 @@ def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[floa
     return raw, sum(raw)
 
 
+def _row(state: MixtureState, n: int, s: int) -> tuple[tuple, dict]:
+    """The ``predictive_terms`` and ``{x: log weight}`` of a cluster of ``n``
+    members summing to ``s`` (NEW's at ``(0, 0)``), kept in ``state._rows``:
+    a log weight is a pure function of ``(n, s, x)``."""
+    found = state._rows.get((n, s))
+    if found is None:
+        log_c = math.log(n) if n else math.log(state.hyper.alpha)
+        found = state._rows[n, s] = (predictive_terms(state.hyper.base, n, s, log_c), {})
+    return found
+
+
+def _weights(rows: list[tuple[tuple, dict]], x: int, lgamma_x1: float) -> list[float]:
+    """The log weight of count ``x`` in each ``_row``, computed on first use."""
+    return [w[x] if x in w else w.setdefault(x, log_predictive(t, x, lgamma_x1)) for t, w in rows]
+
+
+def _scan_plan(state: MixtureState) -> dict[int, list[int]]:
+    """The sweep's scan, ``{count: indices}`` in ascending count with each
+    run of equal counts in data order, kept on the state: the data appended
+    since the last sweep join their runs."""
+    plan, data = state._plan, state.data
+    runs = len(plan)
+    for i in range(sum(map(len, plan.values())), len(data)):
+        plan.setdefault(data[i], []).append(i)
+    if len(plan) > runs:
+        state._plan = plan = dict(sorted(plan.items()))
+    return plan
+
+
+def _stay_interval(cum: list[float], j: int) -> tuple[float, float]:
+    """``(lo, hi)``: ``lo <= t < hi`` exactly when ``bisect_right(cum, t)``,
+    clamped to the last slot, picks slot ``j``."""
+    return (cum[j - 1] if j else -math.inf), (cum[j] if j < len(cum) - 1 else math.inf)
+
+
 def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
     """New-datum assignment probabilities of each count in ``values``.
 
     Row ``i`` is ``assignment_log_weights(values[i], state)`` normalised, bit
     for bit: one column per live cluster in ascending id, then NEW.  The
-    count-independent terms are computed once for all rows.
+    log weights come from the rows the sweep kept (``_row``).
     """
-    routes = _routes(state)
-    rows = []
-    for x in values:
-        raw, total = _exp_weights(_log_weights(int(x), routes))
-        rows.append([w / total for w in raw])
-    return np.array(rows).reshape(len(values), len(routes))
+    routes = [_row(state, c.n_members, c.sum_x) for c in state.clusters.values()]
+    routes.append(_row(state, 0, 0))
+    exp = math.exp
+    log_ws = [_weights(routes, x, math.lgamma(x + 1)) for x in map(int, values)]
+    raws = [[exp(w - top) for w in log_w] for log_w, top in zip(log_ws, map(max, log_ws))]
+    # Float64 division rounds as Python's ``/`` does.
+    totals = np.array(list(map(sum, raws))).reshape(-1, 1)
+    return np.array(raws).reshape(len(values), len(routes)) / totals
 
 
 def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> MixtureState:
@@ -267,86 +298,89 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
     records ``joint_log_weight`` (the sum of the chosen entries'
     unnormalised log weights) and ``flips``.
 
-    Two sweep-local tables skip work whose result is already known, and
-    both are exact.  ``rows`` maps a cluster statistic ``(n, s)`` to its
-    ``predictive_terms`` tuple and a ``{x: log weight}`` memo (NEW has its
-    own memo): a log weight is a pure function of ``(n, s, x)``.  ``steps``
-    maps the slot a datum leaves to that step's log weights, cumulative
-    weights, total and detached row: a stay leaves the state as it found
-    it, so until a flip or the next count clears the table, the next datum
-    leaving that slot meets the same weights.  The draw ``bisect_right(cum,
-    u * total)``, clamped to the last slot, is the oracle's ``scan``, and
-    ``total`` is ``sum(raw)`` as in ``_exp_weights``.
+    No known work is redone, and all reuse is exact.  The scan
+    (``_scan_plan``) and the live clusters' log weights (``_row``) outlive
+    the sweep.  A run of equal counts starts from each slot's ``attached``
+    weight, and a flip updates the two slots it changes; a step copies them
+    and puts in the weight of the cluster it left without the datum.  A stay
+    leaves the state as it was, so until a flip or the run's end the next
+    datum leaving that cluster meets the same weights: ``steps`` keeps its
+    ``_stay_interval``, total and weight, and it stays when ``lo <= u *
+    total < hi``.  Else it draws ``bisect_right(cum, u * total)`` clamped
+    to the last slot, the oracle's ``scan``, with ``total = sum(raw)``.  A
+    flip into a live cluster leaves the state that step drew from for the
+    next equal count leaving that cluster, so its step is known too.
     """
-    data, assignments, clusters = state.data, state.assignments, state.clusters
-    base = state.hyper.base
-    exp, log, lgamma = math.exp, math.log, math.lgamma
-    rows: dict = {}
-    steps: dict = {}
-
-    def row(n: int, s: int) -> tuple:
-        key = (n, s)
-        return rows[key] if key in rows else rows.setdefault(
-            key, (predictive_terms(base, n, s, log(n)), {})
-        )
-
+    assignments, clusters = state.assignments, state.clusters
+    exp, lgamma = math.exp, math.lgamma
     ids: list[int | None] = [*clusters, None]
     stats = list(clusters.values())
-    new_route = (predictive_terms(base, 0, 0, log(state.hyper.alpha)), {})
-    slots = [row(c.n_members, c.sum_x) for c in stats] + [new_route]
-
-    order = sorted(range(len(data)), key=data.__getitem__)
-    joint, flips, x = 0.0, 0, -1
-    for i, u in zip(order, state.rng.take(len(data))):
-        if data[i] != x:  # A new run of equal counts.
-            x, lgamma_x1 = data[i], lgamma(data[i] + 1)
+    live = [(c.n_members, c.sum_x) for c in stats] + [(0, 0)]
+    # The live clusters' rows carry over; the rest of the last sweep's go.
+    rows = state._rows = {key: state._rows[key] for key in live if key in state._rows}
+    slots = [_row(state, n, s) for n, s in live]
+    uniforms = iter(state.rng.take(len(state.data)))
+    joint, flips = 0.0, 0
+    for x, members in _scan_plan(state).items():
+        lgamma_x1 = lgamma(x + 1)
+        attached = _weights(slots, x, lgamma_x1)
+        steps: dict = {}
+        current = None  # The cluster left whose step is unpacked below.
+        for i, u in zip(members, uniforms):
+            left = assignments[i]
+            if left != current:
+                current, step = left, steps.get(left)
+                if step is None:
+                    j = ids.index(left)
+                    cluster = stats[j]
+                    n, s = cluster.n_members - 1, cluster.sum_x - x
+                    log_w = attached.copy()
+                    if n:
+                        t, w = detached = rows.get((n, s)) or _row(state, n, s)
+                        log_w[j] = w[x] if x in w else w.setdefault(
+                            x, log_predictive(t, x, lgamma_x1)
+                        )
+                    else:
+                        # An emptied cluster is deleted, so this step flips.
+                        del clusters[left], ids[j], stats[j], slots[j], attached[j], log_w[j]
+                        j, detached = -1, None
+                    top = max(log_w)
+                    raw = [exp(w - top) for w in log_w]
+                    cum = list(accumulate(raw))
+                    lo, hi = _stay_interval(cum, j) if n else (math.inf, math.inf)
+                    step = steps[left] = (lo, hi, sum(raw), log_w[j], (log_w, cum, j, detached))
+                lo, hi, total, stay, flip = step
+            target = u * total
+            if lo <= target < hi:
+                joint += stay
+                continue
+            log_w, cum, j, detached = flip
+            idx = min(bisect_right(cum, target), len(cum) - 1)
+            joint += log_w[idx]
+            flips += 1
             steps.clear()
-        left = assignments[i]
-        j = ids.index(left)
-        step = steps.get(j)
-        if step is None:
-            cluster = stats[j]
-            n, s = cluster.n_members - 1, cluster.sum_x - x
-            if n:
-                detached = row(n, s)
-                saved, slots[j] = slots[j], detached
+            current = None
+            if detached is not None:
+                cluster = stats[j]
+                cluster.n_members, cluster.sum_x = cluster.n_members - 1, cluster.sum_x - x
+                slots[j], attached[j] = detached, log_w[j]
+            if idx == len(stats):
+                cluster = state.mint_cluster()
+                ids.insert(idx, cluster.id)
+                stats.append(cluster)
+                slots.insert(idx, None)
+                attached.insert(idx, 0.0)
             else:
-                # An emptied cluster is deleted, so this step flips: no reuse.
-                del clusters[left], ids[j], stats[j], slots[j]
-                j, detached = -1, None
-            log_w = [
-                memo[x] if x in memo
-                else memo.setdefault(x, log_predictive(terms, x, lgamma_x1))
-                for terms, memo in slots
-            ]
-            if n:
-                slots[j] = saved
-            top = max(log_w)
-            raw = [exp(w - top) for w in log_w]
-            total = sum(raw)
-            cum = list(itertools.accumulate(raw))
-            step = steps[j] = (log_w, cum, total, detached)
-        log_w, cum, total, detached = step
-        idx = min(bisect_right(cum, u * total), len(cum) - 1)
-        joint += log_w[idx]
-        if idx == j:
-            continue
-        flips += 1
-        steps.clear()
-        if detached is not None:
-            cluster = stats[j]
-            cluster.n_members, cluster.sum_x = cluster.n_members - 1, cluster.sum_x - x
-            slots[j] = detached
-        if idx == len(stats):
-            cluster = state.mint_cluster()
-            ids.insert(idx, cluster.id)
-            stats.append(cluster)
-            slots.insert(idx, ())
-        cluster = stats[idx]
-        n, s = cluster.n_members + 1, cluster.sum_x + x
-        cluster.n_members, cluster.sum_x = n, s
-        slots[idx] = row(n, s)
-        assignments[i] = cluster.id
+                # Without the next equal count in cluster idx, the state is
+                # the one this step drew from: the same weights, stay slot idx.
+                lo, hi = _stay_interval(cum, idx)
+                steps[ids[idx]] = (lo, hi, total, log_w[idx], (log_w, cum, idx, slots[idx]))
+            cluster = stats[idx]
+            n, s = cluster.n_members + 1, cluster.sum_x + x
+            cluster.n_members, cluster.sum_x = n, s
+            slots[idx] = t, w = rows.get((n, s)) or _row(state, n, s)
+            attached[idx] = w[x] if x in w else w.setdefault(x, log_predictive(t, x, lgamma_x1))
+            assignments[i] = cluster.id
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint
         diagnostics["flips"] = flips
@@ -419,12 +453,13 @@ def merge_split(state: MixtureState, data: np.ndarray) -> bool:
         keep.n_members += gone.n_members
         keep.sum_x += gone.sum_x
         del clusters[gone.id]
-        assignments[:] = [keep.id if c == gone.id else c for c in assignments]
+        for t in [t for t, c in enumerate(assignments) if c == gone.id]:
+            assignments[t] = keep.id
         return True
     cluster = clusters[home_i]
     n = cluster.n_members
     k = 1 + int(u_k * (n - 1))
-    labels = np.array(assignments)
+    labels = np.fromiter(assignments, np.int64, n_data)
     labels[i] = labels[j] = -1
     others = (labels == home_i).nonzero()[0]
     # The others in an order whose first k - 1 hold the smallest uniforms.

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, exit codes, file outputs."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -20,8 +21,11 @@ import aeburst
 from aeburst.cli import _nll_csv, _write_json, build_parser, cli
 from aeburst.config import PipelineConfig
 from aeburst.detector import NllTrace, score, train_background
+from aeburst.distributions import GammaParams
+from aeburst.dppmm import Hyperparams, MixtureState, state_to_json_dict
 import aeburst.io as aeio
 from aeburst.io import read_hits, read_waveform, write_hits
+from aeburst.monitor import observe
 from aeburst.synth import BurstSpec, HitStreamSpec, SynthSpec, synthesize, synthesize_hit_stream
 from aeburst.windowing import WindowedCounts, WindowSpec, extract_counts
 
@@ -152,6 +156,23 @@ class TestSynth:
         assert code == 1
         flag = flags[-2]
         assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: not used")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--annotations-out", "truth.json"], ["--out-format", "csv"]],
+        ids=" ".join,
+    )
+    def test_waveform_output_flag_in_hits_mode_is_usage_error(self, tmp_path, capsys, flags):
+        # Hits mode writes a hit container and no annotations, so both
+        # waveform output flags are refused, and nothing is written.
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        out = tmp_path / "h.bin"
+        code = cli(["synth", "--mode", "hits", "--n-hits", "3", "--out", str(out), *flags])
+        assert code == 1
+        flag = flags[-2]
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: not used by --mode hits")
         assert list(tmp_path.iterdir()) == []
 
     def test_readme_hit_container_is_the_benchmarks(self, tmp_path):
@@ -934,7 +955,7 @@ PARSER_SNAPSHOT = {
         (("--noise-sigma",), "float", None, None, False),
         (("--burst",), "_parse_burst", None, None, False),
         (("--annotations-out",), None, None, None, False),
-        (("--out-format",), None, ("csv", "raw_f32_le"), "raw_f32_le", False),
+        (("--out-format",), None, ("csv", "raw_f32_le"), None, False),
         (("--n-hits",), "int", None, None, False),
         (("--damage-start-hit",), "int", None, None, False),
         (("--damage-energy-factor",), "float", None, None, False),
@@ -1237,3 +1258,64 @@ class TestMalformedConfig:
             PipelineConfig.from_dict({"sweeps": 2.0})
         with pytest.raises(ValueError, match="rectify must be bool"):
             replace(PipelineConfig(), rectify=1)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """The sampler's outputs, byte for byte, against digests recorded before
+    the sweep kept its scan plan and log weights across sweeps.  The oracle
+    tests compare the kernel with a reference; these compare what the CLI
+    and ``observe`` write."""
+
+    CLUSTER = {
+        0: (
+            "564b71becf336b41415c3cd5045b788dec72572af0251b096c072d6b1d111cb1",
+            "91b4cda30ea1eb2ebb34629d679329575f8e8bf196691b8e8bc382e73fd34c80",
+        ),
+        1: (
+            "75a4b5191ea735a61ebb7fa9628ba99ba9c8b48f4d970aa78f5ae3f8aab172aa",
+            "57399bce8e5d1ae7bc1c41fa05c6ad599d106729b75572bbd4840515fb895553",
+        ),
+        2: (
+            "3ba6a11348f02646d66a00dc5e4c79b56bd835e871d176e5645fdd344ba31615",
+            "0ad27b7dd7de911306d5d06ff66eefe521df3320846f9079bba4e8cab85af5cd",
+        ),
+        3: (
+            "4d118e0c7f1836d205313414db96eefa6e598210044e578f3de9da1fba665eec",
+            "49b519b9755b209745b54759ba3870fd0104f742120b3ac9837dc49a99270393",
+        ),
+    }
+    OBSERVE = "5621ae2a7db700a808e2415f4b7ce12e8a80dc0b15161f7b47ac0a64bacc6b1a"
+
+    @pytest.mark.parametrize("seed", sorted(CLUSTER))
+    def test_cluster_outputs(self, tmp_path, seed):
+        # The README cluster run on a 131,072-sample recording with three
+        # bursts, the benchmark's cluster_overlap input.
+        wave = tmp_path / "wave.f32"
+        bursts = [f"{onset / 1e6},0.2,0.00137,120000" for onset in (16_384, 49_152, 90_112)]
+        synth = ["synth", "--out", str(wave), "--duration", "0.131072", "--seed", str(seed)]
+        assert cli([*synth, *(f for b in bursts for f in ("--burst", b))]) == 0
+        events, model = tmp_path / "events.jsonl", tmp_path / "model.json"
+        argv = [
+            "cluster", "--input", str(wave), "--sample-rate", "1e6", "--window", "1000",
+            "--overlap", "0.875", "--alpha", "1", "--sweeps", "100", "--burn-in", "50",
+            "--seed", str(seed), "--events-out", str(events), "--state-out", str(model),
+        ]
+        assert cli(argv) == 0
+        assert (_sha256(events), _sha256(model)) == self.CLUSTER[seed]
+
+    def test_observe_state(self, tmp_path):
+        # observe with the gate forced open over Poisson(2) and Poisson(40)
+        # counts, the benchmark's online_resample input at seed 0.
+        rng = np.random.default_rng(0)
+        counts = np.concatenate([rng.poisson(rate, 500) for rate in (2.0, 40.0)])
+        counts = counts[rng.permutation(1000)].tolist()
+        state = MixtureState.empty(Hyperparams(1.0, GammaParams(1.0, 1.0)), 0)
+        for x in counts:
+            observe(x, state, eta_override=1.0)
+        doc = tmp_path / "state.json"
+        doc.write_text(json.dumps(state_to_json_dict(state), sort_keys=True, indent=2) + "\n")
+        assert _sha256(doc) == self.OBSERVE

@@ -497,13 +497,20 @@ class TestFusedSweep:
         pick=st.data(),
     )
     def test_bisect_draw_is_scan(self, raw, pick):
+        # The clamped bisect is the oracle's scan, and a stay is the sweep's
+        # interval test: ``lo <= target < hi`` for slot j exactly when the
+        # draw picks j, on cumulative boundaries and zero weights too.
         cum = list(accumulate(raw))
         total = sum(raw)
         target = pick.draw(
-            st.sampled_from([0.0, total, cum[-1], math.nextafter(total, math.inf)])
+            st.sampled_from([0.0, total, cum[-1], math.nextafter(total, math.inf), *cum])
             | st.floats(0.0, 1.25 * total + 1.0)
         )
-        assert min(bisect_right(cum, target), len(raw) - 1) == scan(raw, target)
+        picked = min(bisect_right(cum, target), len(raw) - 1)
+        assert picked == scan(raw, target)
+        for j in range(len(raw)):
+            lo, hi = dppmm._stay_interval(cum, j)
+            assert (lo <= target < hi) == (picked == j)
 
     def test_repeated_counts_reuse_log_weights(self, monkeypatch):
         # Between flips the state repeats, and each log weight is computed
@@ -533,6 +540,70 @@ class TestFusedSweep:
         assert state.assignments == twin.assignments
         assert diag["flips"] > 0
         assert calls <= (diag["flips"] + 1) * (most + 1) * len(set(data))
+
+
+class TestKeptWork:
+    """The scan plan and the log weights a sweep keeps on the state."""
+
+    def test_plan_takes_appended_counts_in_order(self):
+        # observe appends each count and sweeps; the kept plan takes counts
+        # below every run, above every run and equal to one, and stays a
+        # stable sort of the data without being rebuilt.
+        state = MixtureState.empty(UNIT, 3)
+        for x in [5, 3, 5, 9, 3, 5]:
+            observe(x, state, eta_override=1.0)
+        kept = state._plan[5]
+        for x in (1, 12, 5, 3, 0, 5):
+            observe(x, state, eta_override=1.0)
+            plan = state._plan
+            assert [i for run in plan.values() for i in run] == scan_order(state.data)
+            assert list(plan) == sorted(set(state.data))
+        assert state._plan[5] is kept
+
+    def test_rows_hold_one_sweep(self, monkeypatch):
+        # After a sweep the kept rows are the live clusters' rows it started
+        # from and the rows it computed, nothing older, so the memory stays
+        # bounded while far more distinct statistics pass through.
+        computed = []
+        real = dppmm.predictive_terms
+
+        def recording(prior, n, s, log_c):
+            computed.append((n, s))
+            return real(prior, n, s, log_c)
+
+        monkeypatch.setattr(dppmm, "predictive_terms", recording)
+        state = MixtureState.init_single_cluster(mixed_counts(2), UNIT, 2)
+        for _ in range(200):
+            live = {(c.n_members, c.sum_x) for c in state.clusters.values()} | {(0, 0)}
+            start = len(computed)
+            gibbs_sweep(state)
+            assert set(state._rows) <= live | set(computed[start:])
+            assert all(len(weights) <= len(set(state.data)) for _, weights in state._rows.values())
+        assert len(state._rows) < len(computed) / 20
+
+    def test_rebuilt_state_sweeps_identically(self):
+        # The plan and the memo are not serialised: a state rebuilt from its
+        # document starts without them and sweeps exactly as the original.
+        data = zero_runs(3)
+        state = MixtureState.init_single_cluster(data, UNIT, 3)
+        for _ in range(6):
+            gibbs_sweep(state)
+            merge_split(state, np.array(data))
+        rebuilt = state_from_json_dict(state_to_json_dict(state), data)
+        assert not (rebuilt._plan or rebuilt._rows)
+        flips = 0
+        for _ in range(6):
+            diag, twin = {}, {}
+            gibbs_sweep(state, diagnostics=diag)
+            gibbs_sweep(rebuilt, diagnostics=twin)
+            assert diag == twin
+            flips += diag["flips"]
+            assert rebuilt.assignments == state.assignments
+            assert cluster_table(rebuilt) == cluster_table(state)
+            assert merge_split(state, np.array(data)) == merge_split(rebuilt, np.array(data))
+        assert state_to_json_dict(rebuilt) == state_to_json_dict(state)
+        assert flips > 0
+
 
 class TestUniformStream:
     def test_take_equals_successive_random(self):
