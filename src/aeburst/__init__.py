@@ -24,7 +24,6 @@ from .dppmm import (
     Hyperparams,
     MixtureState,
     UniformStream,
-    assignment_log_weights,
     audit,
     fit,
     gibbs_sweep,

@@ -37,9 +37,11 @@ alone that leaves the posterior invariant as data order does; the runs
 of equal counts are found once per chain and kept on the state.  A sweep
 reuses its work exactly: a log weight is a pure function of a cluster's
 ``(n, s)`` and the count, so the live clusters' weights are kept from one
-sweep to the next, and a datum that returns to the cluster it left
-leaves the state unchanged, so the next equal count leaving it needs only
-its own uniform.
+sweep to the next.  The sweep, ``predictive_rows`` and ``monitor.observe``
+read them through the one ``_live_rows``, so every weight the sampler
+draws or reports comes from the same path.  A datum that returns to the
+cluster it left leaves the state unchanged, so the next equal count
+leaving it needs only its own uniform.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "MixtureState",
     "UniformStream",
     "FitResult",
-    "assignment_log_weights",
     "predictive_rows",
     "gibbs_sweep",
     "merge_split",
@@ -209,30 +210,6 @@ class MixtureState:
         return target.id
 
 
-def assignment_log_weights(x: int, state: MixtureState) -> list[tuple[int | None, float]]:
-    """Unnormalised log assignment weights of a count over clusters plus NEW.
-
-    One ``(cluster_id, log_weight)`` entry per retained component in
-    ascending creation order, followed by ``(None, log_weight)`` for the
-    empty-component route: ``log(alpha)`` plus the prior predictive.
-    """
-    base, x = state.hyper.base, int(x)
-    routes = [(k, c.n_members, c.sum_x, math.log(c.n_members)) for k, c in state.clusters.items()]
-    routes.append((None, 0, 0, math.log(state.hyper.alpha)))
-    lgamma_x1 = math.lgamma(x + 1)
-    return [
-        (k, log_predictive(predictive_terms(base, n, s, log_c), x, lgamma_x1))
-        for k, n, s, log_c in routes
-    ]
-
-
-def _exp_weights(weights: Sequence[tuple[int | None, float]]) -> tuple[list[float], float]:
-    """Max-subtracted exponentials of log weights, and their sum."""
-    top = max(w for _, w in weights)
-    raw = [math.exp(w - top) for _, w in weights]
-    return raw, sum(raw)
-
-
 def _row(state: MixtureState, n: int, s: int) -> tuple[tuple, dict]:
     """The ``predictive_terms`` and ``{x: log weight}`` of a cluster of ``n``
     members summing to ``s`` (NEW's at ``(0, 0)``), kept in ``state._rows``:
@@ -242,6 +219,15 @@ def _row(state: MixtureState, n: int, s: int) -> tuple[tuple, dict]:
         log_c = math.log(n) if n else math.log(state.hyper.alpha)
         found = state._rows[n, s] = (predictive_terms(state.hyper.base, n, s, log_c), {})
     return found
+
+
+def _live_rows(state: MixtureState) -> list[tuple[tuple, dict]]:
+    """The ``_row`` of each live cluster in ascending id, then NEW's; every
+    other kept row is dropped."""
+    live = [(c.n_members, c.sum_x) for c in state.clusters.values()] + [(0, 0)]
+    kept = state._rows
+    state._rows = {key: kept[key] for key in live if key in kept}
+    return [_row(state, n, s) for n, s in live]
 
 
 def _weights(rows: list[tuple[tuple, dict]], x: int, lgamma_x1: float) -> list[float]:
@@ -271,12 +257,11 @@ def _stay_interval(cum: list[float], j: int) -> tuple[float, float]:
 def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
     """New-datum assignment probabilities of each count in ``values``.
 
-    Row ``i`` is ``assignment_log_weights(values[i], state)`` normalised, bit
-    for bit: one column per live cluster in ascending id, then NEW.  The
-    log weights come from the rows the sweep kept (``_row``).
+    Row ``i`` is the log weights of ``values[i]`` in ``_live_rows``,
+    max-subtracted, exponentiated and divided by their sum: one column per
+    live cluster in ascending id, then NEW.
     """
-    routes = [_row(state, c.n_members, c.sum_x) for c in state.clusters.values()]
-    routes.append(_row(state, 0, 0))
+    routes = _live_rows(state)
     exp = math.exp
     log_ws = [_weights(routes, x, math.lgamma(x + 1)) for x in map(int, values)]
     raws = [[exp(w - top) for w in log_w] for log_w, top in zip(log_ws, map(max, log_ws))]
@@ -315,10 +300,8 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
     exp, lgamma = math.exp, math.lgamma
     ids: list[int | None] = [*clusters, None]
     stats = list(clusters.values())
-    live = [(c.n_members, c.sum_x) for c in stats] + [(0, 0)]
-    # The live clusters' rows carry over; the rest of the last sweep's go.
-    rows = state._rows = {key: state._rows[key] for key in live if key in state._rows}
-    slots = [_row(state, n, s) for n, s in live]
+    slots = _live_rows(state)
+    rows = state._rows
     uniforms = iter(state.rng.take(len(state.data)))
     joint, flips = 0.0, 0
     for x, members in _scan_plan(state).items():

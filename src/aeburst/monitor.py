@@ -6,7 +6,10 @@ one empty component quantify how ambiguous the assignment is; their
 entropy, normalised by log(K + 1), is the information efficiency.  A
 uniform draw below that efficiency triggers a full resampling sweep of
 all assignments; otherwise the count is attached greedily to the highest
-weight component.  Cheap greedy accretion therefore dominates while the
+weight component.  The probabilities are the collapsed-Gibbs weights a
+sweep draws from, read from the rows the sampler keeps on the state
+(``dppmm._live_rows``), so the gate, the greedy pick and the sweep share
+one weight path.  Cheap greedy accretion therefore dominates while the
 model is confident, and full reassessment concentrates on ambiguous
 arrivals.
 
@@ -25,12 +28,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .config import PipelineConfig
-from .dppmm import (
-    MixtureState,
-    _exp_weights,
-    assignment_log_weights,
-    gibbs_sweep,
-)
+from .dppmm import MixtureState, _live_rows, _weights, gibbs_sweep
 
 __all__ = [
     "entropy",
@@ -138,15 +136,21 @@ def observe(
     Emits a ``new_cluster`` alarm for each cluster minted by the update that
     still exists once it settled, in ascending id.
     """
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"counts must be non-negative, got {x}")
     first_new = state.next_cluster_id
     ordinal = len(state.data)
     if not state.clusters:
-        assigned = state.append_datum(int(x), None)
+        assigned = state.append_datum(x, None)
         eta, resampled, probs = 0.0, False, {None: 1.0}
     else:
-        weights = assignment_log_weights(int(x), state)
-        raw, total = _exp_weights(weights)
-        probs = {k: w / total for (k, _), w in zip(weights, raw)}
+        keys = [*state.clusters, None]
+        log_w = _weights(_live_rows(state), x, math.lgamma(x + 1))
+        top = max(log_w)
+        raw = [math.exp(w - top) for w in log_w]
+        total = sum(raw)
+        probs = {k: w / total for k, w in zip(keys, raw)}
         eta = information_efficiency(list(probs.values()), state.n_clusters)
         if eta_override is not None:
             eta = eta_override
@@ -156,13 +160,13 @@ def observe(
             # The draw is ``gibbs_sweep``'s, so the two share one rule.
             cum = list(accumulate(raw))
             idx = min(bisect_right(cum, state.rng.random() * total), len(cum) - 1)
-            state.append_datum(int(x), weights[idx][0])
+            state.append_datum(x, keys[idx])
             gibbs_sweep(state)
             assigned = state.assignments[-1]
         else:
             # Clusters come in ascending id order and NEW last, so the first
             # maximum is the oldest of tied clusters, and NEW wins no tie.
-            assigned = state.append_datum(int(x), max(weights, key=lambda kw: kw[1])[0])
+            assigned = state.append_datum(x, keys[log_w.index(top)])
 
     alarms = [
         AlarmEvent(
@@ -214,6 +218,11 @@ class ClusterTrack:
     recent_energy_increments: deque = field(default_factory=deque)
 
 
+def _check_energy(energy: float) -> None:
+    if not (math.isfinite(energy) and energy >= 0):
+        raise ValueError(f"energy must be finite and non-negative, got {energy}")
+
+
 def update_tracks(
     tracks: dict[int, ClusterTrack],
     cluster_id: int,
@@ -228,10 +237,10 @@ def update_tracks(
     ``config.step_factor`` times the cluster's trailing median increment
     over the last ``config.alarm_lag`` hits; at least
     ``config.alarm_min_history`` prior increments are required before the
-    test arms, so young clusters cannot alarm off an empty baseline.
+    test arms, so young clusters cannot alarm off an empty baseline.  A
+    negative or non-finite energy raises ``ValueError``.
     """
-    if energy < 0:
-        raise ValueError(f"energy must be non-negative, got {energy}")
+    _check_energy(energy)
     track = tracks.get(cluster_id)
     if track is None:
         track = ClusterTrack(cluster_id, recent_energy_increments=deque(maxlen=config.alarm_lag))
@@ -294,7 +303,12 @@ class StreamMonitor:
         self.n_observed = 0
 
     def process(self, count: int, energy: float) -> list[AlarmEvent]:
-        """Observe one hit; returns the confirmed alarms it released."""
+        """Observe one hit; returns the confirmed alarms it released.
+
+        A negative count or a negative or non-finite energy is refused
+        before the hit changes anything.
+        """
+        _check_energy(energy)
         ordinal = self.n_observed
         outcome = observe(count, self.state)
         self.n_observed += 1

@@ -1,9 +1,11 @@
 """Step-by-step collapsed Gibbs sampler, the reference for ``gibbs_sweep``.
 
-Each step is written out once, from the public weights of ``aeburst.dppmm``:
-detach a datum from its cluster, draw its assignment from the
-leave-one-out weights with one uniform, and attach it again, visiting the
-data in ``scan_order``.  The fused kernel must reproduce these steps
+Each step is written out once: detach a datum from its cluster, draw its
+assignment from the leave-one-out weights with one uniform, and attach it
+again, visiting the data in ``scan_order``.  The weights are
+``assignment_log_weights``, computed afresh for every route from
+``aeburst.distributions`` alone, so the oracle borrows none of the
+sampler's kept weights.  The fused kernel must reproduce these steps
 exactly, so the tests compare the two with ``==``.  ``greedy_pick`` is the
 reference for ``observe``'s greedy path: an argmax whose tie rules do not
 depend on the order of its input.  ``reference_fit`` follows each sweep
@@ -21,14 +23,32 @@ import math
 
 import numpy as np
 
-from aeburst.dppmm import (
-    NOISE,
-    MixtureState,
-    UniformStream,
-    _exp_weights,
-    assignment_log_weights,
-    merge_split,
-)
+from aeburst.distributions import log_predictive, predictive_terms
+from aeburst.dppmm import NOISE, MixtureState, UniformStream, merge_split
+
+
+def assignment_log_weights(x: int, state: MixtureState):
+    """Unnormalised log assignment weights of a count over clusters plus NEW.
+
+    One ``(cluster_id, log_weight)`` entry per retained component in
+    ascending creation order, followed by ``(None, log_weight)`` for the
+    empty-component route: ``log(alpha)`` plus the prior predictive.
+    """
+    base, x = state.hyper.base, int(x)
+    routes = [(k, c.n_members, c.sum_x, math.log(c.n_members)) for k, c in state.clusters.items()]
+    routes.append((None, 0, 0, math.log(state.hyper.alpha)))
+    lgamma_x1 = math.lgamma(x + 1)
+    return [
+        (k, log_predictive(predictive_terms(base, n, s, log_c), x, lgamma_x1))
+        for k, n, s, log_c in routes
+    ]
+
+
+def exp_weights(weights):
+    """Max-subtracted exponentials of log weights, and their sum."""
+    top = max(w for _, w in weights)
+    raw = [math.exp(w - top) for _, w in weights]
+    return raw, sum(raw)
 
 
 def scan(raw, target: float) -> int:
@@ -89,7 +109,7 @@ def greedy_pick(weights):
 
 def normalize_log_weights(weights):
     """Normalise log weights into probabilities via max-subtraction."""
-    raw, total = _exp_weights(weights)
+    raw, total = exp_weights(weights)
     return [(k, w / total) for (k, _), w in zip(weights, raw)]
 
 
@@ -119,7 +139,7 @@ def draw_assignment(weights, rng: UniformStream):
 
     Returns the drawn key and the unnormalised log weight of the drawn entry.
     """
-    raw, total = _exp_weights(weights)
+    raw, total = exp_weights(weights)
     idx = scan(raw, rng.random() * total)
     return weights[idx]
 

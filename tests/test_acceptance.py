@@ -7,6 +7,8 @@ reads as a checklist.
 """
 
 import filecmp
+import hashlib
+import json
 import math
 import time
 
@@ -20,7 +22,6 @@ from aeburst.distributions import GammaParams, log_predictive, predictive_terms
 from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
-    assignment_log_weights,
     fit,
     gibbs_sweep,
     posterior_mean_rate,
@@ -41,7 +42,12 @@ from aeburst.windowing import (
     extract_counts,
 )
 from partition_oracle import canonical_partition, exact_partition_posterior, partition_tv
-from sampler_oracle import crp_prior, detach_datum, normalize_log_weights
+from sampler_oracle import (
+    assignment_log_weights,
+    crp_prior,
+    detach_datum,
+    normalize_log_weights,
+)
 from windowing_oracle import entries, probability_of
 
 UNIT_PRIOR = GammaParams(1.0, 1.0)
@@ -688,3 +694,65 @@ def test_ac10_cli_determinism(tmp_path):
     run_twice("monitor", monitor_cmd)
     run_twice("features", features_cmd)
     report("AC-10", f"5 subcommands byte-identical t={time.time()-start:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# AC-12: the long recording through cluster
+# ---------------------------------------------------------------------------
+
+LONG_ONSETS = tuple(100_000 + 400_000 * k for k in range(21))
+# sha256 of seed 0's events and state, recorded before the sweep,
+# ``predictive_rows`` and ``observe`` read their weights through one path.
+LONG_DIGESTS = (
+    "522bd668677b99d85524c426be5a259b0a0edb2a2388256b8b7091065c22222b",
+    "586b5d0f724142f63b4946d16576a85c77e2b7dd2b2ee351ac8a98cc806c34b9",
+)
+
+
+def interval_quality(events, bursts):
+    """Share of bursts some event overlaps; share of event samples in bursts."""
+
+    def overlap(a, b):
+        return max(0, min(a[1], b[1]) - max(a[0], b[0]))
+
+    found = sum(any(overlap(e, b) > 0 for e in events) for b in bursts)
+    covered = sum(overlap(e, b) for e in events for b in bursts)
+    length = sum(e[1] - e[0] for e in events)
+    return found / len(bursts), covered / length if length else 0.0
+
+
+def test_ac12_long_recording_cluster(tmp_path):
+    """The README cluster run on a 2^23-sample recording with 21 bursts
+    (67,101 windows), long enough to grow a late low-rate cluster: recall 1
+    and event precision >= 0.85 at seeds 0-2, seed 0 byte for byte."""
+    start = time.time()
+    lines = []
+    for seed in range(3):
+        wave, truth = tmp_path / f"wave{seed}.f32", tmp_path / f"truth{seed}.json"
+        synth = [
+            "synth", "--out", str(wave), "--annotations-out", str(truth),
+            "--duration", str((1 << 23) / 1e6), "--seed", str(seed),
+        ]
+        bursts = [f"{onset / 1e6},0.2,0.00137,120000" for onset in LONG_ONSETS]
+        assert cli([*synth, *(f for b in bursts for f in ("--burst", b))]) == 0
+        events, model = tmp_path / f"events{seed}.jsonl", tmp_path / f"model{seed}.json"
+        assert cli([
+            "cluster", "--input", str(wave), "--sample-rate", "1e6", "--window", "1000",
+            "--overlap", "0.875", "--alpha", "1", "--sweeps", "100", "--burn-in", "50",
+            "--seed", str(seed), "--events-out", str(events), "--state-out", str(model),
+        ]) == 0
+        spans = [
+            (e["start_index"], e["end_index"])
+            for e in map(json.loads, events.read_text().splitlines())
+        ]
+        truth_spans = [
+            (b["start_index"], b["end_index"]) for b in json.loads(truth.read_text())["bursts"]
+        ]
+        recall, precision = interval_quality(spans, truth_spans)
+        assert recall == 1.0, seed
+        assert precision >= 0.85, (seed, precision)
+        if seed == 0:
+            digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (events, model))
+            assert digests == LONG_DIGESTS
+        lines.append(f"seed {seed}: {len(spans)} events precision={precision:.4f}")
+    report("AC-12", f"{'; '.join(lines)} t={time.time() - start:.1f}s")

@@ -1267,8 +1267,8 @@ def _sha256(path: Path) -> str:
 class TestGoldenOutputs:
     """The sampler's outputs, byte for byte, against digests recorded before
     the sweep kept its scan plan and log weights across sweeps.  The oracle
-    tests compare the kernel with a reference; these compare what the CLI
-    and ``observe`` write."""
+    tests compare the kernel with a reference; these compare what ``cluster``,
+    ``monitor`` and ``observe`` write."""
 
     CLUSTER = {
         0: (
@@ -1289,6 +1289,20 @@ class TestGoldenOutputs:
         ),
     }
     OBSERVE = "5621ae2a7db700a808e2415f4b7ce12e8a80dc0b15161f7b47ac0a64bacc6b1a"
+    # Alarms, tracks and state by keep ratio, recorded before ``observe``
+    # read its weights from the rows the sweep keeps.
+    MONITOR = {
+        "0.1": (
+            "8b681ab6b71bec801f20f784189b792ad28fa5d4a6b623032dd784cc34ae3202",
+            "44524619a6b33e0e37bf2b03809b36381a37457b272ae123f4232daad6b14c42",
+            "19d25d5124fe418f8bbde45160769a58af153016c981cf7081724700926ac86a",
+        ),
+        "1": (
+            "27b90440a1a5d921965b1f8fe99ee16ed3976a9e08a285fbc3dd17691aa09c88",
+            "9b006b3255343b8d97be8dc735b1f784cf0e80a2706cd2ff273ccfd19eec213c",
+            "e4e215db1728b70fb5c91baa8e7ac46cde4a868fd049b7cd7765ec0bea2bb138",
+        ),
+    }
 
     @pytest.mark.parametrize("seed", sorted(CLUSTER))
     def test_cluster_outputs(self, tmp_path, seed):
@@ -1319,3 +1333,19 @@ class TestGoldenOutputs:
         doc = tmp_path / "state.json"
         doc.write_text(json.dumps(state_to_json_dict(state), sort_keys=True, indent=2) + "\n")
         assert _sha256(doc) == self.OBSERVE
+
+    def test_monitor_outputs(self, tmp_path):
+        # The README monitor run, at the README's keep ratio and with every
+        # hit kept: K stays 1, so every observe after the first is greedy.
+        hits = tmp_path / "hits.bin"
+        synth = ["synth", "--mode", "hits", "--out", str(hits), "--n-hits", "10000"]
+        assert cli([*synth, "--damage-start-hit", "6000", "--seed", "0"]) == 0
+        for keep, digests in self.MONITOR.items():
+            alarms, tracks, state = (tmp_path / f"{keep}.{ext}" for ext in ("jsonl", "csv", "json"))
+            argv = [
+                "monitor", "--hits", str(hits), "--keep-ratio", keep,
+                "--threshold-volts", "0.05", "--seed", "0", "--alarms-out", str(alarms),
+                "--tracks-out", str(tracks), "--state-out", str(state),
+            ]
+            assert cli(argv) == 0
+            assert (_sha256(alarms), _sha256(tracks), _sha256(state)) == digests, keep

@@ -26,7 +26,6 @@ from aeburst.dppmm import (
     Hyperparams,
     MixtureState,
     UniformStream,
-    assignment_log_weights,
     audit,
     data_digest,
     fit,
@@ -46,6 +45,7 @@ from partition_oracle import (
     partition_tv,
 )
 from sampler_oracle import (
+    assignment_log_weights,
     crp_prior,
     dense,
     detach_datum,

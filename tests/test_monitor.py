@@ -1,5 +1,6 @@
 """Entropy gate, online observation, decimation, tracks, and alarms."""
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import replace
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aeburst import dppmm
 from aeburst.config import PipelineConfig
 from aeburst.distributions import GammaParams
-from aeburst.dppmm import Hyperparams, MixtureState, assignment_log_weights, audit
+from aeburst.dppmm import Hyperparams, MixtureState, audit, state_to_json_dict
 from aeburst.monitor import (
     StreamMonitor,
     decimate,
@@ -20,10 +22,29 @@ from aeburst.monitor import (
     observe,
     update_tracks,
 )
-from sampler_oracle import draw_assignment, reference_sweep
+from sampler_oracle import (
+    assignment_log_weights,
+    draw_assignment,
+    normalize_log_weights,
+    reference_sweep,
+)
 
 UNIT = Hyperparams(alpha=1.0, base=GammaParams(1.0, 1.0))
 CONFIG = PipelineConfig()
+
+
+def two_rate_counts(n, seed):
+    """``n`` counts, half Poisson(2) and half Poisson(40), shuffled."""
+    rng = np.random.default_rng(seed)
+    counts = np.concatenate([rng.poisson(rate, n // 2) for rate in (2.0, 40.0)])
+    return counts[rng.permutation(len(counts))].tolist()
+
+
+def snapshot(state):
+    """Everything a refused call must leave as it was: the data, the state
+    document (draw counts included) and the kept rows with their weights."""
+    rows = {key: (terms, dict(weights)) for key, (terms, weights) in state._rows.items()}
+    return list(state.data), state_to_json_dict(state), rows
 
 
 def homogeneous_state(value=8, size=400, seed=0):
@@ -168,6 +189,56 @@ class TestObserve:
         assert state.next_cluster_id == twin.next_cluster_id > 1
         assert state.rng.draws == twin.rng.draws
 
+    @pytest.mark.parametrize("size", [0, 40])
+    def test_negative_count_refused_before_anything_runs(self, size):
+        state = homogeneous_state(size=size, seed=4)
+        if size:
+            observe(8, state, eta_override=1.0)  # keeps rows on the state
+            assert state._rows
+        before = snapshot(state)
+        with pytest.raises(ValueError, match="^counts must be non-negative, got -1$"):
+            observe(-1, state)
+        assert snapshot(state) == before
+
+    def test_greedy_call_computes_at_most_one_row(self, monkeypatch):
+        # A greedy call reads the rows the last call kept: only the cluster
+        # the last count joined needs new terms, and the rows stay one per
+        # live cluster plus NEW.
+        computed = []
+        real = dppmm.predictive_terms
+
+        def recording(prior, n, s, log_c):
+            computed.append((n, s))
+            return real(prior, n, s, log_c)
+
+        monkeypatch.setattr(dppmm, "predictive_terms", recording)
+        state = MixtureState.empty(UNIT, 3)
+        counts = two_rate_counts(600, 3)
+        for x in counts[:100]:
+            observe(x, state, eta_override=1.0)
+        for x in counts[100:]:
+            start = len(computed)
+            observe(x, state, eta_override=0.0)
+            assert len(computed) - start <= 1
+            assert len(state._rows) <= state.n_clusters + 1
+
+    @pytest.mark.parametrize("eta_override", [None, 0.0, 1.0])
+    def test_probabilities_and_eta_are_the_oracles(self, eta_override):
+        # The gate reads the kept rows; the oracle computes every weight
+        # afresh before the call, and the two agree bit for bit, in key order.
+        state = MixtureState.empty(UNIT, 9)
+        paths = set()
+        for x in two_rate_counts(200, 9):
+            k = state.n_clusters
+            expected = normalize_log_weights(assignment_log_weights(x, state))
+            outcome = observe(x, state, eta_override=eta_override)
+            if k:
+                assert list(outcome.probabilities.items()) == expected
+                eta = information_efficiency([p for _, p in expected], k)
+                assert outcome.eta == (eta if eta_override is None else eta_override)
+                paths.add(outcome.resampled)
+        assert paths == ({False, True} if eta_override is None else {eta_override == 1.0})
+
 
 class CountingSequence(Sequence):
     """A sequence that records which positions were indexed."""
@@ -292,6 +363,13 @@ class TestUpdateTracks:
                 assert all(b >= a for a, b in zip(series, series[1:]))
                 assert len(series) == len(track.times)
 
+    @pytest.mark.parametrize("energy", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_energy_rejected(self, energy):
+        tracks = {}
+        with pytest.raises(ValueError, match="^energy must be finite and non-negative, got"):
+            update_tracks(tracks, 0, 0, 8, energy, CONFIG)
+        assert tracks == {}
+
     def test_young_cluster_cannot_alarm(self):
         tracks = {}
         alarms = update_tracks(tracks, 5, 0, 1, 100.0, CONFIG)
@@ -357,6 +435,24 @@ class TestStreamMonitor:
         for _ in range(25):
             confirmed += monitor.process(400, 1.0)
         assert [(a.time, a.magnitude) for a in confirmed] == expected
+
+    @pytest.mark.parametrize(
+        "count, energy, message",
+        [
+            (3, -1.0, "energy must be"),
+            (3, math.nan, "energy must be"),
+            (3, math.inf, "energy must be"),
+            (-1, 1.0, "counts must be"),
+        ],
+    )
+    def test_bad_hit_refused_before_anything_changes(self, count, energy, message):
+        monitor = StreamMonitor(MixtureState.empty(UNIT, 6), replace(CONFIG, alarm_warmup=0))
+        for x in two_rate_counts(60, 6):
+            monitor.process(x, 1.0)
+        before = monitor.n_observed, snapshot(monitor.state), copy.deepcopy(monitor.tracks)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            monitor.process(count, energy)
+        assert (monitor.n_observed, snapshot(monitor.state), monitor.tracks) == before
 
     def test_warmup_clusters_never_alarm(self):
         # Clusters born during the learning phase describe normal
