@@ -312,31 +312,25 @@ def _cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
         burn_in=config.burn_in,
         rng_seed=config.seed,
     )
-    records = []
-    if result.state.clusters:
-        field = average_probabilities(
-            result.table, windowed.spec, len(waveform), result.columns, result.index
-        )
-        records = build_event_records(
-            waveform,
-            field,
-            windowed.threshold,
-            min_probability=config.min_probability,
-            min_length=config.min_event_length,
-            rectify=config.rectify,
-        )
+    field = average_probabilities(
+        result.table, windowed.spec, len(waveform), result.columns, result.index
+    )
+    records = build_event_records(
+        waveform,
+        field,
+        windowed.threshold,
+        min_probability=config.min_probability,
+        min_length=config.min_event_length,
+        rectify=config.rectify,
+    )
     write_atomic(
         args.events_out,
         (
             _json_line(
                 {
-                    "start_index": record.start_index,
-                    "end_index": record.end_index,
+                    **asdict(record),
                     "start_time": record.start_index / waveform.sample_rate,
                     "end_time": record.end_index / waveform.sample_rate,
-                    "label": record.label,
-                    "mean_probability": record.mean_probability,
-                    "features": asdict(record.features),
                 }
             )
             for record in records

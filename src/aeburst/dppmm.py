@@ -563,9 +563,12 @@ def fit(
 def audit(state: MixtureState) -> bool:
     """Recompute every cluster's statistics from scratch and compare.
 
-    True iff the stored statistics match the assignments exactly, every
-    retained cluster is non-empty, and memberships account for all data.
+    True iff there is one assignment per datum, the stored statistics
+    match the assignments exactly, every retained cluster is non-empty, and
+    memberships account for all data.
     """
+    if len(state.assignments) != len(state.data):
+        return False
     recomputed: dict[int, tuple[int, int]] = {}
     for x, k in zip(state.data, state.assignments):
         n, s = recomputed.get(k, (0, 0))
@@ -623,30 +626,38 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
 
     The data is not stored in the document; it must be supplied and is
     checked against the recorded digest.  Both streams are fast-forwarded
-    to their recorded draw counts, so sampling resumes exactly; a document
-    without ``move_draws`` predates the moves and made none.  Cluster ids
-    must lie below ``next_cluster_id``, or a minted id would overwrite one.
+    to their recorded draw counts, which must be JSON integers, so sampling
+    resumes exactly; a document without ``move_draws`` predates the moves
+    and made none.  Cluster ids must lie in ``[0, next_cluster_id)``, or a
+    minted id would overwrite one or be ``NOISE``'s.
     """
     if doc.get("format") != "dp-poisson-mixture-state":
         raise ValueError("not a mixture-state document")
     counts = [int(x) for x in data]
     if data_digest(counts) != doc["data_digest"]:
         raise ValueError("supplied data does not match the recorded digest")
+    rng_draws, move_draws = doc["rng_draws"], doc.get("move_draws", 0)
+    if type(rng_draws) is not int or type(move_draws) is not int:
+        raise ValueError(f"draw counts must be integers, got {rng_draws!r} and {move_draws!r}")
     hyper = Hyperparams(doc["alpha"], GammaParams(doc["base_shape"], doc["base_rate"]))
     state = MixtureState(
         hyper=hyper,
         data=counts,
         assignments=[int(k) for k in doc["assignments"]],
-        rng=UniformStream.resume(doc["rng_seed"], doc["rng_draws"]),
-        moves=UniformStream.resume(doc["rng_seed"], doc.get("move_draws", 0), stream=1),
+        rng=UniformStream.resume(doc["rng_seed"], rng_draws),
+        moves=UniformStream.resume(doc["rng_seed"], move_draws, stream=1),
         next_cluster_id=int(doc["next_cluster_id"]),
     )
     for row in sorted(doc["clusters"], key=lambda r: r["id"]):
         cluster = ClusterStats(row["id"], row["created_at"])
         cluster.n_members, cluster.sum_x = int(row["n_members"]), int(row["sum_x"])
         state.clusters[cluster.id] = cluster
-    if not all(0 <= k < state.next_cluster_id for k in state.clusters):
-        raise ValueError(f"cluster ids must lie in [0, next_cluster_id {state.next_cluster_id})")
+    if state.next_cluster_id < 0 or not all(
+        0 <= k < state.next_cluster_id for k in state.clusters
+    ):
+        raise ValueError(
+            f"next_cluster_id must be >= 0 and above every cluster id, got {state.next_cluster_id}"
+        )
     if not audit(state):
         raise ValueError("state document is inconsistent with the supplied data")
     return state

@@ -98,7 +98,6 @@ class ObserveOutcome:
     eta: float
     resampled: bool
     probabilities: dict[int | None, float]
-    alarms: list["AlarmEvent"]
 
 
 @dataclass(frozen=True)
@@ -132,15 +131,10 @@ def observe(
     count simply founds the first cluster.
 
     ``eta_override`` forces the gate (0 never resamples, 1 always does).
-
-    Emits a ``new_cluster`` alarm for each cluster minted by the update that
-    still exists once it settled, in ascending id.
     """
     x = int(x)
     if x < 0:
         raise ValueError(f"counts must be non-negative, got {x}")
-    first_new = state.next_cluster_id
-    ordinal = len(state.data)
     if not state.clusters:
         assigned = state.append_datum(x, None)
         eta, resampled, probs = 0.0, False, {None: 1.0}
@@ -167,23 +161,11 @@ def observe(
             # Clusters come in ascending id order and NEW last, so the first
             # maximum is the oldest of tied clusters, and NEW wins no tie.
             assigned = state.append_datum(x, keys[log_w.index(top)])
-
-    alarms = [
-        AlarmEvent(
-            time=ordinal,
-            kind="new_cluster",
-            cluster_id=new_id,
-            magnitude=float(state.clusters[new_id].n_members),
-        )
-        for new_id in range(first_new, state.next_cluster_id)
-        if new_id in state.clusters
-    ]
     return ObserveOutcome(
         cluster_id=assigned,
         eta=eta,
         resampled=resampled,
         probabilities=probs,
-        alarms=alarms,
     )
 
 
@@ -280,7 +262,8 @@ class StreamMonitor:
 
     Feeds (count, energy) observations through the entropy-gated sampler,
     maintains per-cluster cumulative tracks, and emits only *confirmed*
-    alarms: a new-cluster alarm is held back until the cluster has
+    alarms.  A birth is a cluster an update minted that still exists once
+    the update settled; its new-cluster alarm is held back until it has
     retained at least ``config.min_survivors`` members for
     ``config.survival_horizon`` subsequent observations (sporadic
     sampler-born clusters collapse within a few iterations and are
@@ -310,12 +293,15 @@ class StreamMonitor:
         """
         _check_energy(energy)
         ordinal = self.n_observed
+        first_new = self.state.next_cluster_id
         outcome = observe(count, self.state)
         self.n_observed += 1
         warm = ordinal >= self.config.alarm_warmup
-        for alarm in outcome.alarms:
-            if alarm.kind == "new_cluster" and warm:
-                self._pending[alarm.cluster_id] = ordinal
+        if warm:
+            # Ids are minted in ascending order and never reused.
+            for cluster_id in range(first_new, self.state.next_cluster_id):
+                if cluster_id in self.state.clusters:
+                    self._pending[cluster_id] = ordinal
         confirmed = self._settle_pending()
         growth = update_tracks(
             self.tracks, outcome.cluster_id, ordinal, count, energy, self.config

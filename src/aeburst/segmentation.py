@@ -159,6 +159,9 @@ def segment_events(
         raise ValueError(f"noise key {NOISE} not present in field")
     if not 0.0 < min_probability <= 1.0:
         raise ValueError(f"min_probability must lie in (0, 1], got {min_probability}")
+    keys = [key for key in field.probabilities if key != NOISE and key is not None]
+    if not keys:
+        return []  # only fresh-component mass can beat the noise; nothing to label
     event_prob = 1.0 - field.probabilities[NOISE]
     active = (event_prob >= min_probability) & (field.coverage > 0)
     events: list[EventRecord] = []
@@ -169,21 +172,16 @@ def segment_events(
         if end - start < min_length:
             continue
         widths = np.diff(edges[first : end_cell + 1])
-        label = None
-        best = -1.0
-        for key, probs in field.probabilities.items():
-            if key == NOISE or key is None:
-                continue
-            mean_p = float(np.repeat(probs[first:end_cell], widths).mean())
-            if mean_p > best:
-                best, label = mean_p, key
-        if label is None:
-            continue  # only fresh-component mass beat the noise; nothing to label
+        # One key's per-sample array at a time: a run can span the recording.
+        means = [
+            np.repeat(field.probabilities[key][first:end_cell], widths).mean()
+            for key in keys
+        ]
         events.append(
             EventRecord(
                 start_index=start,
                 end_index=end,
-                label=label,
+                label=keys[int(np.argmax(means))],
                 mean_probability=float(
                     np.repeat(event_prob[first:end_cell], widths).mean()
                 ),

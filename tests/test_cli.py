@@ -6,10 +6,11 @@ import inspect
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeburst
-from aeburst.cli import _nll_csv, _write_json, build_parser, cli
+from aeburst.cli import _flag, _nll_csv, _write_json, build_parser, cli
 from aeburst.config import PipelineConfig
 from aeburst.detector import NllTrace, score, train_background
 from aeburst.distributions import GammaParams
@@ -201,6 +202,25 @@ def test_readme_cli_examples_parse():
     )
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_names_every_flag():
+    # Config fields' flags are covered by the README's naming rule.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    by_rule = {_flag(f.name) for f in fields(PipelineConfig)}
+    flags = {
+        flag
+        for sub in _subparsers().values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    missing = [
+        flag
+        for flag in sorted(flags - by_rule)
+        if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+    ]
+    assert missing == []
 
 
 class TestDetect:

@@ -291,6 +291,11 @@ class TestResampleOne:
         cluster.sum_x += 1
         assert not audit(state)
 
+    def test_audit_detects_an_extra_assignment(self):
+        state = state_with_clusters([[3, 3], [10]])
+        state.assignments.append(state.assignments[0])
+        assert not audit(state)
+
 
 class TestGibbsSweep:
     def test_initialisation_is_single_cluster(self):
@@ -1036,16 +1041,30 @@ class TestSerialization:
             ("next_cluster_id", -1, "next_cluster_id"),
             ("rng_draws", -5, "draws"),
             ("move_draws", -5, "draws"),
+            ("rng_draws", 2.5, "draw counts must be integers"),
+            ("move_draws", 2.5, "draw counts must be integers"),
+            ("rng_draws", True, "draw counts must be integers"),
+            ("move_draws", "3", "draw counts must be integers"),
+            ("assignments", [0, 0, 0, 7], "inconsistent"),
         ],
     )
     def test_document_that_would_corrupt_the_state_rejected(self, key, value, message):
         # With next_cluster_id 0 the next minted cluster would overwrite
-        # cluster 0; a negative draw count names no stream position.
+        # cluster 0; a negative or fractional draw count names no stream
+        # position; an assignment beyond the data has no datum.
         data = [1, 2, 3]
         doc = state_to_json_dict(MixtureState.init_single_cluster(data, UNIT, 0))
         assert doc["next_cluster_id"] == 1 and [c["id"] for c in doc["clusters"]] == [0]
         with pytest.raises(ValueError, match=message):
             state_from_json_dict({**doc, key: value}, data)
+
+    def test_document_that_would_mint_the_noise_id_rejected(self):
+        # With no clusters to bound it, next_cluster_id -1 would make the
+        # next observe mint cluster -1, which is NOISE.
+        doc = state_to_json_dict(MixtureState.empty(UNIT, 0))
+        assert doc["clusters"] == [] and NOISE == -1
+        with pytest.raises(ValueError, match="next_cluster_id must be >= 0"):
+            state_from_json_dict({**doc, "next_cluster_id": -1}, [])
 
     def test_documents_written_by_fit_and_observe_reload(self):
         data = zero_runs(3)

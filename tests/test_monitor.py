@@ -4,6 +4,7 @@ import copy
 import math
 from collections.abc import Sequence
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -114,7 +115,6 @@ class TestObserve:
         outcome = observe(5, state)
         assert state.n_clusters == 1
         assert outcome.cluster_id in state.clusters
-        assert [a.kind for a in outcome.alarms] == ["new_cluster"]
         assert outcome.probabilities == {None: 1.0}
         assert audit(state)
 
@@ -133,7 +133,6 @@ class TestObserve:
         outcome = observe(500, state)
         assert state.n_clusters == before + 1
         assert outcome.probabilities[None] > 0.99
-        assert any(a.kind == "new_cluster" for a in outcome.alarms)
         assert audit(state)
 
     def test_eta_forced_zero_is_pure_accretion(self):
@@ -159,17 +158,6 @@ class TestObserve:
         observe(8, state_b, eta_override=1.0)
         # Gate + assignment draw + one sweep over 51 data.
         assert state_b.rng.draws == 1 + 1 + 51
-
-    def test_births_ascend_by_id(self):
-        # The sweep at the sixth count mints two clusters that both survive;
-        # their alarms come lowest id first, as do those of every call.
-        state = MixtureState.empty(UNIT, 5)
-        births = [
-            [alarm.cluster_id for alarm in observe(x, state, eta_override=1.0).alarms]
-            for x in (2, 49, 37, 1, 44, 53)
-        ]
-        assert births[5] == [7, 8]
-        assert all(ids == sorted(ids) for ids in births)
 
     def test_resample_path_matches_reference(self):
         # The resampling path draws the new count's cluster as the oracle's
@@ -400,6 +388,19 @@ class TestUpdateTracks:
 
 
 class TestStreamMonitor:
+    def test_births_ascend_by_id(self, monkeypatch):
+        # Every update resamples and every birth confirms at once.  The
+        # sweep at the second count mints two clusters that both survive,
+        # as does the sixth's; their alarms come lowest id first.
+        monkeypatch.setattr("aeburst.monitor.observe", partial(observe, eta_override=1.0))
+        config = replace(CONFIG, alarm_warmup=0, survival_horizon=0, min_survivors=1)
+        monitor = StreamMonitor(MixtureState.empty(UNIT, 5), config)
+        births = [
+            [a.cluster_id for a in monitor.process(x, 1.0) if a.kind == "new_cluster"]
+            for x in (2, 49, 37, 1, 44, 53)
+        ]
+        assert births == [[0], [2, 3], [4], [], [6], [7, 8]]
+
     def test_transient_cluster_never_confirms(self):
         state = homogeneous_state(size=60, seed=1)
         monitor = StreamMonitor(state, replace(CONFIG, survival_horizon=10, alarm_warmup=0))

@@ -379,6 +379,18 @@ class TestSegmentEvents:
         (event,) = segment_events(field)
         assert event.label == 2
 
+    @pytest.mark.parametrize("keys", [(5, 2), (2, 5)])
+    def test_tied_label_goes_to_the_first_key_of_the_field(self, keys):
+        prob = np.zeros(40)
+        prob[10:30] = 0.45
+        field = SampleProbabilityField(
+            edges=np.arange(41),
+            coverage=np.ones(40, dtype=np.int64),
+            probabilities={NOISE: 1.0 - 2 * prob, **{key: prob.copy() for key in keys}},
+        )
+        (event,) = segment_events(field)
+        assert event.label == keys[0]
+
 
 class TestExtractFeatures:
     def test_pure_zero_slice(self):
