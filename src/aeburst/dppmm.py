@@ -626,31 +626,44 @@ def state_from_json_dict(doc: dict, data: Iterable[int]) -> MixtureState:
 
     The data is not stored in the document; it must be supplied and is
     checked against the recorded digest.  Both streams are fast-forwarded
-    to their recorded draw counts, which must be JSON integers, so sampling
-    resumes exactly; a document without ``move_draws`` predates the moves
-    and made none.  Cluster ids must lie in ``[0, next_cluster_id)``, or a
-    minted id would overwrite one or be ``NOISE``'s.
+    to their recorded draw counts, so sampling resumes exactly; a document
+    without ``move_draws`` predates the moves and made none.  The version
+    must be 1, and every count, id, seed and assignment a JSON integer.
+    Cluster ids must lie in ``[0, next_cluster_id)``, or a minted id would
+    overwrite one or be ``NOISE``'s.
     """
     if doc.get("format") != "dp-poisson-mixture-state":
         raise ValueError("not a mixture-state document")
+    rows, rng_draws, move_draws = doc["clusters"], doc["rng_draws"], doc.get("move_draws", 0)
+    for name, values in {
+        "version": [doc.get("version")],
+        "draw counts": [rng_draws, move_draws],
+        "next_cluster_id": [doc["next_cluster_id"]],
+        "rng_seed": [doc["rng_seed"]],
+        "assignments": doc["assignments"],
+        "cluster fields": [r[k] for r in rows for k in ("id", "n_members", "sum_x", "created_at")],
+    }.items():
+        # type() rather than isinstance(): JSON true/false decode to bool.
+        wrong = [v for v in values if type(v) is not int]
+        if wrong:
+            raise ValueError(f"{name} must be integers, got {wrong[0]!r}")
+    if doc["version"] != 1:
+        raise ValueError(f"unsupported state document version {doc['version']}")
     counts = [int(x) for x in data]
     if data_digest(counts) != doc["data_digest"]:
         raise ValueError("supplied data does not match the recorded digest")
-    rng_draws, move_draws = doc["rng_draws"], doc.get("move_draws", 0)
-    if type(rng_draws) is not int or type(move_draws) is not int:
-        raise ValueError(f"draw counts must be integers, got {rng_draws!r} and {move_draws!r}")
     hyper = Hyperparams(doc["alpha"], GammaParams(doc["base_shape"], doc["base_rate"]))
     state = MixtureState(
         hyper=hyper,
         data=counts,
-        assignments=[int(k) for k in doc["assignments"]],
+        assignments=list(doc["assignments"]),
         rng=UniformStream.resume(doc["rng_seed"], rng_draws),
         moves=UniformStream.resume(doc["rng_seed"], move_draws, stream=1),
-        next_cluster_id=int(doc["next_cluster_id"]),
+        next_cluster_id=doc["next_cluster_id"],
     )
-    for row in sorted(doc["clusters"], key=lambda r: r["id"]):
+    for row in sorted(rows, key=lambda r: r["id"]):
         cluster = ClusterStats(row["id"], row["created_at"])
-        cluster.n_members, cluster.sum_x = int(row["n_members"]), int(row["sum_x"])
+        cluster.n_members, cluster.sum_x = row["n_members"], row["sum_x"]
         state.clusters[cluster.id] = cluster
     if state.next_cluster_id < 0 or not all(
         0 <= k < state.next_cluster_id for k in state.clusters

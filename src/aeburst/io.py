@@ -5,10 +5,11 @@ with uniform spacing) or headerless little-endian raw arrays
 (``raw_f32_le``, ``raw_i16_le``); the sample rate always comes from
 metadata supplied by the caller, never from sniffing.  CSV is read whole
 into a ``Waveform``.  A raw file is opened as a ``RawRecording``: its
-length comes from the file size, and its samples are read
-``CHUNK_SAMPLES`` at a time in their stored dtype (float32 or int16), or
-one requested span at a time decoded to float64, each checked finite as it
-is read, so reading it holds one chunk, not the recording.
+length comes from the file size, and its samples are read in their stored
+dtype (float32 or int16), each checked finite as it is read: ``chunks``
+fills one ``CHUNK_SAMPLES`` buffer that every chunk reuses, and ``span``
+returns one requested range, so reading it holds one chunk, not the
+recording.
 
 Hit files use a self-describing container: a single UTF-8 JSON header
 line
@@ -18,18 +19,17 @@ line
 
 terminated by a newline, followed by the concatenated ``raw_f32_le``
 records.  The payload must be an exact multiple of
-``4 * record_length`` bytes; ``trigger_times``, when present, must match
-the record count (when absent, the record ordinal stands in).
-``read_hits`` reads and checks only the header and opens the payload as a
-``RawRecording`` past it.  ``HitFile.blocks`` decodes the records at given
-indices, in order, ``HIT_BLOCK_SAMPLES // record_length`` records (at least
-one) per block through one open handle: each record is read into one reused
-float32 buffer, the block is checked finite once and cast into one reused
-float64 buffer.  Reading any number of records thus holds 12 bytes per
-block sample (192 KiB: 8 records of 2,048 samples), and computing their
-features a block at a time about 470 KiB in all; skipped records cost
-nothing.  Indexing reads a one-record block and returns it as a
-``HitRecord``, a ``Waveform`` with its trigger time, pretrigger and
+``4 * record_length`` bytes; ``trigger_times``, when present, must be
+finite and match the record count (when absent, the record ordinal stands
+in).  ``read_hits`` reads and checks only the header and opens the payload
+as a ``RawRecording`` past it.  ``HitFile.blocks`` decodes the records at
+given indices, in order, ``HIT_BLOCK_SAMPLES // record_length`` records (at
+least one) per block through one open handle, into one reused float32
+buffer checked finite once per block.  Reading any number of records thus
+holds 4 bytes per block sample (64 KiB: 8 records of 2,048 samples), and
+computing their features a block at a time about 350 KiB in all; skipped
+records cost nothing.  Indexing reads a one-record block and returns it as
+a ``HitRecord``, a ``Waveform`` with its trigger time, pretrigger and
 channel.
 Every writer goes through ``write_atomic``, so a failed write leaves the
 target as it was.
@@ -38,6 +38,7 @@ target as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import closing
@@ -134,10 +135,11 @@ class HitRecord(Waveform):
 class RawRecording:
     """A raw recording on disk, read a chunk or a span at a time.
 
-    The samples start ``offset`` bytes into the file.  ``chunks`` yields
-    ``CHUNK_SAMPLES`` samples per read in the stored ``dtype``; ``span``
-    decodes one range to float64.  A read that comes up short, or a sample
-    that is not finite, raises ``DataFormatError``.
+    The samples start ``offset`` bytes into the file and are read in the
+    stored ``dtype``.  ``chunks`` yields ``CHUNK_SAMPLES`` samples per read
+    into one buffer, so each chunk is overwritten by the next; ``span``
+    returns one range in a new array.  A read that comes up short, or a
+    sample that is not finite, raises ``DataFormatError``.
     """
 
     path: Path
@@ -151,29 +153,49 @@ class RawRecording:
 
     def chunks(self) -> Iterator[np.ndarray]:
         size = CHUNK_SAMPLES
+        buffer = np.empty(min(size, self.n_samples), self.dtype)
         with self.path.open("rb") as handle:
-            handle.seek(self.offset)
             for start in range(0, self.n_samples, size):
-                yield self._read(handle, start, min(size, self.n_samples - start))
+                yield self._fill(handle, start, buffer[: self.n_samples - start])
 
     def span(self, start: int, end: int) -> np.ndarray:
         if not 0 <= start <= end <= self.n_samples:
             raise ValueError(f"span ({start}, {end}) outside {self.n_samples} samples")
         with self.path.open("rb") as handle:
-            handle.seek(self.offset + start * self.dtype.itemsize)
-            return self._read(handle, start, end - start).astype(np.float64)
+            return self._fill(handle, start, np.empty(end - start, self.dtype))
 
-    def _read(self, handle: BinaryIO, start: int, count: int) -> np.ndarray:
-        raw = handle.read(count * self.dtype.itemsize)
-        if len(raw) != count * self.dtype.itemsize:
-            raise DataFormatError(
-                f"{self.path}: file ends inside samples [{start}, {start + count})"
-            )
-        values = np.frombuffer(raw, dtype=self.dtype)
-        if self.dtype.kind == "f" and not np.isfinite(values).all():
-            bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
-            raise DataFormatError(f"{self.path}: sample {bad} is not finite", bad)
-        return values
+    def _fill(self, handle: BinaryIO, start: int, out: np.ndarray) -> np.ndarray:
+        _, error = self._read_rows(handle, [start], out[None, :])
+        if error is not None:
+            raise error
+        return out
+
+    def _read_rows(
+        self, handle: BinaryIO, starts: list[int], out: np.ndarray
+    ) -> tuple[int, DataFormatError | None]:
+        """Read row ``r`` of the 2-D ``out`` from sample ``starts[r]`` on.
+
+        Returns the number of rows read whole and finite before the first
+        fault, and the error naming that fault: a row cut short or the
+        first non-finite sample.
+        """
+        width = out.shape[1]
+        filled, error = 0, None
+        for start in starts:
+            handle.seek(self.offset + start * self.dtype.itemsize)
+            if handle.readinto(out[filled]) != width * self.dtype.itemsize:
+                error = DataFormatError(
+                    f"{self.path}: file ends inside samples [{start}, {start + width})"
+                )
+                break
+            filled += 1
+        if self.dtype.kind == "f":
+            finite = np.isfinite(out[:filled])
+            if not finite.all():
+                filled, j = divmod(int(np.argmin(finite)), width)
+                bad = starts[filled] + j
+                error = DataFormatError(f"{self.path}: sample {bad} is not finite", bad)
+        return filled, error
 
 
 def read_waveform(
@@ -291,58 +313,31 @@ class HitFile(Sequence[HitRecord]):
         )
 
     def blocks(self, indices: Iterable[int]) -> Iterator[np.ndarray]:
-        """The records at ``indices``, in order, as rows of float64 blocks.
+        """The records at ``indices``, in order, as rows of float32 blocks.
 
         A block holds up to ``HIT_BLOCK_SAMPLES // record_length`` records
         (at least one) and is overwritten by the next.  A record that is
         cut short or holds a non-finite sample raises ``DataFormatError``
         naming the record, after the records before it have been yielded.
         """
-        size = max(1, HIT_BLOCK_SAMPLES // self.record_length)
+        length = self.record_length
+        size = max(1, HIT_BLOCK_SAMPLES // length)
         indices = iter(indices)
         batch = list(islice(indices, size))
-        raw = np.empty((len(batch), self.record_length), self.payload.dtype)
-        rows = np.empty(raw.shape)
+        rows = np.empty((len(batch), length), self.payload.dtype)
         with self.payload.path.open("rb") as handle:
             while batch:
-                filled, error = self._read(handle, batch, raw)
+                for i in batch:
+                    if not 0 <= i < len(self):
+                        raise IndexError(f"record {i} outside {len(self)} records")
+                filled, error = self.payload._read_rows(handle, [i * length for i in batch], rows)
                 if filled:
-                    np.copyto(rows[:filled], raw[:filled])
                     yield rows[:filled]
                 if error is not None:
-                    raise error
+                    i, bad = batch[filled], error.sample
+                    at = f"record {i}" if bad is None else f"record {i}, sample {bad - i * length}"
+                    raise DataFormatError(f"{error} ({at})", bad)
                 batch = list(islice(indices, size))
-
-    def _read(
-        self, handle: BinaryIO, batch: list[int], raw: np.ndarray
-    ) -> tuple[int, DataFormatError | None]:
-        """Read ``batch`` into the rows of ``raw``: the count of good
-        records, and the error that stopped the block, if any."""
-        length = self.record_length
-        nbytes = raw.itemsize * length
-        error = None
-        filled = 0
-        for i in batch:
-            if not 0 <= i < len(self):
-                raise IndexError(f"record {i} outside {len(self)} records")
-            handle.seek(self.payload.offset + i * nbytes)
-            if handle.readinto(raw[filled]) != nbytes:
-                error = DataFormatError(
-                    f"{self.payload.path}: file ends inside samples "
-                    f"[{i * length}, {(i + 1) * length}) (record {i})"
-                )
-                break
-            filled += 1
-        finite = np.isfinite(raw[:filled])
-        if not finite.all():
-            filled, j = divmod(int(np.argmin(finite)), length)
-            i = batch[filled]
-            error = DataFormatError(
-                f"{self.payload.path}: sample {i * length + j} is not finite "
-                f"(record {i}, sample {j})",
-                i * length + j,
-            )
-        return filled, error
 
 
 def read_hits(path: str | Path) -> HitFile:
@@ -387,8 +382,11 @@ def read_hits(path: str | Path) -> HitFile:
     times = header.get("trigger_times")
     if times is None:
         times = range(n_records)
-    elif type(times) is not list or not all(type(t) in (int, float) for t in times):
-        raise DataFormatError(f"{path}: trigger_times must be a list of numbers")
+    # json.loads reads NaN and Infinity as floats.
+    elif type(times) is not list or not all(
+        type(t) in (int, float) and math.isfinite(t) for t in times
+    ):
+        raise DataFormatError(f"{path}: trigger_times must be a list of finite numbers")
     if len(times) != n_records:
         raise DataFormatError(
             f"{path}: header lists {len(times)} trigger times for "
@@ -437,7 +435,8 @@ def write_hits(path: str | Path, hits: Iterable[HitRecord]) -> None:
                 "channel": first.channel,
                 "trigger_times": times,
             }
-            header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+            header_line = json.dumps(header, sort_keys=True, allow_nan=False)
+            header_line = header_line.encode("utf-8") + b"\n"
             body.seek(0)
             write_atomic(path, chain([header_line], iter(lambda: body.read(1 << 20), b"")))
     finally:

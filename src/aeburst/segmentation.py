@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dppmm import NOISE
-from .windowing import Recording, WindowSpec, runs
+from .windowing import Recording, WindowSpec, _stored_bound, _widened, runs
 
 __all__ = [
     "SampleProbabilityField",
@@ -201,22 +201,26 @@ def block_features(
     sample to the absolute peak (the first, if tied); energy is the sum of
     squared voltages divided by the sample rate.  A row that never crosses
     the threshold reports count 0 with zero rise time and duration, but
-    energy is still computed.
+    energy is still computed.  Rows of float32 or int16 are read at their
+    stored width and give, bit for bit, the features of their float64 copy.
     """
+    rows = _widened(rows)
     magnitude = np.abs(rows)
-    above = (magnitude if rectify else rows) > threshold
+    bound = _stored_bound(threshold, rows.dtype)
+    above = (magnitude if rectify else rows) > bound
     counts = np.count_nonzero(above[:, 1:] & ~above[:, :-1], axis=1) + above[:, 0]
     crossed = counts > 0
     first = above.argmax(axis=1)
     last = rows.shape[1] - 1 - above[:, ::-1].argmax(axis=1)
     rise = np.where(crossed, magnitude.argmax(axis=1) - first, 0) / sample_rate
     duration = np.where(crossed, last - first, 0) / sample_rate
-    energy = np.sum(rows * rows, axis=1) / sample_rate
+    # The same float64 squares in the same pairwise sum as on a float64 copy.
+    energy = np.sum(np.square(rows, dtype=np.float64), axis=1) / sample_rate
     return [
         WaveformFeatures(*row)
         for row in zip(
             counts.tolist(),
-            magnitude.max(axis=1).tolist(),
+            magnitude.max(axis=1).astype(np.float64).tolist(),
             rise.tolist(),
             duration.tolist(),
             energy.tolist(),

@@ -46,9 +46,11 @@ class Recording(Protocol):
 
     ``chunks`` yields non-empty arrays that together cover samples
     ``[0, len)`` in order, in the dtype the recording stores: float64,
-    float32 or int16.  ``span`` returns samples ``[start, end)`` as float64.
-    Every sample either returns is finite: a recording that is not checked
-    when it is made raises ``ValueError`` when it reads a non-finite one.
+    float32 or int16.  A chunk may be overwritten by the next one, so a
+    reader copies what it keeps.  ``span`` returns samples ``[start, end)``
+    in the same stored dtype.  Every sample either returns is finite: a
+    recording that is not checked when it is made raises ``ValueError`` when
+    it reads a non-finite one.
     """
 
     @property
@@ -373,11 +375,16 @@ def extract_counts(
     opens = np.empty(starts.size, dtype=np.int64)
     closes = np.empty(starts.size, dtype=np.int64)
     offset, edges_before, was_above = 0, 0, False
+    # Both masks of a chunk share one buffer kept for the whole pass: two new
+    # arrays per chunk fault in fresh pages for every chunk.
+    flags = np.empty(0, dtype=bool)
     for chunk in recording.chunks():
         chunk = _widened(chunk)
+        if flags.size < 2 * chunk.size:
+            flags = np.empty(2 * chunk.size, dtype=bool)
+        above, edges = flags[: chunk.size], flags[chunk.size : 2 * chunk.size]
         bound = _stored_bound(threshold, chunk.dtype)  # exact at the stored width
-        above = (np.abs(chunk) if policy.rectify else chunk) > bound
-        edges = np.empty(above.size, dtype=bool)
+        np.greater(np.abs(chunk) if policy.rectify else chunk, bound, out=above)
         edges[0] = above[0] and not was_above
         np.greater(above[1:], above[:-1], out=edges[1:])
         # cum[offset + j] - edges_before is the number of this chunk's edges

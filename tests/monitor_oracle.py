@@ -3,7 +3,7 @@
 
 ``reference_features`` computes one record's features with 1-D numpy calls,
 one record at a time.  ``reference_records`` decodes each kept record as its
-own span of the payload, reporting a bad sample or a short read by record.
+own span of the payload, widened to float64, reporting a bad sample or a short read by record.
 ``reference_monitor`` feeds them to ``StreamMonitor`` one hit at a time and
 renders the alarms, tracks and state documents as ``aeburst monitor`` writes
 them.  The block path must reproduce all of these exactly, so the tests
@@ -49,7 +49,7 @@ def reference_features(
 
 
 def reference_records(hits, indices):
-    """The records at ``indices``, each decoded as its own payload span."""
+    """The records at ``indices``, each decoded as its own payload span, as float64."""
     for i in indices:
         start = i * hits.record_length
         try:
@@ -59,7 +59,7 @@ def reference_records(hits, indices):
             if exc.sample is not None:
                 where += f", sample {exc.sample - start}"
             raise DataFormatError(f"{exc} ({where})", exc.sample) from exc
-        yield samples
+        yield samples.astype(np.float64)
 
 
 def _json_line(obj: dict) -> bytes:

@@ -105,8 +105,8 @@ class TestHitBlocks:
         )
         rows = np.concatenate(blocks)
         want = list(reference_records(hits, range(n)))
-        assert rows.dtype == np.float64
-        assert rows.tobytes() == np.array(want).tobytes()
+        assert rows.dtype == np.float32
+        assert rows.astype(np.float64).tobytes() == np.array(want).tobytes()
         got = [f for block in hits.blocks(range(n)) for f in block_features(block, RATE, 0.05)]
         assert got == [reference_features(v, RATE, 0.05) for v in want]
 
@@ -115,14 +115,16 @@ class TestHitBlocks:
         hits = write_stream(tmp_path / "hits.bin", 60, record_length=256)
         kept = list(decimate(range(60), ratio))
         rows = np.concatenate([block.copy() for block in hits.blocks(kept)])
-        assert rows.tobytes() == np.array(list(reference_records(hits, kept))).tobytes()
+        want = np.array(list(reference_records(hits, kept)))
+        assert rows.astype(np.float64).tobytes() == want.tobytes()
 
     def test_records_longer_than_a_block(self, tmp_path, monkeypatch):
         hits = write_stream(tmp_path / "hits.bin", 3, record_length=512)
         monkeypatch.setattr(aeio, "HIT_BLOCK_SAMPLES", 100)
         blocks = [block.copy() for block in hits.blocks([2, 0])]
         assert [block.shape for block in blocks] == [(1, 512), (1, 512)]
-        assert blocks[1].tobytes() == next(reference_records(hits, [0])).tobytes()
+        want = next(reference_records(hits, [0]))
+        assert blocks[1][0].astype(np.float64).tobytes() == want.tobytes()
 
     def test_indexing_is_a_one_record_block(self, tmp_path):
         hits = write_stream(tmp_path / "hits.bin", BLOCK + 3)
@@ -269,11 +271,12 @@ class TestMonitorFaults:
         assert (out / "state.json").read_bytes() == writes[-1]
 
 
-def peak_bytes(hits, n_kept):
+def peak_bytes(hits, n_kept, features=True):
     tracemalloc.start()
     try:
         for block in hits.blocks(decimate(range(n_kept), 1.0)):
-            block_features(block, hits.sample_rate, 0.05)
+            if features:
+                block_features(block, hits.sample_rate, 0.05)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,5 +285,7 @@ def peak_bytes(hits, n_kept):
 def test_memory_is_set_by_the_block(tmp_path):
     hits = write_stream(tmp_path / "hits.bin", 4000, record_length=256)
     small, large = peak_bytes(hits, 500), peak_bytes(hits, 4000)
-    # One block's float32 and float64 buffers.
-    assert abs(large - small) < aeio.HIT_BLOCK_SAMPLES * 12
+    # Less than one block's float32 buffer.
+    assert abs(large - small) < aeio.HIT_BLOCK_SAMPLES * 4
+    # Reading alone holds that buffer, its finite mask and the open handle.
+    assert peak_bytes(hits, 4000, features=False) < aeio.HIT_BLOCK_SAMPLES * 5 + 32 * 1024

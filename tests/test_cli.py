@@ -700,6 +700,8 @@ MALFORMED_HEADERS = {
     "channel a list": _with("channel", [5]),
     "trigger_times a number": _with("trigger_times", 5),
     "trigger_times with text": _with("trigger_times", ["0.0"] * 5),
+    "trigger_times with nan": _with("trigger_times", [0.0, float("nan"), 2.0, 3.0, 4.0]),
+    "trigger_times infinite": _with("trigger_times", [0.0, 1.0, 2.0, 3.0, float("-inf")]),
 }
 
 

@@ -1034,6 +1034,9 @@ class TestSerialization:
             assert restored.rng.draws == result.state.rng.draws
             assert restored.moves.draws == result.state.moves.draws
 
+    # The one cluster of ``init_single_cluster([1, 2, 3], ...)``.
+    CLUSTER_ROW = {"id": 0, "n_members": 3, "sum_x": 6, "created_at": 0}
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -1046,15 +1049,26 @@ class TestSerialization:
             ("rng_draws", True, "draw counts must be integers"),
             ("move_draws", "3", "draw counts must be integers"),
             ("assignments", [0, 0, 0, 7], "inconsistent"),
+            ("next_cluster_id", 1.9, "next_cluster_id must be integers"),
+            ("assignments", [0.7, 0, 0], "assignments must be integers"),
+            ("clusters", [{**CLUSTER_ROW, "id": 0.5}], "cluster fields must be integers"),
+            ("clusters", [{**CLUSTER_ROW, "n_members": 3.5}], "cluster fields must be integers"),
+            ("clusters", [{**CLUSTER_ROW, "sum_x": 6.4}], "cluster fields must be integers"),
+            ("clusters", [{**CLUSTER_ROW, "created_at": 0.5}], "cluster fields must be integers"),
+            ("rng_seed", 0.5, "rng_seed must be integers"),
+            ("rng_seed", True, "rng_seed must be integers"),
+            ("version", 99, "unsupported state document version 99"),
         ],
     )
     def test_document_that_would_corrupt_the_state_rejected(self, key, value, message):
         # With next_cluster_id 0 the next minted cluster would overwrite
         # cluster 0; a negative or fractional draw count names no stream
-        # position; an assignment beyond the data has no datum.
+        # position; an assignment beyond the data has no datum.  A fraction
+        # or a boolean where an integer belongs would load truncated (sum_x
+        # 6.4 as 6, passing the audit), and another version is another format.
         data = [1, 2, 3]
         doc = state_to_json_dict(MixtureState.init_single_cluster(data, UNIT, 0))
-        assert doc["next_cluster_id"] == 1 and [c["id"] for c in doc["clusters"]] == [0]
+        assert doc["next_cluster_id"] == 1 and doc["clusters"] == [self.CLUSTER_ROW]
         with pytest.raises(ValueError, match=message):
             state_from_json_dict({**doc, key: value}, data)
 

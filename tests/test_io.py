@@ -74,7 +74,9 @@ class TestWaveformRaw:
         path = tmp_path / "w.f32"
         write_waveform(path, w, "raw_f32_le")
         back = read_waveform(path, "raw_f32_le", sample_rate=2e6)
-        assert back.span(0, len(back)).tobytes() == w.samples.tobytes()
+        stored = back.span(0, len(back))
+        assert stored.dtype == np.float32
+        assert stored.astype(np.float64).tobytes() == w.samples.tobytes()
 
     def test_truncated_raw_rejected(self, tmp_path):
         path = tmp_path / "w.f32"
@@ -311,6 +313,19 @@ class TestStreamingWriteHits:
             write_hits(tmp_path / "hits.bin", stream())
         assert len(consumed) == 4
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_trigger_time_is_not_written(self, tmp_path, time):
+        # read_hits refuses such a header, so the writer must not make one.
+        path = tmp_path / "hits.bin"
+        write_hits(path, make_hits(2, record_length=64, pretrigger=8))
+        before = path.read_bytes()
+        bad = make_hits(3, record_length=64, pretrigger=8)
+        bad[1] = replace(bad[1], trigger_time=time)
+        with pytest.raises(ValueError):
+            write_hits(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["hits.bin"]
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "hits.bin"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import aeburst.io as aeio
 from aeburst.io import read_waveform
-from aeburst.segmentation import extract_features
+from aeburst.segmentation import block_features, extract_features
 from aeburst.windowing import (
     ThresholdPolicy,
     Waveform,
@@ -256,6 +256,34 @@ def test_stored_width_equals_float64(tmp_path_factory, fmt, data):
             assert got.starts.tolist() == want.starts.tolist()
 
 
+@pytest.mark.parametrize("fmt", ["raw_f32_le", "raw_i16_le"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stored_width_features_equal_float64(tmp_path_factory, fmt, data):
+    values = data.draw(_samples(fmt), label="values")
+    width = data.draw(st.integers(1, len(values)), label="width")
+    rectify = data.draw(st.booleans(), label="rectify")
+    stored = np.array(values, dtype="<f4" if fmt == "raw_f32_le" else "<i2")
+    rows = stored[: len(values) // width * width].reshape(-1, width)
+    path = tmp_path_factory.getbasetemp() / f"features.{fmt}"
+    stored.tofile(path)
+    recording = read_waveform(path, fmt, 1e6)
+    assert recording.span(0, len(values)).dtype == stored.dtype
+    for threshold in _fixed_thresholds(values):
+        got = block_features(rows, 1e6, threshold, rectify)
+        want = block_features(rows.astype(np.float64), 1e6, threshold, rectify)
+        got.append(extract_features(recording, (0, len(values)), threshold, rectify))
+        want.append(
+            extract_features(Waveform(stored.astype(np.float64), 1e6), (0, len(values)),
+                             threshold, rectify)
+        )
+        for g, w in zip(got, want, strict=True):
+            assert type(g.count) is int and g.count == w.count
+            assert type(g.peak_amplitude) is float
+            for field in ("peak_amplitude", "rise_time", "duration", "energy"):
+                assert _bits(getattr(g, field)) == _bits(getattr(w, field)), field
+
+
 @dataclass
 class CountedReads:
     """A recording that counts the reads of its samples."""
@@ -349,6 +377,22 @@ def test_upper_tail_select_reads_once(tmp_path, monkeypatch, fmt, dtype):
     assert counted.reads == 1
 
 
+def test_raw_chunks_share_one_buffer(tmp_path, monkeypatch):
+    monkeypatch.setattr(aeio, "CHUNK_SAMPLES", 256)
+    values = np.arange(1000, dtype="<f4")
+    values.tofile(tmp_path / "wave.f32")
+    chunks = read_waveform(tmp_path / "wave.f32", "raw_f32_le", 1e6).chunks()
+    first = next(chunks)
+    assert first.tolist() == values[:256].tolist()
+    for start in (256, 512, 768):
+        chunk = next(chunks)
+        assert np.shares_memory(chunk, first)
+        assert chunk.tolist() == values[start : start + 256].tolist()
+    # The next chunk overwrote the first.
+    assert first[:232].tolist() == values[768:].tolist()
+    assert next(chunks, None) is None
+
+
 def test_raw_chunks_keep_the_stored_dtype_and_the_select_reads_twice(
     tmp_path, monkeypatch
 ):
@@ -362,7 +406,7 @@ def test_raw_chunks_keep_the_stored_dtype_and_the_select_reads_twice(
     assert {c.dtype for c in read_waveform(i16, "raw_i16_le", 1e6).chunks()} == {
         np.dtype(np.int16)
     }
-    assert recording.span(0, 10).dtype == np.float64
+    assert recording.span(0, 10).dtype == np.float32
 
     reads = []
     chunks = aeio.RawRecording.chunks
