@@ -33,24 +33,26 @@ with one ``merge_split`` move, which merges or splits whole clusters in
 one Metropolis–Hastings step (Jain & Neal 2004, *JCGS* 13(1)).
 
 A sweep visits the data in ascending count, a fixed scan set by the data
-alone that leaves the posterior invariant as data order does; the runs
-of equal counts are found once per chain and kept on the state.  A sweep
-reuses its work exactly: a log weight is a pure function of a cluster's
-``(n, s)`` and the count, so the live clusters' weights are kept from one
-sweep to the next.  The sweep, ``predictive_rows`` and ``monitor.observe``
-read them through the one ``_live_rows``, so every weight the sampler
-draws or reports comes from the same path.  A datum that returns to the
-cluster it left leaves the state unchanged, so the next equal count
-leaving it needs only its own uniform.
+alone that leaves the posterior invariant as data order does; the data
+and their scan order are kept on the state.  The sweep's steps run in a
+small C kernel, ``_sweep.c``, built with ``cc`` on the first sweep in a
+process and cached beside it; it performs the floating-point operations
+of the step-by-step reference in ``tests/sampler_oracle.py`` in the same
+order, with a port of CPython's ``lgamma``, so the two agree bit for bit.
+A log weight is a pure function of a cluster's ``(n, s)`` and the count,
+and ``predictive_rows`` and ``monitor.observe`` read the weights of the
+live clusters through the one ``_live_rows``, kept on the state from one
+sweep to the next.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
-from bisect import bisect_right
+import os
 from dataclasses import dataclass, field
-from itertools import accumulate
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +79,9 @@ __all__ = [
 
 # The table key of the background column; cluster ids are never negative.
 NOISE = -1
+
+_NO_DATA = np.empty(0, np.int64)
+_NO_DATA.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -165,9 +170,9 @@ class MixtureState:
     rng: UniformStream = field(default_factory=lambda: UniformStream(0))
     moves: UniformStream = field(default_factory=lambda: UniformStream(0, 1))
     next_cluster_id: int = 0
-    # The sweep's kept work, never serialised: the runs ``_scan_plan`` finds and
-    # the log weights ``_row`` computes.
-    _plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The sweep's kept work, never serialised: the data and scan order
+    # ``_scan_order`` keeps and the log weights ``_row`` computes.
+    _scan: tuple = field(default=(_NO_DATA, _NO_DATA), init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -235,25 +240,6 @@ def _weights(rows: list[tuple[tuple, dict]], x: int, lgamma_x1: float) -> list[f
     return [w[x] if x in w else w.setdefault(x, log_predictive(t, x, lgamma_x1)) for t, w in rows]
 
 
-def _scan_plan(state: MixtureState) -> dict[int, list[int]]:
-    """The sweep's scan, ``{count: indices}`` in ascending count with each
-    run of equal counts in data order, kept on the state: the data appended
-    since the last sweep join their runs."""
-    plan, data = state._plan, state.data
-    runs = len(plan)
-    for i in range(sum(map(len, plan.values())), len(data)):
-        plan.setdefault(data[i], []).append(i)
-    if len(plan) > runs:
-        state._plan = plan = dict(sorted(plan.items()))
-    return plan
-
-
-def _stay_interval(cum: list[float], j: int) -> tuple[float, float]:
-    """``(lo, hi)``: ``lo <= t < hi`` exactly when ``bisect_right(cum, t)``,
-    clamped to the last slot, picks slot ``j``."""
-    return (cum[j - 1] if j else -math.inf), (cum[j] if j < len(cum) - 1 else math.inf)
-
-
 def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
     """New-datum assignment probabilities of each count in ``values``.
 
@@ -270,103 +256,152 @@ def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
     return np.array(raws).reshape(len(values), len(routes)) / totals
 
 
+# How ``_sweep.c`` is built into a shared library.  Part of the cache key,
+# so a change here rebuilds the kernel too.
+_CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
+_loaded: ctypes.CDLL | None = None
+
+
+def _kernel() -> ctypes.CDLL:
+    """The compiled sweep kernel, loaded once per process on first use."""
+    global _loaded
+    if _loaded is None:
+        _loaded = _load_kernel(_KERNEL_SOURCE)
+    return _loaded
+
+
+def _load_kernel(source: Path) -> ctypes.CDLL:
+    """Load ``source`` compiled, building it first if no build of these
+    bytes is cached.
+
+    The library is ``__pycache__/<stem>.<hash>.so`` beside the source, or
+    in a per-user temporary directory when ``__pycache__`` is not
+    writable; the hash covers the source bytes and ``_CC``.
+    """
+    code = source.read_bytes()
+    digest = hashlib.sha256(code + repr(_CC).encode()).hexdigest()[:16]
+    name = f"{source.stem}.{digest}.so"
+    path = source.parent / "__pycache__" / name
+    if not path.exists():
+        try:
+            path.parent.mkdir(exist_ok=True)
+        except OSError:
+            pass
+        if not os.access(path.parent, os.W_OK):
+            path = _user_cache() / name
+        if not path.exists():
+            _compile(source, path)
+    lib = ctypes.CDLL(str(path))
+    int64, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.aeburst_lgamma.restype = real
+    lib.aeburst_lgamma.argtypes = [real]
+    lib.aeburst_work_doubles.restype = int64
+    lib.aeburst_work_doubles.argtypes = [int64]
+    lib.aeburst_sweep.restype = int64
+    lib.aeburst_sweep.argtypes = [int64, *[pointer] * 5, int64, real, real, real, *[pointer] * 4]
+    return lib
+
+
+def _user_cache() -> Path:
+    """A temporary directory only this user can write, for the kernel."""
+    import tempfile
+
+    folder = Path(tempfile.gettempdir()) / f"aeburst-{os.getuid()}"
+    folder.mkdir(mode=0o700, exist_ok=True)
+    info = folder.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise RuntimeError(f"{folder} is writable by other users; not loading a kernel from it")
+    return folder
+
+
+def _compile(source: Path, target: Path) -> None:
+    """Build ``source`` into ``target`` through a temporary name, so that
+    no reader ever sees a partial library."""
+    import subprocess
+
+    partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    command = [*_CC, "-o", str(partial), str(source), "-lm"]
+    try:
+        built = subprocess.run(command, capture_output=True, text=True)
+        if built.returncode == 0:
+            os.replace(partial, target)
+            return
+        error = f"exit status {built.returncode}\n{built.stderr}"
+    except OSError as exc:
+        error = str(exc)
+    finally:
+        partial.unlink(missing_ok=True)
+    raise RuntimeError(f"building the Gibbs sweep kernel failed: {' '.join(command)}: {error}")
+
+
+def _scan_order(state: MixtureState) -> tuple[np.ndarray, np.ndarray]:
+    """The data as int64 and the sweep's scan over them, ascending count
+    with ties in data order, kept on the state: the data only grow by
+    appends, and the scan is sorted again only when they have."""
+    counts, order = state._scan
+    if len(counts) < len(state.data):
+        counts = np.concatenate((counts, np.array(state.data[len(counts) :], np.int64)))
+        order = np.argsort(counts, kind="stable").astype(np.int64, copy=False)
+        state._scan = counts, order
+    return counts, order
+
+
 def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> MixtureState:
     """One full sweep: every datum resampled once, in ascending count.
 
     Ties go in data order, and the t-th datum visited takes the t-th of the
     N uniforms, taken from ``state.rng`` in one batch.  Each step removes
     the datum from its cluster (deleting the cluster if emptied), draws its
-    assignment from the leave-one-out weights and adds it back, minting a
-    fresh id on a NEW draw, in one loop over slot lists of the live
-    clusters plus NEW in creation order; the step-by-step reference it must
-    match exactly is ``tests/sampler_oracle.py``.  Given ``diagnostics``,
-    records ``joint_log_weight`` (the sum of the chosen entries'
-    unnormalised log weights) and ``flips``.
+    assignment from the leave-one-out weights over the live clusters in
+    ascending id, then NEW, and adds it back, minting a fresh id on a NEW
+    draw.  Given ``diagnostics``, records ``joint_log_weight`` (the sum of
+    the chosen entries' unnormalised log weights) and ``flips``.
 
-    No known work is redone, and all reuse is exact.  The scan
-    (``_scan_plan``) and the live clusters' log weights (``_row``) outlive
-    the sweep.  A run of equal counts starts from each slot's ``attached``
-    weight, and a flip updates the two slots it changes; a step copies them
-    and puts in the weight of the cluster it left without the datum.  A stay
-    leaves the state as it was, so until a flip or the run's end the next
-    datum leaving that cluster meets the same weights: ``steps`` keeps its
-    ``_stay_interval``, total and weight, and it stays when ``lo <= u *
-    total < hi``.  Else it draws ``bisect_right(cum, u * total)`` clamped
-    to the last slot, the oracle's ``scan``, with ``total = sum(raw)``.  A
-    flip into a live cluster leaves the state that step drew from for the
-    next equal count leaving that cluster, so its step is known too.
+    The steps run in the C kernel ``_sweep.c``, which performs every
+    floating-point operation of ``tests/sampler_oracle.py``'s step-by-step
+    reference in the same order, so the two agree bit for bit.  It reuses
+    work only exactly: a log weight is a pure function of a cluster's
+    ``(n, s)`` and the count, and a datum that stays where it was leaves the
+    state, and so the next equal count's weights, as they were.  The
+    kernel is compiled on first use (``_kernel``).  After the sweep the
+    state keeps the live clusters' ``_live_rows`` for ``observe``.
     """
-    assignments, clusters = state.assignments, state.clusters
-    exp, lgamma = math.exp, math.lgamma
-    ids: list[int | None] = [*clusters, None]
-    stats = list(clusters.values())
-    slots = _live_rows(state)
-    rows = state._rows
-    uniforms = iter(state.rng.take(len(state.data)))
-    joint, flips = 0.0, 0
-    for x, members in _scan_plan(state).items():
-        lgamma_x1 = lgamma(x + 1)
-        attached = _weights(slots, x, lgamma_x1)
-        steps: dict = {}
-        current = None  # The cluster left whose step is unpacked below.
-        for i, u in zip(members, uniforms):
-            left = assignments[i]
-            if left != current:
-                current, step = left, steps.get(left)
-                if step is None:
-                    j = ids.index(left)
-                    cluster = stats[j]
-                    n, s = cluster.n_members - 1, cluster.sum_x - x
-                    log_w = attached.copy()
-                    if n:
-                        t, w = detached = rows.get((n, s)) or _row(state, n, s)
-                        log_w[j] = w[x] if x in w else w.setdefault(
-                            x, log_predictive(t, x, lgamma_x1)
-                        )
-                    else:
-                        # An emptied cluster is deleted, so this step flips.
-                        del clusters[left], ids[j], stats[j], slots[j], attached[j], log_w[j]
-                        j, detached = -1, None
-                    top = max(log_w)
-                    raw = [exp(w - top) for w in log_w]
-                    cum = list(accumulate(raw))
-                    lo, hi = _stay_interval(cum, j) if n else (math.inf, math.inf)
-                    step = steps[left] = (lo, hi, sum(raw), log_w[j], (log_w, cum, j, detached))
-                lo, hi, total, stay, flip = step
-            target = u * total
-            if lo <= target < hi:
-                joint += stay
-                continue
-            log_w, cum, j, detached = flip
-            idx = min(bisect_right(cum, target), len(cum) - 1)
-            joint += log_w[idx]
-            flips += 1
-            steps.clear()
-            current = None
-            if detached is not None:
-                cluster = stats[j]
-                cluster.n_members, cluster.sum_x = cluster.n_members - 1, cluster.sum_x - x
-                slots[j], attached[j] = detached, log_w[j]
-            if idx == len(stats):
-                cluster = state.mint_cluster()
-                ids.insert(idx, cluster.id)
-                stats.append(cluster)
-                slots.insert(idx, None)
-                attached.insert(idx, 0.0)
-            else:
-                # Without the next equal count in cluster idx, the state is
-                # the one this step drew from: the same weights, stay slot idx.
-                lo, hi = _stay_interval(cum, idx)
-                steps[ids[idx]] = (lo, hi, total, log_w[idx], (log_w, cum, idx, slots[idx]))
-            cluster = stats[idx]
-            n, s = cluster.n_members + 1, cluster.sum_x + x
-            cluster.n_members, cluster.sum_x = n, s
-            slots[idx] = t, w = rows.get((n, s)) or _row(state, n, s)
-            attached[idx] = w[x] if x in w else w.setdefault(x, log_predictive(t, x, lgamma_x1))
-            assignments[i] = cluster.id
+    kernel = _kernel()
+    counts, order = _scan_order(state)
+    if len(state.assignments) != len(counts):
+        raise ValueError("the state needs one assignment per datum")
+    clusters = state.clusters
+    k, cap = len(clusters), len(clusters) + len(counts) + 1
+    table = np.empty((cap, 4), np.int64)
+    rows = [(c.id, c.n_members, c.sum_x, c.created_at) for c in clusters.values()]
+    table[:k] = np.reshape(rows, (k, 4))
+    assignments = np.array(state.assignments, np.int64)
+    uniforms = state.rng.array(len(counts))
+    base = state.hyper.base
+    work = np.empty(kernel.aeburst_work_doubles(cap))
+    next_id = ctypes.c_int64(state.next_cluster_id)
+    joint, flips = ctypes.c_double(), ctypes.c_int64()
+    k = kernel.aeburst_sweep(
+        len(counts), counts.ctypes.data, order.ctypes.data, uniforms.ctypes.data,
+        assignments.ctypes.data, table.ctypes.data, k, state.hyper.alpha, base.shape,
+        base.rate, work.ctypes.data, ctypes.byref(next_id), ctypes.byref(joint),
+        ctypes.byref(flips),
+    )
+    if k < 0:
+        raise ValueError("an assignment names a cluster the state does not hold")
+    state.assignments[:] = assignments.tolist()
+    kept = dict(clusters)
+    clusters.clear()
+    for cluster_id, n, s, created_at in table[:k].tolist():
+        cluster = kept.get(cluster_id) or ClusterStats(cluster_id, created_at)
+        cluster.n_members, cluster.sum_x = n, s
+        clusters[cluster_id] = cluster
+    state.next_cluster_id = next_id.value
+    _live_rows(state)
     if diagnostics is not None:
-        diagnostics["joint_log_weight"] = joint
-        diagnostics["flips"] = flips
+        diagnostics["joint_log_weight"] = joint.value
+        diagnostics["flips"] = flips.value
     return state
 
 

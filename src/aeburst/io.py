@@ -304,6 +304,19 @@ class HitFile(Sequence[HitRecord]):
         i = range(len(self))[index]
         with closing(self.blocks([i])) as blocks:
             (samples,) = next(blocks)
+        return self._record(i, samples)
+
+    def __iter__(self) -> Iterator[HitRecord]:
+        """Every record in order, read a block at a time through one open."""
+        records = iter(range(len(self)))
+        for rows in self.blocks(range(len(self))):
+            # Rows first: zip stops on them without taking an index.
+            for samples, i in zip(rows, records):
+                yield self._record(i, samples)
+
+    def _record(self, i: int, samples: np.ndarray) -> HitRecord:
+        # ``HitRecord`` widens the float32 row into a float64 copy, so the
+        # record outlives the block the row came from.
         return HitRecord(
             samples=samples,
             sample_rate=self.sample_rate,

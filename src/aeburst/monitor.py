@@ -130,7 +130,8 @@ def observe(
     ties in data order).  An empty state consumes no draws: the first
     count simply founds the first cluster.
 
-    ``eta_override`` forces the gate (0 never resamples, 1 always does).
+    ``eta_override`` forces the gate (0 never resamples, 1 always does) and
+    stands in for the efficiency, which is then not computed.
     """
     x = int(x)
     if x < 0:
@@ -145,8 +146,9 @@ def observe(
         raw = [math.exp(w - top) for w in log_w]
         total = sum(raw)
         probs = {k: w / total for k, w in zip(keys, raw)}
-        eta = information_efficiency(list(probs.values()), state.n_clusters)
-        if eta_override is not None:
+        if eta_override is None:
+            eta = information_efficiency(list(probs.values()), state.n_clusters)
+        else:
             eta = eta_override
         resampled = state.rng.random() < eta
         if resampled:

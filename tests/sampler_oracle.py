@@ -5,7 +5,7 @@ assignment from the leave-one-out weights with one uniform, and attach it
 again, visiting the data in ``scan_order``.  The weights are
 ``assignment_log_weights``, computed afresh for every route from
 ``aeburst.distributions`` alone, so the oracle borrows none of the
-sampler's kept weights.  The fused kernel must reproduce these steps
+sampler's kept weights.  The C sweep kernel must reproduce these steps
 exactly, so the tests compare the two with ``==``.  ``greedy_pick`` is the
 reference for ``observe``'s greedy path: an argmax whose tie rules do not
 depend on the order of its input.  ``reference_fit`` follows each sweep

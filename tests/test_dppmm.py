@@ -6,7 +6,6 @@ step-by-step sampler in ``sampler_oracle``, and the sampler itself against
 exact partition-posterior enumeration on a tiny dataset.
 """
 
-import copy
 import json
 import math
 import tracemalloc
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from aeburst import dppmm
 from aeburst.distributions import GammaParams
 from aeburst.dppmm import (
     NOISE,
@@ -438,28 +436,6 @@ class TestFusedSweep:
         assert live - set(result.state.clusters)
         assert set(range(result.state.next_cluster_id)) - live
 
-    def test_stay_restores_cached_terms(self, monkeypatch):
-        # A datum that returns to the cluster it left reuses the terms saved
-        # before the detach, so a sweep computes at most one fresh tuple per
-        # detach plus one per flip.
-        data = mixed_counts(4, sizes=(40, 20, 10))
-        state = MixtureState.init_single_cluster(data, UNIT, 4)
-        for _ in range(5):
-            gibbs_sweep(state)
-        calls = 0
-        real = dppmm.predictive_terms
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        # ``gibbs_sweep`` calls the terms by the name ``dppmm`` imported.
-        monkeypatch.setattr(dppmm, "predictive_terms", counting)
-        diag = {}
-        gibbs_sweep(state, diagnostics=diag)
-        assert 0 < calls <= len(data) + diag["flips"]
-
     @pytest.mark.parametrize("seed", range(3))
     def test_zero_runs_match_reference(self, seed):
         data = zero_runs(seed)
@@ -502,9 +478,8 @@ class TestFusedSweep:
         pick=st.data(),
     )
     def test_bisect_draw_is_scan(self, raw, pick):
-        # The clamped bisect is the oracle's scan, and a stay is the sweep's
-        # interval test: ``lo <= target < hi`` for slot j exactly when the
-        # draw picks j, on cumulative boundaries and zero weights too.
+        # The clamped bisect (``observe``'s draw) is the oracle's scan, on
+        # cumulative boundaries and zero weights too.
         cum = list(accumulate(raw))
         total = sum(raw)
         target = pick.draw(
@@ -513,81 +488,45 @@ class TestFusedSweep:
         )
         picked = min(bisect_right(cum, target), len(raw) - 1)
         assert picked == scan(raw, target)
-        for j in range(len(raw)):
-            lo, hi = dppmm._stay_interval(cum, j)
-            assert (lo <= target < hi) == (picked == j)
-
-    def test_repeated_counts_reuse_log_weights(self, monkeypatch):
-        # Between flips the state repeats, and each log weight is computed
-        # once per (n, s, x), so lgamma runs at most once per distinct count
-        # per slot per stretch between flips.
-        data = [0] * 300 + [5] * 30 + [0] * 100
-        state = MixtureState.init_single_cluster(data, UNIT, 3)
-        for _ in range(5):
-            gibbs_sweep(state)
-        twin = copy.deepcopy(state)
-        most = twin.n_clusters
-        for i in scan_order(data):
-            resample_step(twin, i)
-            most = max(most, twin.n_clusters)
-        calls = 0
-        real = math.lgamma
-
-        def counting(value):
-            nonlocal calls
-            calls += 1
-            return real(value)
-
-        monkeypatch.setattr(math, "lgamma", counting)
-        diag = {}
-        gibbs_sweep(state, diagnostics=diag)
-        monkeypatch.undo()
-        assert state.assignments == twin.assignments
-        assert diag["flips"] > 0
-        assert calls <= (diag["flips"] + 1) * (most + 1) * len(set(data))
 
 
 class TestKeptWork:
     """The scan plan and the log weights a sweep keeps on the state."""
 
     def test_plan_takes_appended_counts_in_order(self):
-        # observe appends each count and sweeps; the kept plan takes counts
+        # observe appends each count and sweeps; the kept scan takes counts
         # below every run, above every run and equal to one, and stays a
-        # stable sort of the data without being rebuilt.
+        # stable sort of the data, which it keeps beside it as int64.
         state = MixtureState.empty(UNIT, 3)
         for x in [5, 3, 5, 9, 3, 5]:
             observe(x, state, eta_override=1.0)
-        kept = state._plan[5]
         for x in (1, 12, 5, 3, 0, 5):
             observe(x, state, eta_override=1.0)
-            plan = state._plan
-            assert [i for run in plan.values() for i in run] == scan_order(state.data)
-            assert list(plan) == sorted(set(state.data))
-        assert state._plan[5] is kept
+            counts, order = state._scan
+            assert counts.dtype == order.dtype == np.int64
+            assert counts.tolist() == state.data
+            assert order.tolist() == scan_order(state.data)
+        # A sweep over the same data sorts nothing again.
+        gibbs_sweep(state)
+        assert state._scan[0] is counts and state._scan[1] is order
 
-    def test_rows_hold_one_sweep(self, monkeypatch):
-        # After a sweep the kept rows are the live clusters' rows it started
-        # from and the rows it computed, nothing older, so the memory stays
-        # bounded while far more distinct statistics pass through.
-        computed = []
-        real = dppmm.predictive_terms
-
-        def recording(prior, n, s, log_c):
-            computed.append((n, s))
-            return real(prior, n, s, log_c)
-
-        monkeypatch.setattr(dppmm, "predictive_terms", recording)
+    def test_rows_hold_one_sweep(self):
+        # After a sweep the kept rows are exactly the live clusters' rows and
+        # NEW's, nothing older, so the memory stays bounded while far more
+        # distinct statistics pass through; ``observe``'s greedy path reads
+        # them.
         state = MixtureState.init_single_cluster(mixed_counts(2), UNIT, 2)
+        seen = set()
         for _ in range(200):
-            live = {(c.n_members, c.sum_x) for c in state.clusters.values()} | {(0, 0)}
-            start = len(computed)
             gibbs_sweep(state)
-            assert set(state._rows) <= live | set(computed[start:])
+            live = {(c.n_members, c.sum_x) for c in state.clusters.values()} | {(0, 0)}
+            assert set(state._rows) == live
             assert all(len(weights) <= len(set(state.data)) for _, weights in state._rows.values())
-        assert len(state._rows) < len(computed) / 20
+            seen |= live
+        assert len(state._rows) < len(seen) / 10
 
     def test_rebuilt_state_sweeps_identically(self):
-        # The plan and the memo are not serialised: a state rebuilt from its
+        # The kept scan and rows are not serialised: a state rebuilt from its
         # document starts without them and sweeps exactly as the original.
         data = zero_runs(3)
         state = MixtureState.init_single_cluster(data, UNIT, 3)
@@ -595,7 +534,7 @@ class TestKeptWork:
             gibbs_sweep(state)
             merge_split(state, np.array(data))
         rebuilt = state_from_json_dict(state_to_json_dict(state), data)
-        assert not (rebuilt._plan or rebuilt._rows)
+        assert len(rebuilt._scan[0]) == 0 and not rebuilt._rows
         flips = 0
         for _ in range(6):
             diag, twin = {}, {}

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +213,30 @@ class TestHitContainer:
         for bad in [4, -5]:
             with pytest.raises(IndexError):
                 hits[bad]
+
+    def test_iteration_equals_indexing_through_one_open(self, tmp_path, monkeypatch):
+        # 600 records of 64 samples span three blocks of 256 records.
+        path = tmp_path / "hits.bin"
+        write_hits(path, make_hits(600, record_length=64, pretrigger=8))
+        hits = read_hits(path)
+        expected = [hits[i] for i in range(len(hits))]
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        records = list(hits)
+        assert opened == [path]
+        assert len(records) == 600
+        for record, indexed in zip(records, expected):
+            assert record.samples.dtype == np.float64
+            assert record.samples.tobytes() == indexed.samples.tobytes()
+            assert record.trigger_time == indexed.trigger_time
+            assert (record.pretrigger, record.channel, record.sample_rate) == (8, 5, 2e6)
+        assert [r.trigger_time for r in records] == [0.26 * i for i in range(600)]
 
     def test_record_lost_after_open_rejected(self, tmp_path):
         path = tmp_path / "hits.bin"
