@@ -1,6 +1,7 @@
-/* One collapsed Gibbs sweep of the Dirichlet-process Poisson mixture.
+/* One collapsed Gibbs sweep of the Dirichlet-process Poisson mixture, and
+ * the new-datum weights that the predictive table and the online gate read.
  *
- * The steps are those of ``tests/sampler_oracle.reference_sweep``, and the
+ * The steps and weights are those of ``tests/sampler_oracle.py``, and the
  * tests compare the two with ``==``.  Every floating-point operation is the
  * one Python performs, in the same order: ``lgamma`` is CPython 3.11's own
  * (``m_lgamma``), and ``exp``, ``log`` and ``log1p`` are the C library's,
@@ -111,47 +112,71 @@ typedef struct {
      * lo <= u * total < hi, and adds ``stay`` to the joint.  total is 0
      * while the step is unknown. */
     double lo, hi, total, stay;
-    /* The current step's log weight and cumulative weight of this slot;
-     * slot k holds NEW's. */
-    double log_w, cum;
+    /* The current step's log weight, its max-subtracted exponential and
+     * the cumulative weight of this slot; slot k holds NEW's. */
+    double log_w, raw, cum;
 } slot;
 
-/* Doubles of work space the sweep needs for ``cap`` clusters. */
-int64_t aeburst_work_doubles(int64_t cap)
-{
-    return cap * (int64_t)(sizeof(slot) / sizeof(double));
-}
+/* Doubles of work space per slot. */
+const int64_t aeburst_slot_doubles = sizeof(slot) / sizeof(double);
 
 /* The log weights of x over the live clusters in order, then NEW, for a
- * datum that left slot ``j`` (-1 if its cluster was deleted), and their
- * running sum of max-subtracted exponentials.  Returns the total, slot k's
- * ``cum``.  The running sum from 0.0 is what ``sum`` gives on CPython 3.11,
- * whose float sum is not compensated (3.12's is). */
-static double step_weights(slot *sl, int64_t k, int64_t j, double new_w)
+ * datum that left slot ``j`` (-1 if its cluster was deleted), their
+ * max-subtracted exponentials and the running sum of those from 0.0, as
+ * ``tests/sampler_oracle.exp_weights`` writes it.  Stores the first slot of
+ * the largest log weight in ``*top`` and returns the total, slot k's ``cum``. */
+static double step_weights(slot *sl, int64_t k, int64_t j, double new_w, int64_t *top)
 {
-    double top, acc = 0.0;
+    double acc = 0.0;
     int64_t m;
     for (m = 0; m < k; m++)
         sl[m].log_w = m == j ? sl[m].off_w : sl[m].at_w;
     sl[k].log_w = new_w;
-    top = sl[0].log_w;
-    for (m = 1; m <= k; m++)
-        if (sl[m].log_w > top)
-            top = sl[m].log_w;
+    for (*top = 0, m = 1; m <= k; m++)
+        if (sl[m].log_w > sl[*top].log_w)
+            *top = m;
     for (m = 0; m <= k; m++) {
-        acc += exp(sl[m].log_w - top);
+        sl[m].raw = exp(sl[m].log_w - sl[*top].log_w);
+        acc += sl[m].raw;
         sl[m].cum = acc;
     }
     return acc;
 }
 
+/* The new-datum weights of ``n_x`` counts over the ``k`` live clusters of
+ * ``cl``, then NEW, as the sweep computes them.  The counts follow the k
+ * rows of ``cl``; each is replaced by its greedy pick, the first slot of its
+ * largest log weight.  Row i of ``out`` holds count i's k + 1 probabilities
+ * and row n_x + i their running sums, then work space for k + 1 slots. */
+void aeburst_weights(int64_t n_x, cluster *cl, int64_t k, double alpha, double shape,
+                     double rate, double *out)
+{
+    const terms fresh = predictive_terms(shape, rate, log(alpha), 0, 0);
+    int64_t *xs = (int64_t *)(cl + k);
+    double *cums = out + n_x * (k + 1);
+    slot *sl = (slot *)(cums + n_x * (k + 1));
+    int64_t i, m;
+    for (m = 0; m < k; m++)
+        sl[m].at = predictive_terms(shape, rate, log((double)cl[m].n), cl[m].n, cl[m].s);
+    for (i = 0; i < n_x; i++, out += k + 1, cums += k + 1) {
+        double xd = (double)xs[i], lgamma_x1 = aeburst_lgamma((double)(xs[i] + 1)), total;
+        for (m = 0; m < k; m++)
+            sl[m].at_w = log_predictive(&sl[m].at, xd, lgamma_x1);
+        total = step_weights(sl, k, -1, log_predictive(&fresh, xd, lgamma_x1), &xs[i]);
+        for (m = 0; m <= k; m++) {
+            out[m] = sl[m].raw / total;
+            cums[m] = sl[m].cum;
+        }
+    }
+}
+
 /* One sweep over ``n_data`` data in the scan ``order``: the t-th datum
  * visited takes ``uniforms[t]``.  The first ``k`` rows of ``cl`` are
  * the live clusters; ``assign`` holds each datum's cluster id.  Both
- * ``cl`` and ``sl`` hold room for k + n_data + 1 clusters (``sl`` as
- * ``aeburst_work_doubles`` of that many).  Updates ``assign``, ``cl`` and
- * ``*next_id`` in place, stores the joint log weight and the flips, and
- * returns the new k, or -1 if a datum's cluster is not among the k. */
+ * ``cl`` and ``sl`` hold room for k + n_data + 1 clusters.  Updates
+ * ``assign``, ``cl`` and ``*next_id`` in place, stores the joint log weight
+ * and the flips, and returns the new k, or -1 if a datum's cluster is not
+ * among the k. */
 int64_t aeburst_sweep(int64_t n_data, const int64_t *data, const int64_t *order,
                       const double *uniforms, int64_t *assign, cluster *cl, int64_t k,
                       double alpha, double shape, double rate, slot *sl, int64_t *next_id,
@@ -159,7 +184,7 @@ int64_t aeburst_sweep(int64_t n_data, const int64_t *data, const int64_t *order,
 {
     const terms fresh = predictive_terms(shape, rate, log(alpha), 0, 0);
     double joint = 0.0, xd = 0.0, lgamma_x1 = 0.0, new_w = 0.0;
-    int64_t flips = 0, x = -1, t, m, j = 0;
+    int64_t flips = 0, x = -1, t, m, j = 0, top;
 
     for (m = 0; m < k; m++)
         sl[m].at = predictive_terms(shape, rate, log((double)cl[m].n), cl[m].n, cl[m].s);
@@ -193,7 +218,7 @@ int64_t aeburst_sweep(int64_t n_data, const int64_t *data, const int64_t *order,
             k--;
             for (m = 0; m < k; m++)
                 sl[m].total = 0.0;
-            total = step_weights(sl, k, -1, new_w);
+            total = step_weights(sl, k, -1, new_w, &top);
             j = -1;
         } else {
             int cached = s->total != 0.0;
@@ -203,7 +228,7 @@ int64_t aeburst_sweep(int64_t n_data, const int64_t *data, const int64_t *order,
                                               cl[j].n - 1, cl[j].s - x);
                     s->off_w = log_predictive(&s->off, xd, lgamma_x1);
                 }
-                s->total = step_weights(sl, k, j, new_w);
+                s->total = step_weights(sl, k, j, new_w, &top);
                 s->lo = j ? sl[j - 1].cum : -INFINITY;
                 s->hi = s->cum;
                 s->stay = s->off_w;
@@ -215,7 +240,7 @@ int64_t aeburst_sweep(int64_t n_data, const int64_t *data, const int64_t *order,
             }
             /* A flip: the datum leaves its cluster for good.  A step kept
              * from an earlier datum left its weights to later steps. */
-            total = cached ? step_weights(sl, k, j, new_w) : s->total;
+            total = cached ? step_weights(sl, k, j, new_w, &top) : s->total;
             cl[j].n -= 1;
             cl[j].s -= x;
             s->at = s->off;

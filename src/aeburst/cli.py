@@ -7,9 +7,9 @@ config is loaded and type-checked once, before any command runs.  ``synth``'s
 other flags set fields of its spec the same way (``--burst`` for ``bursts``).
 
 Exit codes: 0 success, 1 usage error, 2 data error (a malformed input or
-config file).  All randomness is governed by ``--seed`` (or the config
-file's seed), and every output is byte-deterministic for fixed inputs and
-seed.
+config file), 3 the sampler's C kernel could not be built.  All randomness
+is governed by ``--seed`` (or the config file's seed), and every output is
+byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .detector import NllTrace, flag_events, score, train_background
-from .dppmm import MixtureState, fit, state_to_json_dict
+from .dppmm import KernelError, MixtureState, fit, state_to_json_dict
 from .io import (
     DataFormatError,
     read_hits,
@@ -50,6 +50,7 @@ __all__ = ["cli", "main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_KERNEL = 3
 
 
 class UsageError(Exception):
@@ -431,13 +432,8 @@ _COMMANDS = {
 
 
 def cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, _load_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -445,6 +441,9 @@ def cli(argv: list[str] | None = None) -> int:
     except (DataFormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KernelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_KERNEL
 
 
 def main() -> None:

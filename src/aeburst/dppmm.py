@@ -34,15 +34,13 @@ one Metropolis–Hastings step (Jain & Neal 2004, *JCGS* 13(1)).
 
 A sweep visits the data in ascending count, a fixed scan set by the data
 alone that leaves the posterior invariant as data order does; the data
-and their scan order are kept on the state.  The sweep's steps run in a
-small C kernel, ``_sweep.c``, built with ``cc`` on the first sweep in a
-process and cached beside it; it performs the floating-point operations
-of the step-by-step reference in ``tests/sampler_oracle.py`` in the same
-order, with a port of CPython's ``lgamma``, so the two agree bit for bit.
-A log weight is a pure function of a cluster's ``(n, s)`` and the count,
-and ``predictive_rows`` and ``monitor.observe`` read the weights of the
-live clusters through the one ``_live_rows``, kept on the state from one
-sweep to the next.
+and their scan order are kept on the state.  The sweep's steps, and the
+new-datum weights that ``predictive_rows`` and ``monitor.observe`` read,
+run in a small C kernel, ``_sweep.c``, built with ``cc`` on first use in
+a process and cached beside it.  It performs the floating-point
+operations of the step-by-step reference in ``tests/sampler_oracle.py``
+in the same order, with a port of CPython's ``lgamma``, so the two agree
+bit for bit, and the sweep, the table and the gate share one weight path.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import GammaParams, log_predictive, predictive_terms
+from .distributions import GammaParams
 
 __all__ = [
     "NOISE",
@@ -66,6 +64,7 @@ __all__ = [
     "MixtureState",
     "UniformStream",
     "FitResult",
+    "KernelError",
     "predictive_rows",
     "gibbs_sweep",
     "merge_split",
@@ -170,10 +169,8 @@ class MixtureState:
     rng: UniformStream = field(default_factory=lambda: UniformStream(0))
     moves: UniformStream = field(default_factory=lambda: UniformStream(0, 1))
     next_cluster_id: int = 0
-    # The sweep's kept work, never serialised: the data and scan order
-    # ``_scan_order`` keeps and the log weights ``_row`` computes.
+    # The data and scan order ``_scan_order`` keeps for the sweep, never serialised.
     _scan: tuple = field(default=(_NO_DATA, _NO_DATA), init=False, repr=False, compare=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def empty(cls, hyper: Hyperparams, rng_seed: int = 0) -> "MixtureState":
@@ -215,45 +212,38 @@ class MixtureState:
         return target.id
 
 
-def _row(state: MixtureState, n: int, s: int) -> tuple[tuple, dict]:
-    """The ``predictive_terms`` and ``{x: log weight}`` of a cluster of ``n``
-    members summing to ``s`` (NEW's at ``(0, 0)``), kept in ``state._rows``:
-    a log weight is a pure function of ``(n, s, x)``."""
-    found = state._rows.get((n, s))
-    if found is None:
-        log_c = math.log(n) if n else math.log(state.hyper.alpha)
-        found = state._rows[n, s] = (predictive_terms(state.hyper.base, n, s, log_c), {})
-    return found
-
-
-def _live_rows(state: MixtureState) -> list[tuple[tuple, dict]]:
-    """The ``_row`` of each live cluster in ascending id, then NEW's; every
-    other kept row is dropped."""
-    live = [(c.n_members, c.sum_x) for c in state.clusters.values()] + [(0, 0)]
-    kept = state._rows
-    state._rows = {key: kept[key] for key in live if key in kept}
-    return [_row(state, n, s) for n, s in live]
-
-
-def _weights(rows: list[tuple[tuple, dict]], x: int, lgamma_x1: float) -> list[float]:
-    """The log weight of count ``x`` in each ``_row``, computed on first use."""
-    return [w[x] if x in w else w.setdefault(x, log_predictive(t, x, lgamma_x1)) for t, w in rows]
-
-
 def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
-    """New-datum assignment probabilities of each count in ``values``.
+    """New-datum assignment probabilities of each count in ``values``: one
+    column per live cluster in ascending id, then NEW."""
+    if min(values, default=0) < 0:
+        raise ValueError(f"counts must be non-negative, got {min(values)}")
+    width = state.n_clusters + 1
+    out = _assignment_weights(state, values)[1]
+    return np.frombuffer(out, count=len(values) * width).reshape(-1, width)
 
-    Row ``i`` is the log weights of ``values[i]`` in ``_live_rows``,
-    max-subtracted, exponentiated and divided by their sum: one column per
-    live cluster in ascending id, then NEW.
-    """
-    routes = _live_rows(state)
-    exp = math.exp
-    log_ws = [_weights(routes, x, math.lgamma(x + 1)) for x in map(int, values)]
-    raws = [[exp(w - top) for w in log_w] for log_w, top in zip(log_ws, map(max, log_ws))]
-    # Float64 division rounds as Python's ``/`` does.
-    totals = np.array(list(map(sum, raws))).reshape(-1, 1)
-    return np.array(raws).reshape(len(values), len(routes)) / totals
+
+def _assignment_weights(state: MixtureState, values: Sequence[int]) -> tuple:
+    """The kernel's new-datum weights of each count in ``values`` over the
+    live clusters, then NEW, as the sweep computes and sums them: a list of
+    each count's greedy pick (the first slot of its largest log weight), and
+    the counts' probability rows, K + 1 entries each, then their running sums."""
+    kernel = _kernel()
+    n, k, base = len(values), len(state.clusters), state.hyper.base
+    table = _cluster_table(state, (ctypes.c_int64 * (4 * k + n))())
+    table[4 * k :] = values
+    out = (ctypes.c_double * ((2 * n + kernel.slot_doubles) * (k + 1)))()
+    kernel.aeburst_weights(n, table, k, state.hyper.alpha, base.shape, base.rate, out)
+    return table[4 * k :], out
+
+
+def _cluster_table(state: MixtureState, table):
+    """``table``, a flat int64 buffer for the kernel, with the live clusters'
+    ``(id, n, s, created_at)`` written at its start, in order."""
+    flat: list[int] = []
+    for c in state.clusters.values():
+        flat += c.id, c.n_members, c.sum_x, c.created_at
+    table[: len(flat)] = flat
+    return table
 
 
 # How ``_sweep.c`` is built into a shared library.  Part of the cache key,
@@ -261,6 +251,10 @@ def predictive_rows(state: MixtureState, values: Sequence[int]) -> np.ndarray:
 _CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
 _loaded: ctypes.CDLL | None = None
+
+
+class KernelError(RuntimeError):
+    """The C kernel could not be built, or its cache folder is unsafe."""
 
 
 def _kernel() -> ctypes.CDLL:
@@ -296,10 +290,11 @@ def _load_kernel(source: Path) -> ctypes.CDLL:
     int64, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.aeburst_lgamma.restype = real
     lib.aeburst_lgamma.argtypes = [real]
-    lib.aeburst_work_doubles.restype = int64
-    lib.aeburst_work_doubles.argtypes = [int64]
     lib.aeburst_sweep.restype = int64
     lib.aeburst_sweep.argtypes = [int64, *[pointer] * 5, int64, real, real, real, *[pointer] * 4]
+    lib.aeburst_weights.restype = None
+    lib.aeburst_weights.argtypes = [int64, pointer, int64, real, real, real, pointer]
+    lib.slot_doubles = int64.in_dll(lib, "aeburst_slot_doubles").value
     return lib
 
 
@@ -311,7 +306,7 @@ def _user_cache() -> Path:
     folder.mkdir(mode=0o700, exist_ok=True)
     info = folder.stat()
     if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise RuntimeError(f"{folder} is writable by other users; not loading a kernel from it")
+        raise KernelError(f"{folder} is writable by other users; not loading a kernel from it")
     return folder
 
 
@@ -332,7 +327,7 @@ def _compile(source: Path, target: Path) -> None:
         error = str(exc)
     finally:
         partial.unlink(missing_ok=True)
-    raise RuntimeError(f"building the Gibbs sweep kernel failed: {' '.join(command)}: {error}")
+    raise KernelError(f"building the Gibbs sweep kernel failed: {' '.join(command)}: {error}")
 
 
 def _scan_order(state: MixtureState) -> tuple[np.ndarray, np.ndarray]:
@@ -358,14 +353,9 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
     draw.  Given ``diagnostics``, records ``joint_log_weight`` (the sum of
     the chosen entries' unnormalised log weights) and ``flips``.
 
-    The steps run in the C kernel ``_sweep.c``, which performs every
-    floating-point operation of ``tests/sampler_oracle.py``'s step-by-step
-    reference in the same order, so the two agree bit for bit.  It reuses
-    work only exactly: a log weight is a pure function of a cluster's
-    ``(n, s)`` and the count, and a datum that stays where it was leaves the
-    state, and so the next equal count's weights, as they were.  The
-    kernel is compiled on first use (``_kernel``).  After the sweep the
-    state keeps the live clusters' ``_live_rows`` for ``observe``.
+    The steps run in the C kernel (``_kernel``), bit for bit as the
+    step-by-step reference in ``tests/sampler_oracle.py``; it reuses work
+    only where the reuse is exact.
     """
     kernel = _kernel()
     counts, order = _scan_order(state)
@@ -373,13 +363,12 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
         raise ValueError("the state needs one assignment per datum")
     clusters = state.clusters
     k, cap = len(clusters), len(clusters) + len(counts) + 1
-    table = np.empty((cap, 4), np.int64)
-    rows = [(c.id, c.n_members, c.sum_x, c.created_at) for c in clusters.values()]
-    table[:k] = np.reshape(rows, (k, 4))
+    # A ctypes array would make a new array type, about 20 us, per data length.
+    table = _cluster_table(state, np.empty(4 * cap, np.int64))
     assignments = np.array(state.assignments, np.int64)
     uniforms = state.rng.array(len(counts))
     base = state.hyper.base
-    work = np.empty(kernel.aeburst_work_doubles(cap))
+    work = np.empty(kernel.slot_doubles * cap)
     next_id = ctypes.c_int64(state.next_cluster_id)
     joint, flips = ctypes.c_double(), ctypes.c_int64()
     k = kernel.aeburst_sweep(
@@ -393,12 +382,11 @@ def gibbs_sweep(state: MixtureState, *, diagnostics: dict | None = None) -> Mixt
     state.assignments[:] = assignments.tolist()
     kept = dict(clusters)
     clusters.clear()
-    for cluster_id, n, s, created_at in table[:k].tolist():
+    for cluster_id, n, s, created_at in table[: 4 * k].reshape(k, 4).tolist():
         cluster = kept.get(cluster_id) or ClusterStats(cluster_id, created_at)
         cluster.n_members, cluster.sum_x = n, s
         clusters[cluster_id] = cluster
     state.next_cluster_id = next_id.value
-    _live_rows(state)
     if diagnostics is not None:
         diagnostics["joint_log_weight"] = joint.value
         diagnostics["flips"] = flips.value
@@ -608,13 +596,7 @@ def audit(state: MixtureState) -> bool:
     for x, k in zip(state.data, state.assignments):
         n, s = recomputed.get(k, (0, 0))
         recomputed[k] = (n + 1, s + x)
-    if set(recomputed) != set(state.clusters):
-        return False
-    for k, (n, s) in recomputed.items():
-        cluster = state.clusters[k]
-        if cluster.n_members != n or cluster.sum_x != s:
-            return False
-    return sum(c.n_members for c in state.clusters.values()) == len(state.data)
+    return recomputed == {k: (c.n_members, c.sum_x) for k, c in state.clusters.items()}
 
 
 def posterior_mean_rate(cluster: ClusterStats, base: GammaParams) -> float:

@@ -6,12 +6,12 @@ one empty component quantify how ambiguous the assignment is; their
 entropy, normalised by log(K + 1), is the information efficiency.  A
 uniform draw below that efficiency triggers a full resampling sweep of
 all assignments; otherwise the count is attached greedily to the highest
-weight component.  The probabilities are the collapsed-Gibbs weights a
-sweep draws from, read from the rows the sampler keeps on the state
-(``dppmm._live_rows``), so the gate, the greedy pick and the sweep share
-one weight path.  Cheap greedy accretion therefore dominates while the
-model is confident, and full reassessment concentrates on ambiguous
-arrivals.
+weight component.  The probabilities, running sums and greedy pick come
+from one call to the sampler's C kernel (``dppmm._assignment_weights``),
+which computes the collapsed-Gibbs weights as a sweep draws from them, so
+the gate, the greedy pick and the sweep share one weight path.  Cheap
+greedy accretion therefore dominates while the model is confident, and
+full reassessment concentrates on ambiguous arrivals.
 
 Damage indication is read from the clusters themselves: a fresh cluster
 that survives long enough to attract members, or a step increase in a
@@ -24,11 +24,10 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .config import PipelineConfig
-from .dppmm import MixtureState, _live_rows, _weights, gibbs_sweep
+from .dppmm import MixtureState, _assignment_weights, gibbs_sweep
 
 __all__ = [
     "entropy",
@@ -54,10 +53,9 @@ def entropy(probs: Iterable[float]) -> float:
         ValueError: if the input deviates from a probability vector by
             more than 1e-9.
     """
-    values = list(probs)
     total = 0.0
     h = 0.0
-    for p in values:
+    for p in probs:
         if p < -_NORMALISATION_TOL:
             raise ValueError(f"negative probability {p}")
         total += p
@@ -118,11 +116,13 @@ def observe(
 ) -> ObserveOutcome:
     """Absorb one count into the mixture, resampling only when uncertain.
 
-    Assignment probabilities over the K + 1 components are computed for
-    the incoming count, the information efficiency is evaluated, and one
-    uniform is drawn: below the efficiency, the count is added by a
-    categorical draw and a full sweep reassesses every assignment;
-    otherwise the count joins the highest-weight component greedily.
+    Assignment probabilities over the K + 1 components, their running sums
+    and the greedy pick come from one kernel call for the incoming count
+    (``dppmm._assignment_weights``).  The information efficiency is taken
+    from the probabilities, and one uniform is drawn: below the efficiency,
+    the count is added by a categorical draw and a full sweep reassesses
+    every assignment; otherwise the count joins the highest-weight component
+    greedily.
 
     Every uniform comes from ``state.rng``, in an order fixed for replay:
     the gate uniform first, then (resampling path only) the assignment
@@ -140,29 +140,23 @@ def observe(
         assigned = state.append_datum(x, None)
         eta, resampled, probs = 0.0, False, {None: 1.0}
     else:
-        keys = [*state.clusters, None]
-        log_w = _weights(_live_rows(state), x, math.lgamma(x + 1))
-        top = max(log_w)
-        raw = [math.exp(w - top) for w in log_w]
-        total = sum(raw)
-        probs = {k: w / total for k, w in zip(keys, raw)}
-        if eta_override is None:
-            eta = information_efficiency(list(probs.values()), state.n_clusters)
-        else:
-            eta = eta_override
+        keys, k = [*state.clusters, None], state.n_clusters
+        picks, out = _assignment_weights(state, (x,))
+        probs = dict(zip(keys, out))
+        eta = information_efficiency(out[: k + 1], k) if eta_override is None else eta_override
         resampled = state.rng.random() < eta
         if resampled:
             # Full reassessment: add by a draw, then one sweep over everything.
             # The draw is ``gibbs_sweep``'s, so the two share one rule.
-            cum = list(accumulate(raw))
-            idx = min(bisect_right(cum, state.rng.random() * total), len(cum) - 1)
+            cums = out[k + 1 : 2 * k + 2]
+            idx = min(bisect_right(cums, state.rng.random() * cums[k]), k)
             state.append_datum(x, keys[idx])
             gibbs_sweep(state)
             assigned = state.assignments[-1]
         else:
             # Clusters come in ascending id order and NEW last, so the first
             # maximum is the oldest of tied clusters, and NEW wins no tie.
-            assigned = state.append_datum(x, keys[log_w.index(top)])
+            assigned = state.append_datum(x, keys[picks[0]])
     return ObserveOutcome(
         cluster_id=assigned,
         eta=eta,

@@ -5,7 +5,7 @@ assignment from the leave-one-out weights with one uniform, and attach it
 again, visiting the data in ``scan_order``.  The weights are
 ``assignment_log_weights``, computed afresh for every route from
 ``aeburst.distributions`` alone, so the oracle borrows none of the
-sampler's kept weights.  The C sweep kernel must reproduce these steps
+kernel's weights.  The C kernel must reproduce these steps and weights
 exactly, so the tests compare the two with ``==``.  ``greedy_pick`` is the
 reference for ``observe``'s greedy path: an argmax whose tie rules do not
 depend on the order of its input.  ``reference_fit`` follows each sweep
@@ -45,10 +45,18 @@ def assignment_log_weights(x: int, state: MixtureState):
 
 
 def exp_weights(weights):
-    """Max-subtracted exponentials of log weights, and their sum."""
+    """Max-subtracted exponentials of log weights, and their sum.
+
+    The sum runs left to right from 0.0 and is written out: ``sum`` of
+    floats is compensated from CPython 3.12 on, so it would round
+    differently from one interpreter to the next.
+    """
     top = max(w for _, w in weights)
     raw = [math.exp(w - top) for _, w in weights]
-    return raw, sum(raw)
+    total = 0.0
+    for w in raw:
+        total += w
+    return raw, total
 
 
 def scan(raw, target: float) -> int:

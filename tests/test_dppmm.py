@@ -6,6 +6,7 @@ step-by-step sampler in ``sampler_oracle``, and the sampler itself against
 exact partition-posterior enumeration on a tiny dataset.
 """
 
+import builtins
 import json
 import math
 import tracemalloc
@@ -491,7 +492,7 @@ class TestFusedSweep:
 
 
 class TestKeptWork:
-    """The scan plan and the log weights a sweep keeps on the state."""
+    """The scan plan a sweep keeps on the state, which keeps no weights."""
 
     def test_plan_takes_appended_counts_in_order(self):
         # observe appends each count and sweeps; the kept scan takes counts
@@ -510,31 +511,33 @@ class TestKeptWork:
         gibbs_sweep(state)
         assert state._scan[0] is counts and state._scan[1] is order
 
-    def test_rows_hold_one_sweep(self):
-        # After a sweep the kept rows are exactly the live clusters' rows and
-        # NEW's, nothing older, so the memory stays bounded while far more
-        # distinct statistics pass through; ``observe``'s greedy path reads
-        # them.
+    def test_rows_follow_every_sweep(self):
+        # The state keeps no weights: after every sweep, as the clusters'
+        # statistics change, the table reads the live clusters afresh and
+        # equals the oracle's normalised weights, computed from scratch.
         state = MixtureState.init_single_cluster(mixed_counts(2), UNIT, 2)
+        values = sorted(set(state.data)) + [0, 400]
         seen = set()
         for _ in range(200):
             gibbs_sweep(state)
-            live = {(c.n_members, c.sum_x) for c in state.clusters.values()} | {(0, 0)}
-            assert set(state._rows) == live
-            assert all(len(weights) <= len(set(state.data)) for _, weights in state._rows.values())
-            seen |= live
-        assert len(state._rows) < len(seen) / 10
+            expected = [
+                [p for _, p in normalize_log_weights(assignment_log_weights(x, state))]
+                for x in values
+            ]
+            assert predictive_rows(state, values).tolist() == expected
+            seen |= {(c.n_members, c.sum_x) for c in state.clusters.values()}
+        assert len(seen) > 20
 
     def test_rebuilt_state_sweeps_identically(self):
-        # The kept scan and rows are not serialised: a state rebuilt from its
-        # document starts without them and sweeps exactly as the original.
+        # The kept scan is not serialised: a state rebuilt from its document
+        # starts without it and sweeps exactly as the original.
         data = zero_runs(3)
         state = MixtureState.init_single_cluster(data, UNIT, 3)
         for _ in range(6):
             gibbs_sweep(state)
             merge_split(state, np.array(data))
         rebuilt = state_from_json_dict(state_to_json_dict(state), data)
-        assert len(rebuilt._scan[0]) == 0 and not rebuilt._rows
+        assert len(rebuilt._scan[0]) == 0
         flips = 0
         for _ in range(6):
             diag, twin = {}, {}
@@ -938,6 +941,46 @@ class TestPredictiveTable:
             for x in values
         ]
         assert predictive_rows(state, values).tolist() == expected
+
+    def test_negative_count_refused(self):
+        state = state_with_clusters([[0, 0, 1], [9, 12]], seed=4)
+        with pytest.raises(ValueError, match="^counts must be non-negative, got -1$"):
+            predictive_rows(state, [3, -1, 5])
+
+    def test_table_and_observe_do_not_use_the_interpreters_float_sum(self, monkeypatch):
+        # CPython 3.12 compensates ``sum`` over floats.  The table and the
+        # gate's probabilities must not change with it: every weight is
+        # summed left to right in the kernel, as the sweep and the oracle sum.
+        rng = np.random.default_rng(0)
+        counts = [int(v) for rate in (2, 9, 30) for v in rng.poisson(rate, 100)]
+
+        def run():
+            table = fit(counts, UNIT, sweeps=20, burn_in=5, rng_seed=0).table
+            state = MixtureState.empty(UNIT, 0)
+            probs = [list(observe(x, state).probabilities.values()) for x in counts]
+            return table.tobytes(), probs
+
+        plain = run()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # plain: 0.0
+        assert run() == plain
+
+
+_plain_sum = sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 computes it over floats: Neumaier's
+    compensated running sum.  Anything else is summed as before."""
+    values = list(iterable)
+    if not values or not all(type(v) is float for v in values):
+        return _plain_sum(values, start)
+    total, carry = float(start), 0.0
+    for v in values:
+        t = total + v
+        carry += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + carry
 
 
 class TestSerialization:

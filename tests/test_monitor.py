@@ -42,10 +42,9 @@ def two_rate_counts(n, seed):
 
 
 def snapshot(state):
-    """Everything a refused call must leave as it was: the data, the state
-    document (draw counts included) and the kept rows with their weights."""
-    rows = {key: (terms, dict(weights)) for key, (terms, weights) in state._rows.items()}
-    return list(state.data), state_to_json_dict(state), rows
+    """Everything a refused call must leave as it was: the data and the state
+    document, draw counts included."""
+    return list(state.data), state_to_json_dict(state)
 
 
 def homogeneous_state(value=8, size=400, seed=0):
@@ -181,39 +180,44 @@ class TestObserve:
     def test_negative_count_refused_before_anything_runs(self, size):
         state = homogeneous_state(size=size, seed=4)
         if size:
-            observe(8, state, eta_override=1.0)  # keeps rows on the state
-            assert state._rows
+            observe(8, state, eta_override=1.0)
         before = snapshot(state)
         with pytest.raises(ValueError, match="^counts must be non-negative, got -1$"):
             observe(-1, state)
         assert snapshot(state) == before
 
-    def test_greedy_call_computes_at_most_one_row(self, monkeypatch):
-        # A greedy call reads the rows the last call kept: only the cluster
-        # the last count joined needs new terms, and the rows stay one per
-        # live cluster plus NEW.
-        computed = []
-        real = dppmm.predictive_terms
+    def test_greedy_call_makes_one_weight_call_and_no_sweep(self, monkeypatch):
+        # A greedy call reads its probabilities, gate and pick from one call
+        # of the kernel's weight entry, for the one count, and never sweeps.
+        kernel = dppmm._kernel()
+        calls = {"aeburst_weights": [], "aeburst_sweep": []}
 
-        def recording(prior, n, s, log_c):
-            computed.append((n, s))
-            return real(prior, n, s, log_c)
+        def recording(name):
+            real = getattr(kernel, name)
+            return lambda *args: calls[name].append(args[0]) or real(*args)
 
-        monkeypatch.setattr(dppmm, "predictive_terms", recording)
+        for name in calls:
+            monkeypatch.setattr(kernel, name, recording(name))
         state = MixtureState.empty(UNIT, 3)
-        counts = two_rate_counts(600, 3)
+        counts = two_rate_counts(400, 3)
         for x in counts[:100]:
             observe(x, state, eta_override=1.0)
+        assert len(calls["aeburst_sweep"]) == 99
+        greedy = 0
         for x in counts[100:]:
-            start = len(computed)
-            observe(x, state, eta_override=0.0)
-            assert len(computed) - start <= 1
-            assert len(state._rows) <= state.n_clusters + 1
+            weights, sweeps = len(calls["aeburst_weights"]), len(calls["aeburst_sweep"])
+            if observe(x, state).resampled:
+                continue
+            greedy += 1
+            assert calls["aeburst_weights"][weights:] == [1]  # one call, of one count
+            assert len(calls["aeburst_sweep"]) == sweeps
+        assert greedy > 100 and state.n_clusters > 1
 
     @pytest.mark.parametrize("eta_override", [None, 0.0, 1.0])
     def test_probabilities_and_eta_are_the_oracles(self, eta_override):
-        # The gate reads the kept rows; the oracle computes every weight
-        # afresh before the call, and the two agree bit for bit, in key order.
+        # The gate reads the kernel's weights; the oracle computes every
+        # weight afresh before the call, and the two agree bit for bit, in
+        # key order.
         state = MixtureState.empty(UNIT, 9)
         paths = set()
         for x in two_rate_counts(200, 9):

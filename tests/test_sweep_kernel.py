@@ -22,6 +22,8 @@ from aeburst import dppmm
 from aeburst.cli import cli
 from aeburst.distributions import GammaParams
 from aeburst.dppmm import Hyperparams, MixtureState, gibbs_sweep
+from aeburst.io import write_hits
+from aeburst.synth import HitStreamSpec, synthesize_hit_stream
 from sampler_oracle import (
     assignment_log_weights,
     detach_datum,
@@ -303,9 +305,53 @@ class TestLoader:
         assert folder.stat().st_mode & 0o777 == 0o700
 
 
+@pytest.mark.parametrize("command", ["cluster", "monitor"])
+def test_cli_reports_a_failed_build_in_one_line(command, source, tmp_path, monkeypatch, capsys):
+    # Both commands need the kernel; without a compiler they name the
+    # command that failed and exit 3, with no traceback and no output.
+    wave, hits = tmp_path / "wave.f32", tmp_path / "hits.bin"
+    assert cli([
+        "synth", "--out", str(wave), "--annotations-out", str(tmp_path / "ann.json"),
+        "--duration", "0.032768", "--sample-rate", "1e6", "--seed", "3",
+    ]) == 0
+    write_hits(hits, list(synthesize_hit_stream(HitStreamSpec(n_hits=20), rng_seed=3)))
+    monkeypatch.setattr(dppmm, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(dppmm, "_loaded", None)
+    monkeypatch.setattr(dppmm, "_CC", ("no-such-cc-aeburst", "-O2"))
+    outputs = [str(tmp_path / name) for name in ("out-a", "out-b")]
+    argv = {
+        "cluster": [
+            "cluster", "--input", str(wave), "--sample-rate", "1e6", "--window", "1000",
+            "--events-out", outputs[0], "--state-out", outputs[1],
+        ],
+        "monitor": [
+            "monitor", "--hits", str(hits), "--threshold-volts", "0.05",
+            "--alarms-out", outputs[0], "--tracks-out", outputs[1],
+        ],
+    }[command]
+    capsys.readouterr()
+    assert cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: building the Gibbs sweep kernel failed: no-such-cc-aeburst -O2 ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not any(Path(path).exists() for path in outputs)
+
+
+def test_kernel_compiles_as_strict_c99_without_warnings(tmp_path):
+    # Every buffer comes from the caller: the data bound the cluster count,
+    # so a variable-length array on the stack would be unbounded too.
+    strict = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wvla", "-Werror"]
+    assert "-ffp-contract=off" in dppmm._CC
+    target, source = tmp_path / "strict.so", dppmm._KERNEL_SOURCE
+    command = [*dppmm._CC, *strict, "-o", str(target), str(source), "-lm"]
+    built = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    assert built.stderr == ""
+
+
 def test_detect_and_import_build_nothing(tmp_path):
-    # The kernel loads on the first sweep: importing the CLI and running
-    # ``detect`` neither load it nor import what a build needs.
+    # The kernel loads on the first sweep or weight call: importing the CLI
+    # and running ``detect`` neither load it nor import what a build needs.
     wave = tmp_path / "wave.f32"
     assert cli([
         "synth", "--out", str(wave), "--annotations-out", str(tmp_path / "ann.json"),
